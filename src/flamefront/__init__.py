@@ -55,7 +55,6 @@ from .solver import (
     BranchRecord,
     SolveConfig,
     WaveSolution,
-    assemble_system,
     continue_branch,
     flat_solution,
     quasi_newton_solve,

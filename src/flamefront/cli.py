@@ -27,6 +27,7 @@ from .errors import (
     BranchStartError,
     ConvergenceError,
     DegenerateFrontError,
+    InvalidGridError,
     SingularSystemError,
     UnsupportedModelError,
 )
@@ -38,6 +39,9 @@ __all__ = ["main"]
 _USAGE_ERROR = 2
 _SOLVER_ERROR = 3
 _UNSUPPORTED_MODEL = 4
+
+# first amplitude target and continuation step when --h-step is not given
+_DEFAULT_H_STEP = {"linear": 0.05, "nonlinear": 0.02}
 
 
 def _format_value(value):
@@ -98,12 +102,8 @@ def _write_manifest(out, command, parameters, outputs):
     _write_json(out / "manifest.json", manifest)
 
 
-def _model_kind(name):
-    return ModelKind(name)
-
-
 def cmd_bifurcate(args):
-    kind = _model_kind(args.model)
+    kind = ModelKind(args.model)
     out = _out_dir(args)
     report = {"model": kind.value, "k0": args.k0}
     if kind is ModelKind.LINEAR:
@@ -155,13 +155,10 @@ def _wave_payload(sol, alpha0):
 
 
 def cmd_branch(args):
-    kind = _model_kind(args.model)
+    kind = ModelKind(args.model)
     out = _out_dir(args)
-    h_step = args.h_step
-    if h_step is None:
-        h_step = 0.02 if kind is ModelKind.NONLINEAR else 0.05
     cfg = solver.SolveConfig(nx=args.nx)
-    record = solver.continue_branch(args.k0, kind, h_step, args.h_max, cfg)
+    record = solver.continue_branch(args.k0, kind, args.h_step, args.h_max, cfg)
     if kind is ModelKind.LINEAR:
         alpha0 = float(bifurcation.linear_bifurcation_alpha(args.k0))
     else:
@@ -191,7 +188,7 @@ def cmd_branch(args):
         {
             "model": kind.value,
             "k0": args.k0,
-            "h_step": h_step,
+            "h_step": args.h_step,
             "h_max": args.h_max,
             "nx": args.nx,
         },
@@ -207,6 +204,11 @@ def cmd_branch(args):
 def _wave_from_file(path):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"wave file {path} does not hold a JSON object")
+    for key in ("alpha", "theta"):
+        if key not in data:
+            raise ValueError(f"wave file {path} has no {key!r} entry")
     kind = ModelKind(data.get("model", "linear"))
     theta = spectral.ThetaProfile.from_values(np.asarray(data["theta"], dtype=float))
     length = float(data.get("L", length_from_theta(theta)))
@@ -234,10 +236,10 @@ def _wave_from_file(path):
 
 def cmd_stability(args):
     wave = _wave_from_file(args.wave)
-    out = _out_dir(args)
     cfg = evolution.StabilityProbeConfig(
         delta=args.delta, dt=args.dt, t_max=args.t_max
     )
+    out = _out_dir(args)
     estimate = evolution.stability_probe(wave, cfg)
     lines = ["t,d"]
     for t, d in zip(estimate.times, estimate.norms):
@@ -313,11 +315,11 @@ def main(argv=None):
     if getattr(args, "k0", 1) < 1:
         parser.error(f"--k0 must be a positive integer, got {args.k0}")
     if args.command == "branch":
-        h_step = args.h_step
-        if h_step is not None and h_step <= 0.0:
+        if args.h_step is None:
+            args.h_step = _DEFAULT_H_STEP[args.model]
+        if args.h_step <= 0.0:
             parser.error("--h-step must be positive")
-        first = h_step if h_step is not None else (0.02 if args.model == "nonlinear" else 0.05)
-        if args.h_max < first:
+        if args.h_max < args.h_step:
             parser.error("--h-max is below the first amplitude target; nothing to do")
     if args.command == "stability" and not Path(args.wave).is_file():
         parser.error(f"wave file not found: {args.wave}")
@@ -335,7 +337,7 @@ def main(argv=None):
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _SOLVER_ERROR
-    except ValueError as exc:
+    except (ValueError, InvalidGridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

@@ -79,6 +79,14 @@ class StabilityProbeConfig:
     t_max: float = 1.0
     growth_window_decades: float = 2.0
 
+    def __post_init__(self):
+        for name in ("delta", "dt", "t_max"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if round(self.t_max / self.dt) < 1:
+            raise ValueError(f"t_max {self.t_max!r} is shorter than one step of dt {self.dt!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class GrowthEstimate:
@@ -93,16 +101,8 @@ class GrowthEstimate:
     note: str = ""
 
 
-def _check_kind(kind):
-    if kind is not ModelKind.LINEAR:
-        raise UnsupportedModelError(
-            f"time evolution is implemented for the linear closure only, got {kind!r}"
-        )
-
-
-def theta_rhs(state, alpha, kind=ModelKind.LINEAR):
+def theta_rhs(state, alpha):
     """Right-hand sides (theta_t values, L_t) of the evolution system."""
-    _check_kind(kind)
     p = state.theta
     s_sigma = state.length / (2.0 * np.pi)
     theta_s = spectral.deriv(p, 1)
@@ -112,14 +112,10 @@ def theta_rhs(state, alpha, kind=ModelKind.LINEAR):
     flux = theta_s.values * u
     length_rate = -2.0 * np.pi * float(np.mean(flux))
     # V_sigma = flux + L_t/(2*pi) has zero mean, so V is periodic
-    w = spectral.ThetaProfile.from_values(
-        flux + length_rate / (2.0 * np.pi), allow_small=True
-    )
+    w = spectral.ThetaProfile.from_values(flux + length_rate / (2.0 * np.pi))
     v_anti = spectral.antiderivative(w).values
     v = v_anti - v_anti[0]
-    u_s = spectral.deriv(
-        spectral.ThetaProfile.from_values(u, allow_small=True), 1
-    ).values
+    u_s = spectral.deriv(spectral.ThetaProfile.from_values(u), 1).values
     return (u_s + v * theta_s.values) / s_sigma, length_rate
 
 
@@ -134,7 +130,7 @@ def _nonstiff_hat(state, alpha):
     return theta_hat, nonstiff, length_rate
 
 
-def imex_step(state, alpha, dt, kind=ModelKind.LINEAR):
+def imex_step(state, alpha, dt):
     """Advance one step of size dt.
 
     The stiff term -4*(2*pi/L)^4*theta_ssss is treated implicitly with L
@@ -143,7 +139,6 @@ def imex_step(state, alpha, dt, kind=ModelKind.LINEAR):
     scheme is first-order IMEX Euler, afterwards SBDF2.  Raises
     BlowUpError once max|theta| exceeds 1e3.
     """
-    _check_kind(kind)
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     nx = state.theta.nx
@@ -165,7 +160,7 @@ def imex_step(state, alpha, dt, kind=ModelKind.LINEAR):
             - prev.length
             + 2.0 * dt * (2.0 * length_rate - prev.length_rate)
         ) / 3.0
-    p_new = spectral.ThetaProfile.from_coeffs(new_hat, allow_small=True)
+    p_new = spectral.ThetaProfile.from_coeffs(new_hat)
     peak = float(np.max(np.abs(p_new.values)))
     if not np.isfinite(peak) or peak > _THETA_BLOWUP:
         raise BlowUpError(
@@ -213,7 +208,10 @@ def stability_probe(wave, cfg=None):
     """
     if cfg is None:
         cfg = StabilityProbeConfig()
-    _check_kind(wave.kind)
+    if wave.kind is not ModelKind.LINEAR:
+        raise UnsupportedModelError(
+            f"time evolution is implemented for the linear closure only, got {wave.kind!r}"
+        )
     nx = wave.theta.nx
     sigma = spectral.grid(nx)
     theta0 = wave.theta.values + cfg.delta * (np.sin(sigma) + np.sin(2.0 * sigma))

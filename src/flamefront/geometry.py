@@ -46,11 +46,11 @@ def _integrate(profile_values, anchor_zero_mean):
     anchor_zero_mean the result has zero mean over the first nx points;
     otherwise it starts at zero.
     """
-    p = spectral.ThetaProfile.from_values(profile_values, allow_small=True)
+    p = spectral.ThetaProfile.from_values(profile_values)
     nx = p.nx
     mean = p.mean()
     osc = spectral.antiderivative(p).values
-    sigma = np.append(spectral.grid(nx, allow_small=True), 2.0 * np.pi)
+    sigma = np.append(spectral.grid(nx), 2.0 * np.pi)
     out = mean * sigma + np.append(osc, osc[0])
     if anchor_zero_mean:
         out -= np.mean(out[:nx])

@@ -108,7 +108,7 @@ def kinematics(p, params):
     )
 
 
-def residual(p, params, kind, quad_alpha_squared=False):
+def residual(p, params, kind):
     """Pointwise traveling-wave residual on the grid.
 
     Linear closure:
@@ -123,8 +123,6 @@ def residual(p, params, kind, quad_alpha_squared=False):
               - beta*cos(theta)
 
     with q = 2*pi/L.  Products are evaluated pointwise without dealiasing.
-    quad_alpha_squared switches the quadratic coefficient to (1 + alpha^2/2)
-    for sensitivity studies; the default follows the curvature expansion.
     """
     alpha, beta = params.alpha, params.beta
     q = 2.0 * np.pi / params.length
@@ -139,7 +137,7 @@ def residual(p, params, kind, quad_alpha_squared=False):
         )
     if kind is ModelKind.NONLINEAR:
         kappa = q * theta_s
-        quad = 1.0 + (alpha**2 / 2.0 if quad_alpha_squared else alpha / 2.0)
+        quad = 1.0 + alpha / 2.0
         cubic = 2.0 * alpha + 5.0 * alpha**2 - alpha**3 / 3.0
         return (
             1.0

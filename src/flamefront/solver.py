@@ -33,13 +33,13 @@ __all__ = [
     "SolveConfig",
     "WaveSolution",
     "BranchRecord",
-    "assemble_system",
     "quasi_newton_solve",
     "continue_branch",
     "flat_solution",
     "residual_at_resolution",
 ]
 
+_FD_REL_STEP = 1e-7
 _PIVOT_FLOOR = 1e-14
 _MAX_STEP_HALVINGS = 4
 _ALPHA_WELL_POSED = -3.0
@@ -59,10 +59,6 @@ class SolveConfig:
     nx: int = 256
     tol_residual: float = 1e-10
     max_iters: int = 50
-    fd_step: float = 1e-7
-    jacobian_mode: Literal["finite-difference-full", "broyden-update"] = (
-        "finite-difference-full"
-    )
 
     def __post_init__(self):
         spectral.grid(self.nx)
@@ -70,10 +66,6 @@ class SolveConfig:
             raise ValueError(f"tol_residual must be positive, got {self.tol_residual!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
-        if self.fd_step <= 0.0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step!r}")
-        if self.jacobian_mode not in ("finite-difference-full", "broyden-update"):
-            raise ValueError(f"unknown jacobian_mode {self.jacobian_mode!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,24 +112,8 @@ def _pack(sol):
 
 def _residual_cosine_modes(p, params, kind):
     r = residual(p, params, kind)
-    rp = spectral.ThetaProfile.from_values(r, allow_small=True)
+    rp = spectral.ThetaProfile.from_values(r)
     return spectral.cosine_coeffs(rp), float(np.max(np.abs(r)))
-
-
-def assemble_system(p, beta, alpha, target_h, kind, amp_index=None):
-    """Stacked traveling-wave equations for one profile.
-
-    Returns the nx/2 + 2 vector of residual cosine coefficients for
-    wavenumbers 0..nx/2 followed by the amplitude pin
-    (theta at the argmax, or at amp_index when given) minus target_h.
-    """
-    params = WaveParams(alpha=alpha, beta=beta, length=length_from_theta(p))
-    modes, _ = _residual_cosine_modes(p, params, kind)
-    if amp_index is None:
-        amp = float(np.max(p.values))
-    else:
-        amp = float(p.values[amp_index])
-    return np.append(modes, amp - target_h)
 
 
 def _square_equations(x, nx, target_h, kind, amp_index):
@@ -153,11 +129,11 @@ def _square_equations(x, nx, target_h, kind, amp_index):
     return eqs, grid_norm, p, params
 
 
-def _fd_jacobian(fun, x, f0, fd_step):
+def _fd_jacobian(fun, x, f0):
     m, n = f0.size, x.size
     jac = np.empty((m, n))
     for i in range(n):
-        step = fd_step * (1.0 + abs(x[i]))
+        step = _FD_REL_STEP * (1.0 + abs(x[i]))
         xi = x.copy()
         xi[i] += step
         jac[:, i] = (fun(xi) - f0) / step
@@ -182,9 +158,8 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, k0=None):
     guess is a (ThetaProfile, WaveParams) pair; its profile is projected
     onto odd parity, and the amplitude is pinned at the grid index where
     the guess attains its maximum (frozen for the whole solve).  The
-    Jacobian is forward finite differences, either rebuilt every iteration
-    or Broyden-updated between rebuilds, and each update solves a dense
-    LU-factored system.
+    Jacobian is rebuilt by forward finite differences every iteration, and
+    each update solves a dense LU-factored system.
 
     Raises ConvergenceError after cfg.max_iters without meeting
     cfg.tol_residual, SingularSystemError on a negligible pivot.
@@ -207,25 +182,12 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, k0=None):
     eqs, grid_norm, p, params = _square_equations(x, nx, target_h, kind, amp_index)
     history = [grid_norm]
     tol = cfg.tol_residual
-    jac = None
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
         if grid_norm <= tol and abs(eqs[-1]) <= tol:
             break
-        if jac is None or cfg.jacobian_mode == "finite-difference-full":
-            jac = _fd_jacobian(fun, x, eqs, cfg.fd_step)
-        dx = _lu_solve(jac, -eqs)
-        x = x + dx
-        eqs_new, grid_norm, p, params = _square_equations(
-            x, nx, target_h, kind, amp_index
-        )
-        if cfg.jacobian_mode == "broyden-update":
-            if np.max(np.abs(eqs_new)) > 0.5 * np.max(np.abs(eqs)):
-                jac = None  # stalled; force a fresh finite-difference build
-            else:
-                df = eqs_new - eqs
-                jac = jac + np.outer((df - jac @ dx) / np.dot(dx, dx), dx)
-        eqs = eqs_new
+        x = x + _lu_solve(_fd_jacobian(fun, x, eqs), -eqs)
+        eqs, grid_norm, p, params = _square_equations(x, nx, target_h, kind, amp_index)
         iterations = it
         history.append(grid_norm)
     if grid_norm > tol or abs(eqs[-1]) > tol:

@@ -34,24 +34,14 @@ __all__ = [
 _MIN_NX = 8
 
 
-def _check_nx(nx, allow_small=False):
-    floor = 4 if allow_small else _MIN_NX
-    if not isinstance(nx, (int, np.integer)) or nx % 2 != 0 or nx < floor:
-        raise InvalidGridError(f"nx must be an even integer >= {floor}, got {nx!r}")
+def _check_nx(nx):
+    if not isinstance(nx, (int, np.integer)) or nx % 2 != 0 or nx < _MIN_NX:
+        raise InvalidGridError(f"nx must be an even integer >= {_MIN_NX}, got {nx!r}")
 
 
-def grid(nx, allow_small=False):
-    """Uniform periodic grid sigma_j = 2*pi*j/nx.
-
-    Parameters
-    ----------
-    nx : int
-        Even number of points, at least 8.
-    allow_small : bool
-        Permit nx down to 4.  Intended for tests that exercise the
-        bookkeeping on grids small enough to inspect by hand.
-    """
-    _check_nx(nx, allow_small)
+def grid(nx):
+    """Uniform periodic grid sigma_j = 2*pi*j/nx for an even nx >= 8."""
+    _check_nx(nx)
     return 2.0 * np.pi * np.arange(nx) / nx
 
 
@@ -73,20 +63,20 @@ class ThetaProfile:
     coeffs: np.ndarray
 
     @classmethod
-    def from_values(cls, values, allow_small=False):
+    def from_values(cls, values):
         values = np.asarray(values, dtype=float)
         nx = values.size
-        _check_nx(nx, allow_small)
+        _check_nx(nx)
         if not np.all(np.isfinite(values)):
             raise InvalidGridError("profile values must be finite")
         coeffs = np.fft.fft(values) / nx
         return cls(nx=nx, values=values, coeffs=coeffs)
 
     @classmethod
-    def from_coeffs(cls, coeffs, allow_small=False):
+    def from_coeffs(cls, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex)
         nx = coeffs.size
-        _check_nx(nx, allow_small)
+        _check_nx(nx)
         values = np.real(np.fft.ifft(coeffs)) * nx
         return cls(nx=nx, values=values, coeffs=coeffs)
 
@@ -106,7 +96,7 @@ def deriv(p, order):
     c = p.coeffs * (1j * n) ** order
     if order % 2 == 1:
         c[p.nx // 2] = 0.0
-    return ThetaProfile.from_coeffs(c, allow_small=True)
+    return ThetaProfile.from_coeffs(c)
 
 
 def project_odd(p):
@@ -116,7 +106,7 @@ def project_odd(p):
     grid and is annihilated as well.
     """
     reflected = np.roll(p.values[::-1], 1)
-    return ThetaProfile.from_values(0.5 * (p.values - reflected), allow_small=True)
+    return ThetaProfile.from_values(0.5 * (p.values - reflected))
 
 
 def antiderivative(p):
@@ -131,7 +121,7 @@ def antiderivative(p):
     nonzero = n != 0
     c[nonzero] = p.coeffs[nonzero] / (1j * n[nonzero])
     c[p.nx // 2] = 0.0
-    return ThetaProfile.from_coeffs(c, allow_small=True)
+    return ThetaProfile.from_coeffs(c)
 
 
 def sine_coeffs(p):
@@ -178,7 +168,7 @@ def resample(p, nx_new):
     Upsampling zero-pads the spectrum (the Nyquist coefficient is split
     between +-nx/2 to keep the result real); downsampling truncates.
     """
-    _check_nx(nx_new, allow_small=True)
+    _check_nx(nx_new)
     nx = p.nx
     if nx_new == nx:
         return p
@@ -193,4 +183,4 @@ def resample(p, nx_new):
     else:
         # modes +-nx_new/2 of the fine grid alias onto the coarse Nyquist
         c_new[half] = np.real(p.coeffs[half] + p.coeffs[-half])
-    return ThetaProfile.from_coeffs(c_new, allow_small=True)
+    return ThetaProfile.from_coeffs(c_new)

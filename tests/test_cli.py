@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flamefront
 from flamefront.cli import main
 from flamefront.model import ModelKind, WaveParams, residual
 from flamefront.spectral import ThetaProfile
@@ -199,6 +202,9 @@ def test_out_dir_defaults_to_cwd(tmp_path, monkeypatch):
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child finds the same package as this test, installed or not
+    src = str(Path(flamefront.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [
             sys.executable,
@@ -214,6 +220,67 @@ def test_console_script_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads((tmp_path / "bifurcation.json").read_text())["alpha0"] == 37.0
+
+
+def test_branch_default_h_step_in_check_run_and_manifest(tmp_path):
+    # the nonlinear default step 0.02 is above this cap, so nothing runs
+    code = exit_code(["branch", "--model", "nonlinear", "--k0", "1", "--h-max", "0.01",
+                      "--nx", "64", "--out", str(tmp_path)])
+    assert code == 2
+    assert main(["branch", "--model", "linear", "--k0", "1", "--h-max", "0.1",
+                 "--nx", "64", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["parameters"]["h_step"] == 0.05
+    assert manifest["outputs"] == ["branch.csv", "wave_0.050000.json", "wave_0.100000.json"]
+
+
+@pytest.mark.parametrize("nx", ["31", "4"])
+def test_branch_rejects_bad_nx(tmp_path, capsys, nx):
+    code = exit_code(["branch", "--model", "linear", "--k0", "1", "--nx", nx, "--out", str(tmp_path)])
+    assert code == 2
+    assert f"error: nx must be an even integer >= 8, got {nx}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "wave, message",
+    [
+        (3.0, "does not hold a JSON object"),
+        ({"model": "linear", "theta": [0.0] * 64}, "has no 'alpha' entry"),
+        ({"model": "linear", "alpha": 17.0}, "has no 'theta' entry"),
+        ({"model": "linear", "alpha": 17.0, "theta": [0.0] * 63}, "nx must be an even integer >= 8, got 63"),
+        ({"model": "linear", "alpha": 17.0, "theta": [float("nan")] + [0.0] * 63}, "must be finite"),
+    ],
+    ids=["not-an-object", "no-alpha", "no-theta", "odd-theta", "nan-theta"],
+)
+def test_stability_rejects_malformed_wave_file(tmp_path, capsys, wave, message):
+    (tmp_path / "bad.json").write_text(json.dumps(wave))
+    code = exit_code(["stability", "--wave", str(tmp_path / "bad.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--dt", "-1", "dt must be positive"),
+        ("--dt", "0", "dt must be positive"),
+        ("--t-max", "0", "t_max must be positive"),
+        ("--delta", "-0.5", "delta must be positive"),
+        ("--t-max", "1e-5", "shorter than one step"),
+    ],
+)
+def test_stability_rejects_nonpositive_probe_settings(tmp_path, capsys, flag, value, message):
+    wave = {"model": "linear", "alpha": 17.0, "theta": [0.0] * 64}
+    (tmp_path / "flat.json").write_text(json.dumps(wave))
+    code = exit_code(["stability", "--wave", str(tmp_path / "flat.json"), flag, value,
+                      "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -91,14 +91,6 @@ def test_traveling_wave_is_steady(linear_wave_small):
     assert out.length == pytest.approx(sol.length, abs=1e-10)
 
 
-def test_kind_validation():
-    state = single_mode_state(0.1, 1)
-    with pytest.raises(UnsupportedModelError):
-        theta_rhs(state, -3.3, kind=ModelKind.NONLINEAR)
-    with pytest.raises(UnsupportedModelError):
-        imex_step(state, -3.3, 1e-4, kind=ModelKind.NONLINEAR)
-
-
 def test_blow_up_detection():
     # far above every bifurcation point the front steepens without bound
     state = single_mode_state(0.1, 1)
@@ -142,6 +134,15 @@ def test_probe_stable_case_flagged():
     )
     assert not est.observed
     assert "no instability observed" in est.note
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"dt": 0.0}, {"dt": -1.0}, {"t_max": 0.0}, {"delta": 0.0}, {"dt": float("nan")}, {"t_max": 1e-5}],
+)
+def test_probe_config_validation(settings):
+    with pytest.raises(ValueError):
+        StabilityProbeConfig(**settings)
 
 
 def test_probe_rejects_nonlinear_wave():

@@ -144,23 +144,6 @@ def test_nonlinear_residual_leading_order_defect():
     assert 3.5 < norms[1] / norms[2] < 8.5
 
 
-def test_quadratic_coefficient_switch():
-    # alternate quadratic curvature weight changes curved-front residuals only
-    p = single_mode(0.2)
-    params = WaveParams(alpha=-3.2, beta=1.0, length=length_from_theta(p))
-    r_default = residual(p, params, ModelKind.NONLINEAR)
-    r_alt = residual(p, params, ModelKind.NONLINEAR, quad_alpha_squared=True)
-    assert np.max(np.abs(r_default - r_alt)) > 1e-4
-    q = flat()
-    params_flat = WaveParams(alpha=-3.2, beta=1.0, length=2.0 * np.pi)
-    np.testing.assert_allclose(
-        residual(q, params_flat, ModelKind.NONLINEAR, quad_alpha_squared=True),
-        residual(q, params_flat, ModelKind.NONLINEAR),
-        rtol=0,
-        atol=1e-15,
-    )
-
-
 def test_dispersion_linear_values():
     # lambda(k) = -4 k^4 + (alpha - 1) k^2
     assert dispersion_linear(17.0, 1) == pytest.approx(12.0, abs=1e-12)

@@ -11,7 +11,7 @@ from flamefront.model import ModelKind, WaveParams, residual
 from flamefront.solver import (
     BranchRecord,
     SolveConfig,
-    assemble_system,
+    _square_equations,
     continue_branch,
     flat_solution,
     quasi_newton_solve,
@@ -30,24 +30,30 @@ def test_config_validation():
         SolveConfig(nx=100, tol_residual=-1.0)
     with pytest.raises(ValueError):
         SolveConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolveConfig(jacobian_mode="exact")
     from flamefront.errors import InvalidGridError
 
     with pytest.raises(InvalidGridError):
         SolveConfig(nx=31)
 
 
+def newton_equations(p, params, target_h):
+    """The square Newton system at (p, beta, alpha), pinned at argmax theta."""
+    x = np.concatenate([sine_coeffs(p), [params.beta, params.alpha]])
+    amp_index = int(np.argmax(p.values))
+    return _square_equations(x, p.nx, target_h, ModelKind.LINEAR, amp_index)[0]
+
+
 def test_assemble_system_flat_is_zero():
     p, params = flat_guess()
-    eqs = assemble_system(p, params.beta, params.alpha, 0.0, ModelKind.LINEAR)
-    assert eqs.shape == (64 // 2 + 2,)
+    eqs = newton_equations(p, params, 0.0)
+    # cosine modes 0..nx/2-1 plus the amplitude pin
+    assert eqs.shape == (64 // 2 + 1,)
     np.testing.assert_allclose(eqs, 0.0, rtol=0, atol=1e-14)
 
 
 def test_assemble_system_amplitude_row():
     p, params = flat_guess()
-    eqs = assemble_system(p, params.beta, params.alpha, 0.1, ModelKind.LINEAR)
+    eqs = newton_equations(p, params, 0.1)
     np.testing.assert_allclose(eqs[:-1], 0.0, rtol=0, atol=1e-14)
     assert eqs[-1] == pytest.approx(-0.1, rel=1e-14)
 
@@ -57,7 +63,7 @@ def test_assemble_system_defect_scaling():
     norms = []
     for eps in (0.1, 0.05):
         p, params = asymptotic_guess(1, eps, ModelKind.LINEAR)
-        eqs = assemble_system(p, params.beta, params.alpha, eps, ModelKind.LINEAR)
+        eqs = newton_equations(p, params, eps)
         norms.append(np.max(np.abs(eqs)))
     assert 6.0 < norms[0] / norms[1] < 10.0
 
@@ -138,15 +144,6 @@ def test_solve_small_nonlinear_wave(nonlinear_wave_small):
     assert sol.amplitude == pytest.approx(0.05, abs=1e-10)
     assert sol.alpha == pytest.approx(alpha0, abs=0.02)
     assert sol.alpha < -3.0
-
-
-def test_broyden_mode_agrees_with_full_jacobian(linear_wave_small):
-    cfg = SolveConfig(jacobian_mode="broyden-update")
-    guess = asymptotic_guess(1, 0.05, ModelKind.LINEAR)
-    sol = quasi_newton_solve(guess, 0.05, ModelKind.LINEAR, cfg=cfg, k0=1)
-    assert sol.residual_norm <= 1e-10
-    assert abs(sol.alpha - linear_wave_small.alpha) < 1e-8
-    assert abs(sol.beta - linear_wave_small.beta) < 1e-10
 
 
 def test_solve_rejects_negative_target():

@@ -39,10 +39,6 @@ def test_grid_rejects_odd_and_small():
         grid(6)
     with pytest.raises(InvalidGridError):
         grid(4)
-    # explicit override admits tiny grids used in edge-case tests
-    assert grid(4, allow_small=True).shape == (4,)
-    with pytest.raises(InvalidGridError):
-        grid(2, allow_small=True)
 
 
 def test_wavenumbers_layout():
