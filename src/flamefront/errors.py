@@ -42,7 +42,7 @@ class InternalConsistencyError(FlameFrontError):
 
 
 class ConvergenceError(FlameFrontError):
-    """Quasi-Newton iteration exhausted its budget without meeting tolerance.
+    """Newton iteration exhausted its budget without meeting tolerance.
 
     Carries the last iterate and the residual-norm history for diagnosis.
     """

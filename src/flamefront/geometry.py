@@ -8,6 +8,7 @@ horizontal period is returned as nx+1 points with x(2pi) - x(0) = 2pi.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ __all__ = [
 
 # A gap below this fraction of the arclength spacing counts as touching.
 _GAP_FRACTION = 0.9
+# Point pairs per block of the gap scan: 64 KiB of float64 per temporary.
+_SCAN_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,33 +77,53 @@ def reconstruct_curve(p):
     return InterfaceCurve(x=x, y=y, length=length)
 
 
+@functools.cache
+def _nonadjacent_masks(nx):
+    """Pair masks of the gap scan, which depend only on nx.
+
+    within: cyclic index distance >= 2.  across: chain index distance
+    nx + j - i >= 2 against the +2*pi translate, which fails only for the
+    closing segment pair (i, j) = (nx-1, 0).
+    """
+    idx = np.arange(nx)
+    sep = np.abs(idx[:, None] - idx[None, :])
+    within = np.minimum(sep, nx - sep) >= 2
+    across = nx + idx[None, :] - idx[:, None] >= 2
+    within.setflags(write=False)
+    across.setflags(write=False)
+    return within, across
+
+
 def min_nonadjacent_gap(curve):
     """Smallest distance between non-adjacent points of the periodic polyline.
 
     Brute-force O(n^2) scan over all point pairs with cyclic index
     distance >= 2, plus every pair against the +2*pi horizontal translate
-    (which covers the -2*pi translate by symmetry).  This scan is the
-    reference implementation; any accelerated variant must reproduce it
-    exactly.
+    (which covers the -2*pi translate by symmetry).  The minimum is taken
+    over squared distances and square-rooted once, which gives the same
+    float as the minimum of the distances because the rounded square root
+    is monotone.  Any accelerated variant must reproduce this scan exactly.
+
+    The pairs are scanned in blocks of rows of at most _SCAN_BLOCK pairs,
+    so that no temporary is large enough for the allocator to map fresh
+    pages on every call; the minimum does not depend on the blocking.
     """
     nx = curve.nx
     x, y = curve.x[:nx], curve.y[:nx]
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    dist = np.sqrt(dx**2 + dy**2)
-
-    idx = np.arange(nx)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    cyclic = np.minimum(sep, nx - sep)
-    within = dist[cyclic >= 2]
-
-    # against the +2*pi translate the chain index distance is nx + j - i,
-    # which is < 2 only for the closing segment pair (i, j) = (nx-1, 0)
-    dist_shift = np.sqrt((x[:, None] - x[None, :] - 2.0 * np.pi) ** 2 + dy**2)
-    chain = nx + idx[None, :] - idx[:, None]
-    across = dist_shift[chain >= 2]
-
-    return float(min(within.min(), across.min()))
+    within, across = _nonadjacent_masks(nx)
+    rows = max(1, _SCAN_BLOCK // nx)
+    near, shifted = [], []
+    for i in range(0, nx, rows):
+        block = slice(i, i + rows)
+        dx = x[block, None] - x
+        dy2 = y[block, None] - y
+        dy2 *= dy2
+        near.append(np.min(dx**2 + dy2, where=within[block], initial=np.inf))
+        dx -= 2.0 * np.pi
+        dx *= dx
+        dx += dy2
+        shifted.append(np.min(dx, where=across[block], initial=np.inf))
+    return float(np.sqrt(min(np.min(near), np.min(shifted))))
 
 
 def is_near_self_intersecting(curve):

@@ -31,6 +31,7 @@ __all__ = [
     "length_from_theta",
     "kinematics",
     "residual",
+    "residual_linearization",
     "dispersion_linear",
     "unstable_modes",
 ]
@@ -74,10 +75,11 @@ def length_from_theta(p):
 
     The integral uses the spectral (mean-value) rule, which is exact for
     band-limited integrands.  Raises DegenerateFrontError when the integral
-    is too small to define a graph-like front.
+    is too small to define a graph-like front, or not a number (a
+    non-finite profile).
     """
     integral = 2.0 * np.pi * float(np.mean(np.cos(p.values)))
-    if integral <= _DEGENERACY_THRESHOLD:
+    if not integral > _DEGENERACY_THRESHOLD:
         raise DegenerateFrontError(
             f"integral of cos(theta) = {integral:.3e} is not positive; "
             "front is closed or vertical somewhere on average"
@@ -105,6 +107,15 @@ def kinematics(p, params):
         kappa=q * theta_s,
         u=-params.beta * np.cos(p.values),
         v=-params.beta * np.sin(p.values),
+    )
+
+
+def _nonlinear_coefficients(alpha):
+    """Nonlinear-closure coefficients of q^3*theta_sss, kappa^2 and kappa^3."""
+    return (
+        alpha**2 * (alpha + 3.0),
+        1.0 + alpha / 2.0,
+        2.0 * alpha + 5.0 * alpha**2 - alpha**3 / 3.0,
     )
 
 
@@ -137,17 +148,53 @@ def residual(p, params, kind):
         )
     if kind is ModelKind.NONLINEAR:
         kappa = q * theta_s
-        quad = 1.0 + alpha / 2.0
-        cubic = 2.0 * alpha + 5.0 * alpha**2 - alpha**3 / 3.0
+        stiff, quad, cubic = _nonlinear_coefficients(alpha)
         return (
             1.0
             + (alpha - 1.0) * kappa
-            + alpha**2 * (alpha + 3.0) * q**3 * theta_sss
+            + stiff * q**3 * theta_sss
             + quad * kappa**2
             + cubic * kappa**3
             - beta * np.cos(p.values)
         )
     raise ValueError(f"unknown model kind {kind!r}")
+
+
+def residual_linearization(p, params, kind):
+    """Pointwise partial derivatives of residual(p, params, kind).
+
+    Returns grid arrays (w1, w3, r_q, r_alpha) such that a perturbation
+    (d_theta, dq, d_alpha, d_beta) changes the residual by
+
+        w1*d_theta_s + w3*d_theta_sss + beta*sin(theta)*d_theta
+          + r_q*dq + r_alpha*d_alpha - cos(theta)*d_beta,
+
+    with q = 2*pi/L held as an independent variable.
+    """
+    alpha = params.alpha
+    q = 2.0 * np.pi / params.length
+    theta_s = spectral.deriv(p, 1).values
+    theta_sss = spectral.deriv(p, 3).values
+    if kind is ModelKind.LINEAR:
+        w1 = np.full(p.nx, (alpha - 1.0) * q)
+        w3 = np.full(p.nx, 4.0 * q**3)
+        r_alpha = q * theta_s
+    elif kind is ModelKind.NONLINEAR:
+        kappa = q * theta_s
+        stiff, quad, cubic = _nonlinear_coefficients(alpha)
+        w1 = q * ((alpha - 1.0) + 2.0 * quad * kappa + 3.0 * cubic * kappa**2)
+        w3 = np.full(p.nx, stiff * q**3)
+        r_alpha = (
+            kappa
+            + (3.0 * alpha**2 + 6.0 * alpha) * q**3 * theta_sss
+            + 0.5 * kappa**2
+            + (2.0 + 10.0 * alpha - alpha**2) * kappa**3
+        )
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    # every q-dependence enters through q*theta_s and q^3*theta_sss
+    r_q = (w1 * theta_s + 3.0 * w3 * theta_sss) / q
+    return w1, w3, r_q, r_alpha
 
 
 def dispersion_linear(alpha, k):

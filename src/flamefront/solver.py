@@ -1,4 +1,4 @@
-"""Quasi-Newton traveling-wave solves and amplitude continuation.
+"""Newton traveling-wave solves and amplitude continuation.
 
 The traveling-wave residual of an odd-parity profile is even on the grid,
 so the discrete system pairs the cosine modes of the residual (mean
@@ -8,10 +8,16 @@ the collocation grid and is therefore not an unknown; the corresponding
 cosine equation is dropped from the square solve and monitored through
 the max-norm of the grid residual instead.  Amplitude is pinned by
 theta at the frozen argmax index of the current guess.
+
+Each Newton iteration assembles the exact Jacobian of that system: the
+pointwise linearisation of the residual acting on the sine modes, a
+rank-one term from the dependence of L on theta, the two parameter
+columns, all projected onto the cosine modes by real FFTs along the grid.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Literal
@@ -27,7 +33,13 @@ from .errors import (
     DegenerateFrontError,
     SingularSystemError,
 )
-from .model import ModelKind, WaveParams, length_from_theta, residual
+from .model import (
+    ModelKind,
+    WaveParams,
+    length_from_theta,
+    residual,
+    residual_linearization,
+)
 
 __all__ = [
     "SolveConfig",
@@ -39,10 +51,11 @@ __all__ = [
     "residual_at_resolution",
 ]
 
-_FD_REL_STEP = 1e-7
 _PIVOT_FLOOR = 1e-14
 _MAX_STEP_HALVINGS = 4
 _ALPHA_WELL_POSED = -3.0
+# Grid entries per column block of the Jacobian: 64 KiB of float64 per temporary.
+_JACOBIAN_BLOCK = 8192
 
 Termination = Literal[
     "self-intersection",
@@ -54,7 +67,7 @@ Termination = Literal[
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Discretization and iteration budget of one quasi-Newton solve."""
+    """Discretization and iteration budget of one Newton solve."""
 
     nx: int = 256
     tol_residual: float = 1e-10
@@ -129,14 +142,56 @@ def _square_equations(x, nx, target_h, kind, amp_index):
     return eqs, grid_norm, p, params
 
 
-def _fd_jacobian(fun, x, f0):
-    m, n = f0.size, x.size
-    jac = np.empty((m, n))
-    for i in range(n):
-        step = _FD_REL_STEP * (1.0 + abs(x[i]))
-        xi = x.copy()
-        xi[i] += step
-        jac[:, i] = (fun(xi) - f0) / step
+@functools.cache
+def _sine_mode_tables(nx):
+    """Wavenumbers k = 1..nx/2-1 and the grid tables sin(k sigma_j), cos(k sigma_j).
+
+    The phase k*j is reduced modulo nx in integers, so every entry is a
+    sine or cosine of an angle in [0, 2*pi).
+    """
+    k = np.arange(1, nx // 2)
+    phase = (2.0 * np.pi / nx) * (np.outer(np.arange(nx), k) % nx)
+    tables = (k, np.sin(phase), np.cos(phase))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _newton_jacobian(p, params, kind, amp_index):
+    """Exact Jacobian of _square_equations in the unknowns [b_1.., beta, alpha].
+
+    With theta = S b, S[j, k] = sin(k sigma_j), the grid residual varies as
+    w1*(D1 S) + w3*(D3 S) + beta*sin(theta)*S plus r_q times the row
+    dq/db = -(sin(theta) S)/nx of q = 2*pi/L = mean(cos theta); the
+    parameter columns are -cos(theta) and dr/dalpha.  Cosine modes
+    0..nx/2-1 of every column come from a real FFT along the grid, taken
+    over blocks of at most _JACOBIAN_BLOCK grid entries so that no
+    temporary is large enough for the allocator to map fresh pages on
+    every call.
+    """
+    nx = p.nx
+    k, sin_k, cos_k = _sine_mode_tables(nx)
+    w1, w3, r_q, r_alpha = residual_linearization(p, params, kind)
+    sin_theta = np.sin(p.values)
+    beta_sin_theta = (params.beta * sin_theta)[:, None]
+    dq = -(sin_theta @ sin_k) / nx
+    jac = np.empty((nx // 2 + 1, nx // 2 + 1))
+    cols = max(1, _JACOBIAN_BLOCK // nx)
+    for c in range(0, k.size, cols):
+        block = slice(c, min(c + cols, k.size))
+        kb = k[block]
+        # D1 S = k cos(k sigma), D3 S = -k^3 cos(k sigma)
+        grid_jac = (
+            cos_k[:, block] * (np.outer(w1, kb) - np.outer(w3, kb**3))
+            + beta_sin_theta * sin_k[:, block]
+            + np.outer(r_q, dq[block])
+        )
+        jac[:-1, block] = np.fft.rfft(grid_jac, axis=0)[: nx // 2].real / nx
+    params_jac = np.stack([-np.cos(p.values), r_alpha], axis=1)
+    jac[:-1, -2:] = np.fft.rfft(params_jac, axis=0)[: nx // 2].real / nx
+    jac[1:-1] *= 2.0
+    jac[-1, :-2] = sin_k[amp_index]
+    jac[-1, -2:] = 0.0
     return jac
 
 
@@ -157,9 +212,9 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, k0=None):
 
     guess is a (ThetaProfile, WaveParams) pair; its profile is projected
     onto odd parity, and the amplitude is pinned at the grid index where
-    the guess attains its maximum (frozen for the whole solve).  The
-    Jacobian is rebuilt by forward finite differences every iteration, and
-    each update solves a dense LU-factored system.
+    the guess attains its maximum (frozen for the whole solve).  Every
+    iteration assembles the exact Jacobian at the current iterate and
+    solves the dense LU-factored update system.
 
     Raises ConvergenceError after cfg.max_iters without meeting
     cfg.tol_residual, SingularSystemError on a negligible pivot.
@@ -175,10 +230,6 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, k0=None):
         [spectral.sine_coeffs(p0), [params0.beta, params0.alpha]]
     )
     amp_index = int(np.argmax(p0.values))
-
-    def fun(xv):
-        return _square_equations(xv, nx, target_h, kind, amp_index)[0]
-
     eqs, grid_norm, p, params = _square_equations(x, nx, target_h, kind, amp_index)
     history = [grid_norm]
     tol = cfg.tol_residual
@@ -186,7 +237,7 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, k0=None):
     for it in range(1, cfg.max_iters + 1):
         if grid_norm <= tol and abs(eqs[-1]) <= tol:
             break
-        x = x + _lu_solve(_fd_jacobian(fun, x, eqs), -eqs)
+        x = x + _lu_solve(_newton_jacobian(p, params, kind, amp_index), -eqs)
         eqs, grid_norm, p, params = _square_equations(x, nx, target_h, kind, amp_index)
         iterations = it
         history.append(grid_norm)

@@ -12,6 +12,7 @@ projection) cannot represent it faithfully on the grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,18 @@ def grid(nx):
 
 
 def wavenumbers(nx):
-    """Integer wavenumbers in FFT order: 0, 1, .., nx/2-1, -nx/2, .., -1."""
-    return np.fft.fftfreq(nx, d=1.0 / nx).astype(np.int64)
+    """Integer wavenumbers in FFT order: 0, 1, .., nx/2-1, -nx/2, .., -1.
+
+    The array is cached per nx and read-only.
+    """
+    return _wavenumbers(nx)
+
+
+@functools.cache
+def _wavenumbers(nx):
+    n = np.fft.fftfreq(nx, d=1.0 / nx).astype(np.int64)
+    n.setflags(write=False)
+    return n
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,6 +32,46 @@ def brute_force_gap(curve):
     return best
 
 
+def reference_gap(curve):
+    """The vectorized scan as first written: distances of all pairs, masks
+    built per call, minimum over the masked distances.  The cached-mask
+    scan must return the same float."""
+    nx = curve.nx
+    x, y = curve.x[:nx], curve.y[:nx]
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    dist = np.sqrt(dx**2 + dy**2)
+    idx = np.arange(nx)
+    sep = np.abs(idx[:, None] - idx[None, :])
+    cyclic = np.minimum(sep, nx - sep)
+    within = dist[cyclic >= 2]
+    dist_shift = np.sqrt((x[:, None] - x[None, :] - 2.0 * np.pi) ** 2 + dy**2)
+    chain = nx + idx[None, :] - idx[:, None]
+    across = dist_shift[chain >= 2]
+    return float(min(within.min(), across.min()))
+
+
+def closed_curve(x, y):
+    x = np.append(x, x[0] + 2.0 * np.pi)
+    y = np.append(y, y[0])
+    return InterfaceCurve(x=x, y=y, length=float(np.sum(np.hypot(np.diff(x), np.diff(y)))))
+
+
+def hairpin_curve(nx, d=0.05):
+    """Two horizontal arms a distance d apart plus a climb that closes the period."""
+    n_fwd, n_back = nx // 2, nx // 4
+    n_out = nx - n_fwd - n_back
+    x = np.concatenate(
+        [
+            np.linspace(0.0, 5.5, n_fwd),
+            np.linspace(5.0, 3.5, n_back),
+            np.linspace(4.0, 2.0 * np.pi - 0.1, n_out),
+        ]
+    )
+    y = np.concatenate([np.zeros(n_fwd), np.full(n_back, d), np.linspace(3 * d, d, n_out)])
+    return closed_curve(x, y)
+
+
 def test_flat_front_is_straight_line():
     p = ThetaProfile.from_values(np.zeros(32))
     curve = reconstruct_curve(p)
@@ -125,6 +165,18 @@ def test_gap_hairpin():
     gap = min_nonadjacent_gap(curve)
     assert gap == pytest.approx(d, rel=1e-12)
     assert gap == pytest.approx(brute_force_gap(curve), rel=1e-14)
+
+
+@pytest.mark.parametrize("nx", [64, 256, 512])
+def test_gap_equals_reference_scan(rng, nx):
+    curves = [hairpin_curve(nx), hairpin_curve(nx, d=1e-9)]
+    curves.append(reconstruct_curve(wave_profile(eps=2.0, nx=nx)))
+    for _ in range(5):
+        x = np.sort(rng.uniform(0.0, 2.0 * np.pi, nx))
+        curves.append(closed_curve(x, rng.uniform(0.001, 2.0) * rng.standard_normal(nx)))
+        curves.append(closed_curve(rng.uniform(0.0, 2.0 * np.pi, nx), rng.standard_normal(nx)))
+    for curve in curves:
+        assert min_nonadjacent_gap(curve) == reference_gap(curve)
 
 
 def test_gap_sees_neighboring_period():

@@ -11,7 +11,7 @@ from flamefront.model import (
     residual,
     unstable_modes,
 )
-from flamefront.spectral import ThetaProfile, grid
+from flamefront.spectral import ThetaProfile, from_sine_coeffs, grid
 
 # independent oracle: trapezoid quadrature of cos(0.1 sin s) at 200001 points,
 # cross-checked against 2*pi/J0(0.1)
@@ -45,6 +45,16 @@ def test_length_degenerate_folded_front():
         length_from_theta(flat(value=np.pi))
     with pytest.raises(DegenerateFrontError):
         length_from_theta(flat(value=0.5 * np.pi))
+
+
+def test_length_of_non_finite_profile_is_degenerate():
+    # a diverged Newton step leaves NaN in the profile; the comparison with
+    # the degeneracy threshold must not let it through as a nan length
+    b = np.zeros(127)
+    b[0] = 0.1
+    b[5] = np.nan
+    with pytest.raises(DegenerateFrontError):
+        length_from_theta(from_sine_coeffs(b, 256))
 
 
 def test_wave_params_validation():

@@ -2,22 +2,32 @@ import numpy as np
 import pytest
 
 from flamefront.bifurcation import asymptotic_guess, nonlinear_bifurcation_alpha
+from flamefront import solver
 from flamefront.errors import (
     BranchStartError,
     ConvergenceError,
+    DegenerateFrontError,
     SingularSystemError,
 )
 from flamefront.model import ModelKind, WaveParams, residual
 from flamefront.solver import (
     BranchRecord,
     SolveConfig,
+    _newton_jacobian,
+    _rebuild,
     _square_equations,
     continue_branch,
     flat_solution,
     quasi_newton_solve,
     residual_at_resolution,
 )
-from flamefront.spectral import ThetaProfile, cosine_coeffs, sine_coeffs
+from flamefront.spectral import (
+    ThetaProfile,
+    cosine_coeffs,
+    grid,
+    project_odd,
+    sine_coeffs,
+)
 
 
 def flat_guess(nx=64, beta=1.0, alpha=5.0):
@@ -66,6 +76,91 @@ def test_assemble_system_defect_scaling():
         eqs = newton_equations(p, params, eps)
         norms.append(np.max(np.abs(eqs)))
     assert 6.0 < norms[0] / norms[1] < 10.0
+
+
+def fd_jacobian(x, nx, target_h, kind, amp_index, rel_step=1e-7):
+    """Forward-difference Jacobian of _square_equations: the test oracle
+    for the analytic build."""
+    f0 = _square_equations(x, nx, target_h, kind, amp_index)[0]
+    jac = np.empty((f0.size, x.size))
+    for i in range(x.size):
+        step = rel_step * (1.0 + abs(x[i]))
+        xi = x.copy()
+        xi[i] += step
+        jac[:, i] = (_square_equations(xi, nx, target_h, kind, amp_index)[0] - f0) / step
+    return jac
+
+
+def jacobian_case(name, nx):
+    """(profile, params, target_h, kind) at which the Jacobians are compared."""
+    if name.startswith("guess"):
+        kind = ModelKind.LINEAR if name == "guess-linear" else ModelKind.NONLINEAR
+        p, params = asymptotic_guess(1, 0.3, kind, nx=nx)
+        return project_odd(p), params, 0.3, kind
+    if name == "linear-h1":
+        # a large linear wave, well past the weakly nonlinear regime
+        rec = continue_branch(1, ModelKind.LINEAR, 0.05, 1.0, cfg=SolveConfig(nx=nx))
+    else:
+        # the nonlinear branch close to its wall: alpha about -3.012
+        rec = continue_branch(1, ModelKind.NONLINEAR, 0.02, 0.42, cfg=SolveConfig(nx=nx))
+    sol = rec.solutions[-1]
+    params = WaveParams(alpha=sol.alpha, beta=sol.beta, length=sol.length)
+    return sol.theta, params, sol.amplitude + 1e-3, sol.kind
+
+
+# the nonlinear branch at nx=64 fails near h = 0.34, before the wall
+@pytest.mark.parametrize(
+    "name,nx",
+    [
+        ("guess-linear", 64),
+        ("guess-linear", 256),
+        ("guess-nonlinear", 64),
+        ("guess-nonlinear", 256),
+        ("linear-h1", 64),
+        ("linear-h1", 256),
+        ("nonlinear-wall", 256),
+    ],
+)
+def test_newton_jacobian_matches_finite_differences(name, nx):
+    p, params, target_h, kind = jacobian_case(name, nx)
+    if name == "nonlinear-wall":
+        assert -3.02 < params.alpha < -3.0
+    x = np.concatenate([sine_coeffs(p), [params.beta, params.alpha]])
+    amp_index = int(np.argmax(p.values))
+    _, _, p_x, params_x = _square_equations(x, nx, target_h, kind, amp_index)
+    jac = _newton_jacobian(p_x, params_x, kind, amp_index)
+    oracle = fd_jacobian(x, nx, target_h, kind, amp_index)
+    assert jac.shape == oracle.shape == (nx // 2 + 1, nx // 2 + 1)
+    scale = np.max(np.abs(oracle))
+    np.testing.assert_allclose(jac, oracle, rtol=0, atol=1e-6 * scale)
+    # the pin row is exactly d theta(sigma_pin)/d b_k = sin(k sigma_pin),
+    # and the pin does not depend on (beta, alpha)
+    k = np.arange(1, nx // 2)
+    np.testing.assert_allclose(
+        jac[-1, :-2], np.sin(k * grid(nx)[amp_index]), rtol=0, atol=1e-13
+    )
+    assert jac[-1, -2] == 0.0 and jac[-1, -1] == 0.0
+
+
+@pytest.mark.parametrize("nx", [64, 256, 512])
+def test_newton_jacobian_independent_of_block_width(monkeypatch, nx):
+    """The column blocks only bound the temporaries: one block, the default
+    and 5-column blocks (a short last block) give the same bits."""
+    p, params, _, kind = jacobian_case("guess-nonlinear", nx)
+    amp_index = int(np.argmax(p.values))
+    blocked = _newton_jacobian(p, params, kind, amp_index)
+    for width in (nx * nx, 5 * nx):
+        monkeypatch.setattr(solver, "_JACOBIAN_BLOCK", width)
+        assert np.array_equal(_newton_jacobian(p, params, kind, amp_index), blocked)
+
+
+def test_rebuild_rejects_non_finite_coefficients():
+    x = np.zeros(64 // 2 - 1 + 2)
+    x[0] = 0.1
+    x[3] = np.nan
+    x[-2:] = [1.0, 5.0]
+    with pytest.raises(DegenerateFrontError):
+        _rebuild(x, 64)
 
 
 def test_solve_flat_target_zero_is_immediate():

@@ -46,6 +46,16 @@ def test_wavenumbers_layout():
     np.testing.assert_array_equal(k, [0, 1, 2, 3, -4, -3, -2, -1])
 
 
+def test_wavenumbers_cached_read_only():
+    for nx in (8, 64, 256):
+        k = wavenumbers(nx)
+        assert not k.flags.writeable
+        with pytest.raises(ValueError):
+            k[1] = 7
+        np.testing.assert_array_equal(k, np.fft.fftfreq(nx, d=1.0 / nx).astype(np.int64))
+        np.testing.assert_array_equal(wavenumbers(nx), k)
+
+
 def test_round_trip_values_coeffs(rng):
     p = random_profile(rng)
     q = ThetaProfile.from_coeffs(p.coeffs)
