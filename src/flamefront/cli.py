@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -50,6 +51,8 @@ def _format_value(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"out of range float values are not JSON compliant: {value!r}")
         return format(float(value), ".17g")
     if isinstance(value, str):
         return json.dumps(value)
@@ -57,7 +60,11 @@ def _format_value(value):
 
 
 def _to_json(obj, indent=0):
-    """Deterministic JSON with 17-significant-digit floats."""
+    """Deterministic JSON with 17-significant-digit floats.
+
+    As with json's allow_nan=False, a NaN or infinite float raises
+    ValueError: JSON has no literal for it.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -156,8 +163,8 @@ def _wave_payload(sol, alpha0):
 
 def cmd_branch(args):
     kind = ModelKind(args.model)
-    out = _out_dir(args)
     cfg = solver.SolveConfig(nx=args.nx)
+    out = _out_dir(args)
     record = solver.continue_branch(args.k0, kind, args.h_step, args.h_max, cfg)
     if kind is ModelKind.LINEAR:
         alpha0 = float(bifurcation.linear_bifurcation_alpha(args.k0))
@@ -201,6 +208,17 @@ def cmd_branch(args):
     return 0
 
 
+def _finite_entry(path, data, key, default):
+    value = data.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"wave file {path} has a non-numeric {key!r} entry: {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"wave file {path} has a non-finite {key!r} entry: {value!r}")
+    return number
+
+
 def _wave_from_file(path):
     with open(path) as fh:
         data = json.load(fh)
@@ -211,9 +229,9 @@ def _wave_from_file(path):
             raise ValueError(f"wave file {path} has no {key!r} entry")
     kind = ModelKind(data.get("model", "linear"))
     theta = spectral.ThetaProfile.from_values(np.asarray(data["theta"], dtype=float))
-    length = float(data.get("L", length_from_theta(theta)))
-    beta = float(data.get("beta", 1.0))
-    alpha = float(data["alpha"])
+    length = _finite_entry(path, data, "L", length_from_theta(theta))
+    beta = _finite_entry(path, data, "beta", 1.0)
+    alpha = _finite_entry(path, data, "alpha", None)
     residual_norm = float(
         data.get(
             "residual_norm",
@@ -317,6 +335,9 @@ def main(argv=None):
     if args.command == "branch":
         if args.h_step is None:
             args.h_step = _DEFAULT_H_STEP[args.model]
+        for flag, value in (("--h-step", args.h_step), ("--h-max", args.h_max)):
+            if not math.isfinite(value):
+                parser.error(f"{flag} must be finite, got {value}")
         if args.h_step <= 0.0:
             parser.error("--h-step must be positive")
         if args.h_max < args.h_step:

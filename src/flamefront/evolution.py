@@ -15,10 +15,17 @@ uniform.  Time stepping is IMEX: the fourth-derivative part
 -4*(2*pi/L)^4 * theta_ssss is implicit (diagonal in Fourier space, L
 frozen over the step), everything else explicit; the first step is IMEX
 Euler and subsequent steps are SBDF2.
+
+A step works on the rfft half spectrum of theta, n = 0..nx/2, with
+multiplier tables cached per nx, and makes 5 numpy FFT calls: one batched
+irfft for theta_s, theta_sss, theta_ss and theta_ssss, an rfft of the
+flux theta_s*U (its mode 0 gives L_t) and an irfft of its antiderivative
+for V, then an rfft of theta_t and an irfft of the new half spectrum.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +53,9 @@ _NO_GROWTH_NOTE = "no instability observed at threshold 1e-3"
 
 @dataclass(frozen=True, eq=False)
 class _StepCache:
-    """Previous-step data an SBDF2 step needs; dt is recorded so a changed
-    step size falls back to the self-starting Euler step."""
+    """Previous-step data an SBDF2 step needs, as rfft half spectra; dt is
+    recorded so a changed step size falls back to the self-starting Euler
+    step."""
 
     theta_hat: np.ndarray
     nonstiff_hat: np.ndarray
@@ -101,33 +109,56 @@ class GrowthEstimate:
     note: str = ""
 
 
+@dataclass(frozen=True, eq=False)
+class _Multipliers:
+    """Read-only half-spectrum multipliers of one grid, n = 0..nx/2.
+
+    derivs holds the rows (i n)^1, (i n)^3, (i n)^2, (i n)^4, in the order
+    theta_rhs unpacks them; inv_in holds 1/(i n) with modes 0 and nx/2
+    zeroed; n4 holds n^4.  Every derivative row is zeroed at Nyquist: the
+    odd orders as in spectral.deriv, the even ones because they only feed
+    u_sigma, the derivative of a u that has no Nyquist content.
+    """
+
+    derivs: np.ndarray
+    inv_in: np.ndarray
+    n4: np.ndarray
+
+
+@functools.cache
+def _multipliers(nx):
+    n = np.arange(nx // 2 + 1)
+    derivs = (1j * n) ** np.array([1, 3, 2, 4])[:, None]
+    derivs[:, -1] = 0.0
+    inv_in = np.zeros(n.size, dtype=complex)
+    inv_in[1:-1] = 1.0 / (1j * n[1:-1])
+    n4 = n.astype(float) ** 4
+    for table in (derivs, inv_in, n4):
+        table.setflags(write=False)
+    return _Multipliers(derivs=derivs, inv_in=inv_in, n4=n4)
+
+
 def theta_rhs(state, alpha):
     """Right-hand sides (theta_t values, L_t) of the evolution system."""
     p = state.theta
+    nx = p.nx
+    table = _multipliers(nx)
     s_sigma = state.length / (2.0 * np.pi)
-    theta_s = spectral.deriv(p, 1)
-    kappa = theta_s.values / s_sigma
-    kappa_ss = spectral.deriv(p, 3).values / s_sigma**3
-    u = -(1.0 + (alpha - 1.0) * kappa + 4.0 * kappa_ss)
-    flux = theta_s.values * u
-    length_rate = -2.0 * np.pi * float(np.mean(flux))
-    # V_sigma = flux + L_t/(2*pi) has zero mean, so V is periodic
-    w = spectral.ThetaProfile.from_values(flux + length_rate / (2.0 * np.pi))
-    v_anti = spectral.antiderivative(w).values
-    v = v_anti - v_anti[0]
-    u_s = spectral.deriv(spectral.ThetaProfile.from_values(u), 1).values
-    return (u_s + v * theta_s.values) / s_sigma, length_rate
-
-
-def _nonstiff_hat(state, alpha):
-    """Fourier transform of the explicit part: full rhs plus the stiff
-    fourth-derivative term it will receive implicitly."""
-    dtheta, length_rate = theta_rhs(state, alpha)
-    q4 = (2.0 * np.pi / state.length) ** 4
-    n = spectral.wavenumbers(state.theta.nx)
-    theta_hat = state.theta.coeffs
-    nonstiff = np.fft.fft(dtheta) / state.theta.nx + 4.0 * q4 * n**4 * theta_hat
-    return theta_hat, nonstiff, length_rate
+    # u = -(1 + a*theta_s + b*theta_sss) is linear in the derivatives, so
+    # u_sigma comes from theta_ss and theta_ssss without a transform of u
+    a = (alpha - 1.0) / s_sigma
+    b = 4.0 / s_sigma**3
+    theta_s, theta_sss, theta_ss, theta_ssss = np.fft.irfft(
+        table.derivs * p.coeffs[: nx // 2 + 1], n=nx, norm="forward"
+    )
+    u = -(1.0 + a * theta_s + b * theta_sss)
+    u_s = -(a * theta_ss + b * theta_ssss)
+    flux_hat = np.fft.rfft(theta_s * u, norm="forward")
+    length_rate = -2.0 * np.pi * float(flux_hat[0].real)
+    # V_sigma = flux + L_t/(2*pi) has zero mean, so V is periodic; the
+    # constant L_t/(2*pi) only touches mode 0, which inv_in drops
+    v = np.fft.irfft(flux_hat * table.inv_in, n=nx, norm="forward")
+    return (u_s + (v - v[0]) * theta_s) / s_sigma, length_rate
 
 
 def imex_step(state, alpha, dt):
@@ -136,37 +167,44 @@ def imex_step(state, alpha, dt):
     The stiff term -4*(2*pi/L)^4*theta_ssss is treated implicitly with L
     frozen at the current value; the remainder and the length equation are
     explicit.  Without usable history (first step, or dt changed) the
-    scheme is first-order IMEX Euler, afterwards SBDF2.  Raises
-    BlowUpError once max|theta| exceeds 1e3.
+    scheme is first-order IMEX Euler, afterwards SBDF2.  Raises ValueError
+    for a dt that is not positive and finite or an alpha that is not
+    finite, and BlowUpError once max|theta| exceeds 1e3.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     nx = state.theta.nx
-    n = spectral.wavenumbers(nx)
-    theta_hat, nonstiff, length_rate = _nonstiff_hat(state, alpha)
-    q4 = (2.0 * np.pi / state.length) ** 4
+    theta_hat = state.theta.coeffs[: nx // 2 + 1]
+    dtheta, length_rate = theta_rhs(state, alpha)
+    # explicit part: the full rhs plus the stiff term it receives implicitly
+    stiff = 4.0 * (2.0 * np.pi / state.length) ** 4 * _multipliers(nx).n4
+    nonstiff = np.fft.rfft(dtheta, norm="forward") + stiff * theta_hat
     prev = state.prev
     if prev is None or prev.dt != dt:
-        new_hat = (theta_hat + dt * nonstiff) / (1.0 + 4.0 * dt * q4 * n**4)
+        new_hat = (theta_hat + dt * nonstiff) / (1.0 + dt * stiff)
         new_length = state.length + dt * length_rate
     else:
         new_hat = (
             4.0 * theta_hat
             - prev.theta_hat
             + 2.0 * dt * (2.0 * nonstiff - prev.nonstiff_hat)
-        ) / (3.0 + 8.0 * dt * q4 * n**4)
+        ) / (3.0 + 2.0 * dt * stiff)
         new_length = (
             4.0 * state.length
             - prev.length
             + 2.0 * dt * (2.0 * length_rate - prev.length_rate)
         ) / 3.0
-    p_new = spectral.ThetaProfile.from_coeffs(new_hat)
-    peak = float(np.max(np.abs(p_new.values)))
+    values = np.fft.irfft(new_hat, n=nx, norm="forward")
+    peak = float(np.max(np.abs(values)))
     if not np.isfinite(peak) or peak > _THETA_BLOWUP:
         raise BlowUpError(
             f"max|theta| = {peak:.3e} exceeded {_THETA_BLOWUP:g} at t = {state.time + dt:.6g}",
             time=state.time + dt,
         )
+    # negative modes by Hermitian symmetry: the values are real
+    coeffs = np.concatenate((new_hat, np.conj(new_hat[-2:0:-1])))
     cache = _StepCache(
         theta_hat=theta_hat,
         nonstiff_hat=nonstiff,
@@ -175,12 +213,17 @@ def imex_step(state, alpha, dt):
         dt=dt,
     )
     return EvolutionState(
-        theta=p_new, length=new_length, time=state.time + dt, prev=cache
+        theta=spectral.ThetaProfile(nx=nx, values=values, coeffs=coeffs),
+        length=new_length,
+        time=state.time + dt,
+        prev=cache,
     )
 
 
 def evolve(state, alpha, dt, n_steps, observer=None):
     """Run n_steps IMEX steps, invoking observer(state) after each one."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps!r}")
     for _ in range(n_steps):
         state = imex_step(state, alpha, dt)
         if observer is not None:

@@ -309,8 +309,10 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
     """
     if cfg is None:
         cfg = SolveConfig()
-    if h_step <= 0.0:
-        raise ValueError(f"h_step must be positive, got {h_step!r}")
+    if not (np.isfinite(h_step) and h_step > 0.0):
+        raise ValueError(f"h_step must be positive and finite, got {h_step!r}")
+    if not np.isfinite(h_max):
+        raise ValueError(f"h_max must be finite, got {h_max!r}")
     if h_max < h_step:
         raise ValueError(f"h_max {h_max!r} is below the first target {h_step!r}")
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import flamefront
-from flamefront.cli import main
+from flamefront.cli import _write_json, main
 from flamefront.model import ModelKind, WaveParams, residual
 from flamefront.spectral import ThetaProfile
 
@@ -284,3 +284,62 @@ def test_stability_rejects_nonpositive_probe_settings(tmp_path, capsys, flag, va
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("nx", ["31", "4"])
+def test_branch_bad_nx_creates_no_output_directory(tmp_path, nx):
+    code = exit_code(["branch", "--model", "linear", "--k0", "1", "--nx", nx, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--h-step", "nan"), ("--h-step", "inf"), ("--h-max", "nan"), ("--h-max", "inf")],
+)
+def test_branch_rejects_non_finite_amplitudes(tmp_path, capsys, flag, value):
+    code = exit_code(["branch", "--model", "linear", "--k0", "1", flag, value, "--nx", "64",
+                      "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta", "L"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_stability_rejects_non_finite_wave_numbers(tmp_path, capsys, key, value):
+    wave = {"model": "linear", "alpha": 17.0, "beta": 1.0, "L": 2.0 * np.pi, "theta": [0.0] * 64}
+    wave[key] = value
+    (tmp_path / "bad.json").write_text(json.dumps(wave))  # Python writes NaN / Infinity
+    code = exit_code(["stability", "--wave", str(tmp_path / "bad.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"non-finite {key!r} entry" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_write_json_rejects_non_finite_floats(tmp_path):
+    for value in (float("nan"), np.inf, np.float64("-inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_json(tmp_path / "x.json", {"h_max": value})
+        assert not (tmp_path / "x.json").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_every_json_output_is_strict_json(tmp_path):
+    bif = tmp_path / "bif"
+    assert main(["bifurcate", "--model", "nonlinear", "--k0", "1", "--out", str(bif)]) == 0
+    br = tmp_path / "branch"
+    assert run_branch(br) == 0
+    st = tmp_path / "stability"
+    assert main(["stability", "--wave", str(br / "wave_0.050000.json"), "--dt", "1e-3",
+                 "--t-max", "0.05", "--out", str(st)]) == 0
+    files = sorted(tmp_path.glob("*/*.json"))
+    assert {f.name for f in files} >= {"bifurcation.json", "manifest.json", "wave_0.150000.json", "fit.json"}
+    assert len(files) == 8  # 2 + (3 waves + manifest) + 2
+    for f in files:
+        json.loads(f.read_text(), parse_constant=_reject_constant)

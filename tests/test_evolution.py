@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from flamefront.bifurcation import asymptotic_guess
 from flamefront.errors import BlowUpError, UnsupportedModelError
 from flamefront.evolution import (
     EvolutionState,
     StabilityProbeConfig,
+    _multipliers,
     evolve,
     imex_step,
     stability_probe,
@@ -108,6 +112,31 @@ def test_dt_validation():
         imex_step(state, 17.0, -1e-4)
 
 
+@pytest.mark.parametrize(
+    "alpha, dt, name",
+    [
+        (17.0, float("nan"), "dt"),
+        (17.0, float("inf"), "dt"),
+        (float("nan"), 1e-4, "alpha"),
+        (float("-inf"), 1e-4, "alpha"),
+    ],
+)
+def test_step_rejects_non_finite_arguments(alpha, dt, name):
+    # rejected before any arithmetic: no RuntimeWarning, no BlowUpError
+    state = single_mode_state(0.1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            imex_step(state, alpha, dt)
+
+
+def test_evolve_rejects_negative_step_count():
+    state = single_mode_state(0.1, 1)
+    with pytest.raises(ValueError, match="n_steps"):
+        evolve(state, 17.0, 1e-4, -1)
+    assert evolve(state, 17.0, 1e-4, 0) is state
+
+
 def test_restart_after_dt_change():
     # changing dt discards the two-step history instead of mixing steps
     state = single_mode_state(1e-4, 1)
@@ -164,3 +193,140 @@ def test_probe_growth_window_anchoring(flat17_probe):
     d_start = est.norms[np.searchsorted(est.times, t0)]
     assert d_start >= 10.0 * 1e-8 * 0.99
     assert t1 <= 1.0
+
+
+# The stepper's arithmetic before it moved to the rfft half spectrum: full
+# complex FFTs, one transform per derivative, kept here in plain numpy as
+# the oracle for the half-spectrum theta_rhs and imex_step.
+
+
+def _oracle_deriv(coeffs, order):
+    nx = coeffs.size
+    c = coeffs * (1j * np.fft.fftfreq(nx, d=1.0 / nx)) ** order
+    if order % 2 == 1:
+        c[nx // 2] = 0.0
+    return c
+
+
+def _oracle_values(coeffs):
+    return np.real(np.fft.ifft(coeffs)) * coeffs.size
+
+
+def _oracle_coeffs(values):
+    return np.fft.fft(values) / values.size
+
+
+def oracle_rhs(coeffs, length, alpha):
+    nx = coeffs.size
+    n = np.fft.fftfreq(nx, d=1.0 / nx)
+    s_sigma = length / (2.0 * np.pi)
+    theta_s = _oracle_values(_oracle_deriv(coeffs, 1))
+    kappa = theta_s / s_sigma
+    kappa_ss = _oracle_values(_oracle_deriv(coeffs, 3)) / s_sigma**3
+    u = -(1.0 + (alpha - 1.0) * kappa + 4.0 * kappa_ss)
+    flux = theta_s * u
+    length_rate = -2.0 * np.pi * float(np.mean(flux))
+    w = _oracle_coeffs(flux + length_rate / (2.0 * np.pi))
+    anti = np.zeros_like(w)
+    anti[n != 0] = w[n != 0] / (1j * n[n != 0])
+    anti[nx // 2] = 0.0
+    v = _oracle_values(anti)
+    u_s = _oracle_values(_oracle_deriv(_oracle_coeffs(u), 1))
+    return (u_s + (v - v[0]) * theta_s) / s_sigma, length_rate
+
+
+def oracle_step(coeffs, length, prev, alpha, dt):
+    """One IMEX Euler (prev None or another dt) or SBDF2 step; returns the
+    new full spectrum, the new length and the history for the next step."""
+    n4 = np.fft.fftfreq(coeffs.size, d=1.0 / coeffs.size) ** 4
+    dtheta, length_rate = oracle_rhs(coeffs, length, alpha)
+    q4 = (2.0 * np.pi / length) ** 4
+    nonstiff = _oracle_coeffs(dtheta) + 4.0 * q4 * n4 * coeffs
+    if prev is None or prev[4] != dt:
+        new = (coeffs + dt * nonstiff) / (1.0 + 4.0 * dt * q4 * n4)
+        new_length = length + dt * length_rate
+    else:
+        p_coeffs, p_nonstiff, p_length, p_rate, _ = prev
+        new = (4.0 * coeffs - p_coeffs + 2.0 * dt * (2.0 * nonstiff - p_nonstiff)) / (
+            3.0 + 8.0 * dt * q4 * n4
+        )
+        new_length = (4.0 * length - p_length + 2.0 * dt * (2.0 * length_rate - p_rate)) / 3.0
+    return new, new_length, (coeffs, nonstiff, length, length_rate, dt)
+
+
+def random_state(rng, nx, scale=0.05):
+    """Random profile over the whole band, Nyquist mode included, with a
+    spectrum that falls off smoothly towards it."""
+    n = np.arange(nx // 2 + 1)
+    half = scale * np.exp(-4.0 * n / nx) * (rng.normal(size=n.size) + 1j * rng.normal(size=n.size))
+    half[0] = 0.0
+    half[-1] = half[-1].real
+    values = np.fft.irfft(half, n=nx, norm="forward")
+    return EvolutionState.from_theta(ThetaProfile.from_values(values))
+
+
+@pytest.fixture(scope="module")
+def linear_wave_h03():
+    guess = asymptotic_guess(1, 0.3, ModelKind.LINEAR)
+    return quasi_newton_solve(guess, 0.3, ModelKind.LINEAR, k0=1)
+
+
+def test_multipliers_cached_read_only_and_zeroed_at_nyquist():
+    for nx in (64, 256):
+        table = _multipliers(nx)
+        assert _multipliers(nx) is table
+        half = nx // 2 + 1
+        n = np.arange(half)
+        assert table.derivs.shape == (4, half)
+        np.testing.assert_array_equal(table.derivs[:, :-1], (1j * n[:-1]) ** np.array([[1], [3], [2], [4]]))
+        np.testing.assert_array_equal(table.derivs[:, -1], 0.0)
+        assert table.inv_in[0] == 0.0 and table.inv_in[-1] == 0.0
+        np.testing.assert_array_equal(table.inv_in[1:-1], 1.0 / (1j * n[1:-1]))
+        np.testing.assert_array_equal(table.n4, n.astype(float) ** 4)
+        for array in (table.derivs, table.inv_in, table.n4):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+    assert _multipliers(64) is not _multipliers(256)
+
+
+@pytest.mark.parametrize("nx", [64, 256])
+def test_rhs_matches_complex_fft_oracle_on_random_states(rng, nx):
+    for _ in range(3):
+        state = random_state(rng, nx)
+        assert abs(state.theta.coeffs[nx // 2]) > 0.0
+        for alpha in (17.0, -2.5):
+            rhs, length_rate = theta_rhs(state, alpha)
+            ref, ref_rate = oracle_rhs(state.theta.coeffs, state.length, alpha)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(rhs - ref)) <= 1e-8 * scale
+            assert length_rate == pytest.approx(ref_rate, rel=1e-12, abs=1e-14)
+
+
+def test_rhs_matches_complex_fft_oracle_on_wave(linear_wave_h03):
+    sol = linear_wave_h03
+    state = EvolutionState(theta=sol.theta, length=sol.length)
+    rhs, length_rate = theta_rhs(state, sol.alpha)
+    ref, ref_rate = oracle_rhs(sol.theta.coeffs, sol.length, sol.alpha)
+    assert np.max(np.abs(rhs - ref)) <= 1e-10
+    assert abs(length_rate - ref_rate) <= 1e-10
+
+
+def test_chained_steps_match_complex_fft_oracle(linear_wave_h03):
+    # Euler start, SBDF2, then a dt change that restarts with Euler
+    sol = linear_wave_h03
+    sigma = grid(sol.theta.nx)
+    theta0 = sol.theta.values + 1e-3 * (np.sin(sigma) + np.sin(2.0 * sigma))
+    state = EvolutionState.from_theta(ThetaProfile.from_values(theta0))
+    coeffs, length, prev = state.theta.coeffs, state.length, None
+    alpha = 17.0
+    for i in range(300):
+        dt = 1e-4 if i < 150 else 5e-5
+        state = imex_step(state, alpha, dt)
+        coeffs, length, prev = oracle_step(coeffs, length, prev, alpha, dt)
+        ref = _oracle_values(coeffs)
+        assert np.max(np.abs(state.theta.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert state.length == pytest.approx(length, rel=1e-13)
+    # the stored spectrum is the Hermitian completion of the half spectrum
+    np.testing.assert_allclose(state.theta.coeffs, _oracle_coeffs(state.theta.values), rtol=0, atol=1e-15)
+    assert state.time == pytest.approx(150 * 1e-4 + 150 * 5e-5, rel=1e-12)

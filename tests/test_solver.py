@@ -295,6 +295,15 @@ def test_branch_validation():
         continue_branch(1, ModelKind.LINEAR, 0.05, 0.01)
 
 
+@pytest.mark.parametrize(
+    "h_step, h_max",
+    [(float("nan"), 1.0), (float("inf"), 1.0), (0.05, float("nan")), (0.05, float("inf"))],
+)
+def test_branch_rejects_non_finite_amplitudes(h_step, h_max):
+    with pytest.raises(ValueError, match="finite"):
+        continue_branch(1, ModelKind.LINEAR, h_step, h_max)
+
+
 def test_branch_start_failure():
     cfg = SolveConfig(max_iters=1)
     with pytest.raises(BranchStartError):
