@@ -53,6 +53,7 @@ from .model import (
 )
 from .solver import (
     BranchRecord,
+    FailedSolve,
     SolveConfig,
     WaveSolution,
     continue_branch,

@@ -34,6 +34,7 @@ __all__ = [
     "AsymptoticExpansion",
     "asymptotic_expansion",
     "asymptotic_guess",
+    "check_k0_on_grid",
 ]
 
 # Bracket on which q changes sign for every k0 >= 1:
@@ -46,6 +47,19 @@ _EPS_MAX = 0.3
 def _check_k0(k0):
     if not isinstance(k0, (int, np.integer)) or k0 < 1:
         raise ValueError(f"k0 must be a positive integer, got {k0!r}")
+
+
+def check_k0_on_grid(k0, nx):
+    """Reject a mode number that the nx-point grid cannot carry as a sine mode.
+
+    The sine unknowns of an nx-point solve are modes 1..nx/2-1; a larger
+    k0 is the Nyquist mode or aliases onto a lower one.
+    """
+    _check_k0(k0)
+    if k0 > nx // 2 - 1:
+        raise ValueError(
+            f"k0={k0} is not resolved on an nx={nx} grid: k0 must be at most nx/2 - 1 = {nx // 2 - 1}"
+        )
 
 
 def _q(alpha, k0):
@@ -238,12 +252,13 @@ def asymptotic_guess(k0, eps, kind, nx=256):
     """Initial wave guess (profile, params) at amplitude parameter eps.
 
     eps must lie in (0, 0.3]; beyond that the truncated expansion is a
-    poor Newton seed.
+    poor Newton seed.  k0 must be at most nx/2 - 1.
     """
     if not 0.0 < eps <= _EPS_MAX:
         raise ValueError(f"eps must be in (0, {_EPS_MAX}], got {eps!r}")
     ex = asymptotic_expansion(k0, kind)
     sigma = spectral.grid(nx)
+    check_k0_on_grid(k0, nx)
     values = eps * np.sin(ex.k0 * sigma)
     if ex.theta2_coeff != 0.0:
         values = values + eps**2 * ex.theta2_coeff * np.sin(2.0 * ex.k0 * sigma)

@@ -164,6 +164,7 @@ def _wave_payload(sol, alpha0):
 def cmd_branch(args):
     kind = ModelKind(args.model)
     cfg = solver.SolveConfig(nx=args.nx)
+    bifurcation.check_k0_on_grid(args.k0, args.nx)
     out = _out_dir(args)
     record = solver.continue_branch(args.k0, kind, args.h_step, args.h_max, cfg)
     if kind is ModelKind.LINEAR:
@@ -219,6 +220,13 @@ def _finite_entry(path, data, key, default):
     return number
 
 
+def _positive_int_entry(path, data, key, default):
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"wave file {path} has a {key!r} entry that is not a positive integer: {value!r}")
+    return value
+
+
 def _wave_from_file(path):
     with open(path) as fh:
         data = json.load(fh)
@@ -232,14 +240,12 @@ def _wave_from_file(path):
     length = _finite_entry(path, data, "L", length_from_theta(theta))
     beta = _finite_entry(path, data, "beta", 1.0)
     alpha = _finite_entry(path, data, "alpha", None)
-    residual_norm = float(
-        data.get(
-            "residual_norm",
-            np.max(np.abs(residual(theta, WaveParams(alpha, beta, length), kind)))
-            if kind is ModelKind.LINEAR
-            else 0.0,
-        )
-    )
+    if "residual_norm" in data:
+        residual_norm = _finite_entry(path, data, "residual_norm", None)
+    elif kind is ModelKind.LINEAR:
+        residual_norm = float(np.max(np.abs(residual(theta, WaveParams(alpha, beta, length), kind))))
+    else:
+        residual_norm = 0.0
     return solver.WaveSolution(
         theta=theta,
         alpha=alpha,
@@ -247,7 +253,7 @@ def _wave_from_file(path):
         length=length,
         amplitude=float(np.max(theta.values)),
         residual_norm=residual_norm,
-        k0=int(data.get("k0", 1)),
+        k0=_positive_int_entry(path, data, "k0", 1),
         kind=kind,
     )
 

@@ -42,15 +42,20 @@ class InternalConsistencyError(FlameFrontError):
 
 
 class ConvergenceError(FlameFrontError):
-    """Newton iteration exhausted its budget without meeting tolerance.
+    """Newton iteration stopped without meeting tolerance.
 
-    Carries the last iterate and the residual-norm history for diagnosis.
+    reason is "stalled" when the residual stopped decreasing before the
+    budget ran out, or "max-iters" when the budget was exhausted.  Carries
+    the last iterate, the residual-norm history and its minimum
+    (residual_floor) for diagnosis.
     """
 
-    def __init__(self, message, last_iterate=None, residual_history=None):
+    def __init__(self, message, last_iterate=None, residual_history=None, reason="max-iters"):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual_history = list(residual_history or [])
+        self.reason = reason
+        self.residual_floor = min(self.residual_history) if self.residual_history else None
 
 
 class SingularSystemError(FlameFrontError):

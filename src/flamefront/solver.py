@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -44,6 +44,7 @@ from .model import (
 __all__ = [
     "SolveConfig",
     "WaveSolution",
+    "FailedSolve",
     "BranchRecord",
     "quasi_newton_solve",
     "continue_branch",
@@ -54,6 +55,10 @@ __all__ = [
 _PIVOT_FLOOR = 1e-14
 _MAX_STEP_HALVINGS = 4
 _ALPHA_WELL_POSED = -3.0
+# A solve has stalled when none of its last _STALL_WINDOW residuals is
+# below _STALL_FACTOR times the best residual before them.
+_STALL_WINDOW = 3
+_STALL_FACTOR = 0.5
 # Grid entries per column block of the Jacobian: 64 KiB of float64 per temporary.
 _JACOBIAN_BLOCK = 8192
 
@@ -96,14 +101,29 @@ class WaveSolution:
     iterations: int = 0
 
 
+class FailedSolve(NamedTuple):
+    """One continuation attempt that did not converge.
+
+    reason is the ConvergenceError reason ("stalled" or "max-iters"),
+    "singular-system" or "degenerate-front"; residual_floor is the smallest
+    grid residual of the attempt, None when no Newton history exists.
+    """
+
+    target_h: float
+    reason: str
+    residual_floor: float | None
+
+
 @dataclass(frozen=True, eq=False)
 class BranchRecord:
-    """Ordered continuation output plus the reason the march stopped."""
+    """Ordered continuation output, the reason the march stopped, and the
+    failed attempts along the way."""
 
     kind: ModelKind
     k0: int
     solutions: tuple
     termination: Termination
+    failures: tuple = ()
 
     @property
     def amplitudes(self):
@@ -216,8 +236,10 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, k0=None):
     iteration assembles the exact Jacobian at the current iterate and
     solves the dense LU-factored update system.
 
-    Raises ConvergenceError after cfg.max_iters without meeting
-    cfg.tol_residual, SingularSystemError on a negligible pivot.
+    Raises ConvergenceError with reason "stalled" once none of the last 3
+    residuals is below half the best one before them, or "max-iters" after
+    cfg.max_iters without meeting cfg.tol_residual; SingularSystemError on
+    a negligible pivot.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -234,8 +256,14 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, k0=None):
     history = [grid_norm]
     tol = cfg.tol_residual
     iterations = 0
+    reason = "max-iters"
     for it in range(1, cfg.max_iters + 1):
         if grid_norm <= tol and abs(eqs[-1]) <= tol:
+            break
+        if len(history) > _STALL_WINDOW and min(history[-_STALL_WINDOW:]) > (
+            _STALL_FACTOR * min(history[:-_STALL_WINDOW])
+        ):
+            reason = "stalled"
             break
         x = x + _lu_solve(_newton_jacobian(p, params, kind, amp_index), -eqs)
         eqs, grid_norm, p, params = _square_equations(x, nx, target_h, kind, amp_index)
@@ -243,10 +271,11 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, k0=None):
         history.append(grid_norm)
     if grid_norm > tol or abs(eqs[-1]) > tol:
         raise ConvergenceError(
-            f"no convergence after {cfg.max_iters} iterations "
-            f"(residual {grid_norm:.3e}, target_h {target_h})",
+            f"no convergence ({reason}) after {iterations} iterations: "
+            f"residual floor {min(history):.3e}, target_h {target_h}",
             last_iterate=x,
             residual_history=history,
+            reason=reason,
         )
 
     if k0 is None:
@@ -292,6 +321,14 @@ def residual_at_resolution(sol, nx):
     return float(np.max(np.abs(residual(fine, params, sol.kind))))
 
 
+def _failed_solve(target_h, exc):
+    if isinstance(exc, ConvergenceError):
+        return FailedSolve(target_h, exc.reason, exc.residual_floor)
+    if isinstance(exc, SingularSystemError):
+        return FailedSolve(target_h, "singular-system", None)
+    return FailedSolve(target_h, "degenerate-front", None)
+
+
 def _near_self_intersection(p):
     return geometry.is_near_self_intersecting(geometry.reconstruct_curve(p))
 
@@ -302,7 +339,8 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
     Starts from the asymptotic guess at eps = h_step, then increments the
     amplitude target by the current step, predicting each new iterate by
     secant extrapolation of the previous two solutions.  A failed solve
-    halves the step (at most 4 halvings over the whole run).  Stops on
+    halves the step (at most 4 halvings over the whole run) and is logged
+    in BranchRecord.failures.  Stops on
     near-self-intersection of the predicted or converged curve, on
     crossing the well-posedness threshold alpha = -3 (nonlinear closure),
     on step exhaustion, or once target_h would exceed h_max.
@@ -328,6 +366,7 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
     if _near_self_intersection(sol.theta):
         return BranchRecord(kind, int(k0), tuple(solutions), "self-intersection")
 
+    failures = []
     step = float(h_step)
     halvings = 0
     x_prev, h_prev = _pack(sol), float(h_step)
@@ -350,7 +389,8 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
             sol_new = quasi_newton_solve(
                 (p_guess, params_guess), h_next, kind, cfg, k0=k0
             )
-        except (ConvergenceError, SingularSystemError, DegenerateFrontError):
+        except (ConvergenceError, SingularSystemError, DegenerateFrontError) as exc:
+            failures.append(_failed_solve(h_next, exc))
             halvings += 1
             if halvings > _MAX_STEP_HALVINGS:
                 termination = "iteration-failure"
@@ -367,4 +407,4 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
         x_prev2, h_prev2 = x_prev, h_prev
         x_prev, h_prev = _pack(sol_new), h_next
 
-    return BranchRecord(kind, int(k0), tuple(solutions), termination)
+    return BranchRecord(kind, int(k0), tuple(solutions), termination, tuple(failures))

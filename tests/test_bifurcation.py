@@ -197,3 +197,11 @@ def test_guess_grid_size_forwarded():
     assert p.nx == 128
     with pytest.raises(InvalidGridError):
         asymptotic_guess(1, 0.1, ModelKind.LINEAR, nx=6)
+
+
+def test_guess_rejects_unresolved_k0():
+    p, _ = asymptotic_guess(31, 0.1, ModelKind.LINEAR, nx=64)
+    assert np.argmax(np.abs(np.fft.rfft(p.values))) == 31
+    for k0 in (32, 40):
+        with pytest.raises(ValueError, match=f"k0={k0} is not resolved on an nx=64 grid"):
+            asymptotic_guess(k0, 0.1, ModelKind.LINEAR, nx=64)

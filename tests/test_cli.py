@@ -245,6 +245,9 @@ def test_branch_rejects_bad_nx(tmp_path, capsys, nx):
     assert f"error: nx must be an even integer >= 8, got {nx}" in capsys.readouterr().err
 
 
+FLAT_WAVE = {"model": "linear", "alpha": 17.0, "theta": [0.0] * 64}
+
+
 @pytest.mark.parametrize(
     "wave, message",
     [
@@ -253,8 +256,17 @@ def test_branch_rejects_bad_nx(tmp_path, capsys, nx):
         ({"model": "linear", "alpha": 17.0}, "has no 'theta' entry"),
         ({"model": "linear", "alpha": 17.0, "theta": [0.0] * 63}, "nx must be an even integer >= 8, got 63"),
         ({"model": "linear", "alpha": 17.0, "theta": [float("nan")] + [0.0] * 63}, "must be finite"),
+        ({**FLAT_WAVE, "residual_norm": None}, "has a non-numeric 'residual_norm' entry: None"),
+        ({**FLAT_WAVE, "residual_norm": "nan"}, "has a non-finite 'residual_norm' entry: 'nan'"),
+        ({**FLAT_WAVE, "k0": 0}, "has a 'k0' entry that is not a positive integer: 0"),
+        ({**FLAT_WAVE, "k0": 1.7}, "has a 'k0' entry that is not a positive integer: 1.7"),
+        ({**FLAT_WAVE, "k0": "x"}, "has a 'k0' entry that is not a positive integer: 'x'"),
+        ({**FLAT_WAVE, "k0": True}, "has a 'k0' entry that is not a positive integer: True"),
     ],
-    ids=["not-an-object", "no-alpha", "no-theta", "odd-theta", "nan-theta"],
+    ids=[
+        "not-an-object", "no-alpha", "no-theta", "odd-theta", "nan-theta",
+        "null-residual", "nan-residual", "zero-k0", "fractional-k0", "text-k0", "bool-k0",
+    ],
 )
 def test_stability_rejects_malformed_wave_file(tmp_path, capsys, wave, message):
     (tmp_path / "bad.json").write_text(json.dumps(wave))
@@ -343,3 +355,13 @@ def test_every_json_output_is_strict_json(tmp_path):
     assert len(files) == 8  # 2 + (3 waves + manifest) + 2
     for f in files:
         json.loads(f.read_text(), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("k0, nx", [("128", "256"), ("40", "64")])
+def test_branch_rejects_unresolved_k0(tmp_path, capsys, k0, nx):
+    code = exit_code(["branch", "--model", "linear", "--k0", k0, "--nx", nx,
+                      "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: k0={k0} is not resolved on an nx={nx} grid" in err
+    assert not (tmp_path / "out").exists()

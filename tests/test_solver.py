@@ -254,6 +254,23 @@ def test_convergence_error_carries_history():
     err = info.value
     assert err.last_iterate is not None
     assert len(err.residual_history) >= 2
+    assert err.reason == "max-iters"
+    assert err.residual_floor == min(err.residual_history)
+
+
+def test_solve_below_rounding_floor_stalls():
+    # a tolerance below the rounding floor of the residual cannot be met;
+    # the solve stops a few iterations after the residual stops halving
+    cfg = SolveConfig(tol_residual=1e-17)
+    guess = asymptotic_guess(1, 0.05, ModelKind.LINEAR)
+    with pytest.raises(ConvergenceError) as info:
+        quasi_newton_solve(guess, 0.05, ModelKind.LINEAR, cfg=cfg, k0=1)
+    err = info.value
+    assert err.reason == "stalled"
+    assert len(err.residual_history) - 1 < 10
+    assert err.residual_floor == min(err.residual_history)
+    assert err.residual_floor < 1e-15
+    assert "stalled" in str(err) and "target_h 0.05" in str(err)
 
 
 def test_singular_system_from_flat_guess():
@@ -317,3 +334,26 @@ def test_branch_nonlinear_segment():
     assert all(a < -3.0 for a in alphas)
     # alpha climbs toward the well-posedness boundary as amplitude grows
     assert all(a < b for a, b in zip(alphas, alphas[1:]))
+
+
+def test_linear_branch_newton_iterations():
+    rec = continue_branch(1, ModelKind.LINEAR, 0.05, 10.0)
+    assert len(rec.solutions) == 40
+    assert rec.termination == "self-intersection"
+    assert sum(s.iterations for s in rec.solutions) == 95
+    assert rec.failures == ()
+
+
+def test_nonlinear_branch_logs_stalled_attempts():
+    # near alpha = -3 the grid residual levels off just above tol_residual;
+    # each retry stalls there and the branch ends after 4 step halvings
+    rec = continue_branch(1, ModelKind.NONLINEAR, 0.02, 10.0, cfg=SolveConfig(nx=256))
+    assert len(rec.solutions) == 25
+    assert rec.termination == "iteration-failure"
+    assert sum(s.iterations for s in rec.solutions) == 78
+    assert len(rec.failures) == 5
+    for failure in rec.failures:
+        assert failure.reason == "stalled"
+        assert 1e-10 < failure.residual_floor < 1e-9
+        assert failure.target_h == pytest.approx(0.44, abs=1e-12)
+
