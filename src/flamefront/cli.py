@@ -215,8 +215,15 @@ def _finite_entry(path, data, key, default):
         number = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"wave file {path} has a non-numeric {key!r} entry: {value!r}") from None
+    except OverflowError:
+        # a JSON integer beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise ValueError(f"wave file {path} has a non-finite {key!r} entry: {value!r}")
+    # float() also takes true/false and numeric strings, which a wave
+    # file written by this program never holds
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"wave file {path} has a {key!r} entry that is not a JSON number: {value!r}")
     return number
 
 

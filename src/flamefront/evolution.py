@@ -16,17 +16,25 @@ uniform.  Time stepping is IMEX: the fourth-derivative part
 frozen over the step), everything else explicit; the first step is IMEX
 Euler and subsequent steps are SBDF2.
 
-A step works on the rfft half spectrum of theta, n = 0..nx/2, with
-multiplier tables cached per nx, and makes 5 numpy FFT calls: one batched
-irfft for theta_s, theta_sss, theta_ss and theta_ssss, an rfft of the
-flux theta_s*U (its mode 0 gives L_t) and an irfft of its antiderivative
-for V, then an rfft of theta_t and an irfft of the new half spectrum.
+A step works on the rfft half spectrum c of theta, n = 0..nx/2, with
+multiplier tables cached per nx, and makes 4 numpy FFT calls: an rfft of
+the flux theta_s*U (its mode 0 gives L_t), an irfft of its antiderivative
+for V, an rfft of (V - V(0))*theta_s, and one batched irfft of the new c
+times 1, (i n) and (i n)^3, which gives the new values for the blow-up
+check and the next step's theta_s and theta_sss.  The stiff part of
+U_sigma/s_sigma cancels against the implicit term in closed form, so the
+explicit half spectrum is (a*n^2*c + rfft((V - V(0))*theta_s))/s_sigma
+with a = (alpha-1)/s_sigma, plus the stiff term at Nyquist, where
+U_sigma has no content.  imex_step, evolve and stability_probe all run
+the same loop, which builds an EvolutionState only for an observer and
+for the state it returns.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,17 +59,23 @@ _THETA_BLOWUP = 1e3
 _NO_GROWTH_NOTE = "no instability observed at threshold 1e-3"
 
 
-@dataclass(frozen=True, eq=False)
-class _StepCache:
-    """Previous-step data an SBDF2 step needs, as rfft half spectra; dt is
-    recorded so a changed step size falls back to the self-starting Euler
-    step."""
+class _StepCache(NamedTuple):
+    """What the step that made a state leaves for the next one.
+
+    The previous half spectrum, explicit part, length and L_t are the
+    history an SBDF2 step needs; dt is recorded so a changed step size
+    falls back to the self-starting Euler step.  theta_s and theta_sss
+    belong to the state itself: the step's last transform gave them, so
+    the next step need not transform again.
+    """
 
     theta_hat: np.ndarray
     nonstiff_hat: np.ndarray
     length: float
     length_rate: float
     dt: float
+    theta_s: np.ndarray
+    theta_sss: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,14 +127,15 @@ class GrowthEstimate:
 class _Multipliers:
     """Read-only half-spectrum multipliers of one grid, n = 0..nx/2.
 
-    derivs holds the rows (i n)^1, (i n)^3, (i n)^2, (i n)^4, in the order
-    theta_rhs unpacks them; inv_in holds 1/(i n) with modes 0 and nx/2
-    zeroed; n4 holds n^4.  Every derivative row is zeroed at Nyquist: the
-    odd orders as in spectral.deriv, the even ones because they only feed
-    u_sigma, the derivative of a u that has no Nyquist content.
+    rows holds 1, (i n), (i n)^3, so one irfft of rows * c gives theta,
+    theta_s and theta_sss; the two derivative rows are zeroed at Nyquist
+    as in spectral.deriv.  n2 holds n^2, zeroed at Nyquist because it
+    only feeds u_sigma, the derivative of a u that has no Nyquist content.
+    inv_in holds 1/(i n) with modes 0 and nx/2 zeroed; n4 holds n^4.
     """
 
-    derivs: np.ndarray
+    rows: np.ndarray
+    n2: np.ndarray
     inv_in: np.ndarray
     n4: np.ndarray
 
@@ -128,37 +143,128 @@ class _Multipliers:
 @functools.cache
 def _multipliers(nx):
     n = np.arange(nx // 2 + 1)
-    derivs = (1j * n) ** np.array([1, 3, 2, 4])[:, None]
-    derivs[:, -1] = 0.0
+    rows = (1j * n) ** np.array([0, 1, 3])[:, None]
+    rows[1:, -1] = 0.0
+    n2 = n.astype(float) ** 2
+    n2[-1] = 0.0
     inv_in = np.zeros(n.size, dtype=complex)
     inv_in[1:-1] = 1.0 / (1j * n[1:-1])
     n4 = n.astype(float) ** 4
-    for table in (derivs, inv_in, n4):
+    for table in (rows, n2, inv_in, n4):
         table.setflags(write=False)
-    return _Multipliers(derivs=derivs, inv_in=inv_in, n4=n4)
+    return _Multipliers(rows=rows, n2=n2, inv_in=inv_in, n4=n4)
+
+
+def _rows(c, table, nx):
+    """theta, theta_s and theta_sss on the grid from the half spectrum c."""
+    return np.fft.irfft(table.rows * c, n=nx, norm="forward")
+
+
+def _explicit(c, theta_s, theta_sss, length, alpha, table):
+    """Explicit half spectrum of theta_t, L_t, and q = 4*(2*pi/L)^4.
+
+    theta_t = (u_sigma + (V - V(0))*theta_s)/s_sigma with
+    u/s_sigma = -(1/s_sigma + a*theta_s + q*theta_sss), so u_sigma/s_sigma
+    carries -q*n^4*c, the term the step treats implicitly.  It is left out
+    here rather than added and subtracted, except at Nyquist, where
+    u_sigma has no content and the implicit term is balanced explicitly.
+    """
+    nx = theta_s.size
+    s_sigma = length / (2.0 * np.pi)
+    a = (alpha - 1.0) / s_sigma**2
+    q = 4.0 / s_sigma**4
+    # the transforms carry -flux/s_sigma and -V/s_sigma: dividing u by
+    # s_sigma up front divides theta_t, and negating it is free
+    neg_flux_hat = np.fft.rfft(theta_s * (1.0 / s_sigma + a * theta_s + q * theta_sss), norm="forward")
+    length_rate = length * float(neg_flux_hat[0].real)
+    # V_sigma = flux + L_t/(2*pi) has zero mean, so V is periodic; the
+    # constant L_t/(2*pi) only touches mode 0, which inv_in drops
+    neg_v = np.fft.irfft(neg_flux_hat * table.inv_in, n=nx, norm="forward")
+    nonstiff = a * table.n2 * c - np.fft.rfft((neg_v - neg_v[0]) * theta_s, norm="forward")
+    nonstiff[-1] += q * table.n4[-1] * c[-1]
+    return nonstiff, length_rate, q
 
 
 def theta_rhs(state, alpha):
     """Right-hand sides (theta_t values, L_t) of the evolution system."""
-    p = state.theta
-    nx = p.nx
+    nx = state.theta.nx
     table = _multipliers(nx)
-    s_sigma = state.length / (2.0 * np.pi)
-    # u = -(1 + a*theta_s + b*theta_sss) is linear in the derivatives, so
-    # u_sigma comes from theta_ss and theta_ssss without a transform of u
-    a = (alpha - 1.0) / s_sigma
-    b = 4.0 / s_sigma**3
-    theta_s, theta_sss, theta_ss, theta_ssss = np.fft.irfft(
-        table.derivs * p.coeffs[: nx // 2 + 1], n=nx, norm="forward"
+    c = state.theta.coeffs[: nx // 2 + 1]
+    _, theta_s, theta_sss = _rows(c, table, nx)
+    nonstiff, length_rate, q = _explicit(c, theta_s, theta_sss, state.length, alpha, table)
+    return np.fft.irfft(nonstiff - q * table.n4 * c, n=nx, norm="forward"), length_rate
+
+
+def _state(nx, values, c, length, time, *cache):
+    # negative modes by Hermitian symmetry: the values are real
+    coeffs = np.concatenate((c, np.conj(c[-2:0:-1])))
+    return EvolutionState(
+        theta=spectral.ThetaProfile(nx=nx, values=values, coeffs=coeffs),
+        length=length,
+        time=time,
+        prev=_StepCache(*cache),
     )
-    u = -(1.0 + a * theta_s + b * theta_sss)
-    u_s = -(a * theta_ss + b * theta_ssss)
-    flux_hat = np.fft.rfft(theta_s * u, norm="forward")
-    length_rate = -2.0 * np.pi * float(flux_hat[0].real)
-    # V_sigma = flux + L_t/(2*pi) has zero mean, so V is periodic; the
-    # constant L_t/(2*pi) only touches mode 0, which inv_in drops
-    v = np.fft.irfft(flux_hat * table.inv_in, n=nx, norm="forward")
-    return (u_s + (v - v[0]) * theta_s) / s_sigma, length_rate
+
+
+def _march(state, alpha, dt, n_steps, observer=None, until=None):
+    """The stepping loop behind imex_step, evolve and stability_probe.
+
+    Takes n_steps steps, or fewer if until(values, time) returns True
+    after one, calls observer(state) after each, and returns the state
+    after the last step taken.  The half spectrum, L, t and the SBDF2
+    history live in locals; states are built only for the observer and
+    for the return value.
+    """
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    nx = state.theta.nx
+    table = _multipliers(nx)
+    n4 = table.n4
+    c = state.theta.coeffs[: nx // 2 + 1]
+    length = state.length
+    time = state.time
+    prev = state.prev
+    if prev is None:
+        _, theta_s, theta_sss = _rows(c, table, nx)
+    else:
+        theta_s, theta_sss = prev.theta_s, prev.theta_sss
+    # SBDF2 needs the previous step at the same dt; otherwise IMEX Euler
+    history = None
+    if prev is not None and prev.dt == dt:
+        history = (prev.theta_hat, prev.nonstiff_hat, prev.length, prev.length_rate)
+    out = state
+    for _ in range(n_steps):
+        nonstiff, length_rate, q = _explicit(c, theta_s, theta_sss, length, alpha, table)
+        if history is None:
+            new_c = (c + dt * nonstiff) / (1.0 + dt * q * n4)
+            new_length = length + dt * length_rate
+        else:
+            prev_c, prev_nonstiff, prev_length, prev_rate = history
+            new_c = (4.0 * c - prev_c + 2.0 * dt * (2.0 * nonstiff - prev_nonstiff)) / (
+                3.0 + 2.0 * dt * q * n4
+            )
+            new_length = (4.0 * length - prev_length + 2.0 * dt * (2.0 * length_rate - prev_rate)) / 3.0
+        time += dt
+        values, theta_s, theta_sss = _rows(new_c, table, nx)
+        peak = float(np.abs(values).max())
+        if not peak <= _THETA_BLOWUP:
+            raise BlowUpError(
+                f"max|theta| = {peak:.3e} exceeded {_THETA_BLOWUP:g} at t = {time:.6g}",
+                time=time,
+            )
+        history = (c, nonstiff, length, length_rate)
+        c, length = new_c, new_length
+        out = None
+        if observer is not None:
+            out = _state(nx, values, c, length, time, *history, dt, theta_s, theta_sss)
+            observer(out)
+        if until is not None and until(values, time):
+            break
+    if out is None:
+        out = _state(nx, values, c, length, time, *history, dt, theta_s, theta_sss)
+    return out
 
 
 def imex_step(state, alpha, dt):
@@ -171,64 +277,14 @@ def imex_step(state, alpha, dt):
     for a dt that is not positive and finite or an alpha that is not
     finite, and BlowUpError once max|theta| exceeds 1e3.
     """
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
-    nx = state.theta.nx
-    theta_hat = state.theta.coeffs[: nx // 2 + 1]
-    dtheta, length_rate = theta_rhs(state, alpha)
-    # explicit part: the full rhs plus the stiff term it receives implicitly
-    stiff = 4.0 * (2.0 * np.pi / state.length) ** 4 * _multipliers(nx).n4
-    nonstiff = np.fft.rfft(dtheta, norm="forward") + stiff * theta_hat
-    prev = state.prev
-    if prev is None or prev.dt != dt:
-        new_hat = (theta_hat + dt * nonstiff) / (1.0 + dt * stiff)
-        new_length = state.length + dt * length_rate
-    else:
-        new_hat = (
-            4.0 * theta_hat
-            - prev.theta_hat
-            + 2.0 * dt * (2.0 * nonstiff - prev.nonstiff_hat)
-        ) / (3.0 + 2.0 * dt * stiff)
-        new_length = (
-            4.0 * state.length
-            - prev.length
-            + 2.0 * dt * (2.0 * length_rate - prev.length_rate)
-        ) / 3.0
-    values = np.fft.irfft(new_hat, n=nx, norm="forward")
-    peak = float(np.max(np.abs(values)))
-    if not np.isfinite(peak) or peak > _THETA_BLOWUP:
-        raise BlowUpError(
-            f"max|theta| = {peak:.3e} exceeded {_THETA_BLOWUP:g} at t = {state.time + dt:.6g}",
-            time=state.time + dt,
-        )
-    # negative modes by Hermitian symmetry: the values are real
-    coeffs = np.concatenate((new_hat, np.conj(new_hat[-2:0:-1])))
-    cache = _StepCache(
-        theta_hat=theta_hat,
-        nonstiff_hat=nonstiff,
-        length=state.length,
-        length_rate=length_rate,
-        dt=dt,
-    )
-    return EvolutionState(
-        theta=spectral.ThetaProfile(nx=nx, values=values, coeffs=coeffs),
-        length=new_length,
-        time=state.time + dt,
-        prev=cache,
-    )
+    return _march(state, alpha, dt, 1)
 
 
 def evolve(state, alpha, dt, n_steps, observer=None):
     """Run n_steps IMEX steps, invoking observer(state) after each one."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps!r}")
-    for _ in range(n_steps):
-        state = imex_step(state, alpha, dt)
-        if observer is not None:
-            observer(state)
-    return state
+    return _march(state, alpha, dt, n_steps, observer)
 
 
 def _fit_loglinear(times, norms):
@@ -268,17 +324,22 @@ def stability_probe(wave, cfg=None):
     start = None
     end = None
     taken = 0
-    for i in range(n_steps):
-        state = imex_step(state, wave.alpha, cfg.dt)
-        times[i] = state.time
-        norms[i] = np.max(np.abs(state.theta.values - reference))
+
+    def record(values, time):
+        nonlocal start, end, taken
+        i = taken
+        times[i] = time
+        norms[i] = np.abs(values - reference).max()
         taken = i + 1
         if start is None:
             if norms[i] >= 10.0 * cfg.delta:
                 start = i
         elif i > start and norms[i] >= factor * norms[start]:
             end = i
-            break
+            return True
+        return False
+
+    _march(state, wave.alpha, cfg.dt, n_steps, until=record)
     times = times[:taken]
     norms = norms[:taken]
 

@@ -262,10 +262,20 @@ FLAT_WAVE = {"model": "linear", "alpha": 17.0, "theta": [0.0] * 64}
         ({**FLAT_WAVE, "k0": 1.7}, "has a 'k0' entry that is not a positive integer: 1.7"),
         ({**FLAT_WAVE, "k0": "x"}, "has a 'k0' entry that is not a positive integer: 'x'"),
         ({**FLAT_WAVE, "k0": True}, "has a 'k0' entry that is not a positive integer: True"),
+        ({**FLAT_WAVE, "alpha": True}, "has a 'alpha' entry that is not a JSON number: True"),
+        ({**FLAT_WAVE, "alpha": "17"}, "has a 'alpha' entry that is not a JSON number: '17'"),
+        ({**FLAT_WAVE, "alpha": True, "beta": "1.0"}, "has a 'beta' entry that is not a JSON number: '1.0'"),
+        ({**FLAT_WAVE, "L": "6.283185307179586"}, "has a 'L' entry that is not a JSON number: '6.283185307179586'"),
+        ({**FLAT_WAVE, "L": False}, "has a 'L' entry that is not a JSON number: False"),
+        ({**FLAT_WAVE, "residual_norm": True}, "has a 'residual_norm' entry that is not a JSON number: True"),
+        ({**FLAT_WAVE, "residual_norm": "0.0"}, "has a 'residual_norm' entry that is not a JSON number: '0.0'"),
+        ({**FLAT_WAVE, "alpha": 10**400}, "has a non-finite 'alpha' entry: 1000"),
     ],
     ids=[
         "not-an-object", "no-alpha", "no-theta", "odd-theta", "nan-theta",
         "null-residual", "nan-residual", "zero-k0", "fractional-k0", "text-k0", "bool-k0",
+        "bool-alpha", "text-alpha", "bool-alpha-text-beta", "text-length", "bool-length",
+        "bool-residual", "text-residual", "huge-alpha",
     ],
 )
 def test_stability_rejects_malformed_wave_file(tmp_path, capsys, wave, message):

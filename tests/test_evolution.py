@@ -277,13 +277,16 @@ def test_multipliers_cached_read_only_and_zeroed_at_nyquist():
         assert _multipliers(nx) is table
         half = nx // 2 + 1
         n = np.arange(half)
-        assert table.derivs.shape == (4, half)
-        np.testing.assert_array_equal(table.derivs[:, :-1], (1j * n[:-1]) ** np.array([[1], [3], [2], [4]]))
-        np.testing.assert_array_equal(table.derivs[:, -1], 0.0)
+        assert table.rows.shape == (3, half)
+        np.testing.assert_array_equal(table.rows[:, :-1], (1j * n[:-1]) ** np.array([[0], [1], [3]]))
+        # the values row keeps the Nyquist mode, the derivative rows drop it
+        np.testing.assert_array_equal(table.rows[:, -1], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(table.n2[:-1], n[:-1].astype(float) ** 2)
+        assert table.n2[-1] == 0.0
         assert table.inv_in[0] == 0.0 and table.inv_in[-1] == 0.0
         np.testing.assert_array_equal(table.inv_in[1:-1], 1.0 / (1j * n[1:-1]))
         np.testing.assert_array_equal(table.n4, n.astype(float) ** 4)
-        for array in (table.derivs, table.inv_in, table.n4):
+        for array in (table.rows, table.n2, table.inv_in, table.n4):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -330,3 +333,109 @@ def test_chained_steps_match_complex_fft_oracle(linear_wave_h03):
     # the stored spectrum is the Hermitian completion of the half spectrum
     np.testing.assert_allclose(state.theta.coeffs, _oracle_coeffs(state.theta.values), rtol=0, atol=1e-15)
     assert state.time == pytest.approx(150 * 1e-4 + 150 * 5e-5, rel=1e-12)
+
+
+# imex_step, evolve and stability_probe share one stepping loop; these
+# tests pin that the entry points agree with each other bit for bit.
+
+
+def assert_same_state(a, b):
+    np.testing.assert_array_equal(a.theta.values, b.theta.values)
+    np.testing.assert_array_equal(a.theta.coeffs, b.theta.coeffs)
+    assert a.length == b.length
+    assert a.time == b.time
+
+
+def smooth_random_state(rng, nx):
+    """Random sine and cosine content in modes 1..4 only, so explicit
+    steps at dt = 1e-5 stay stable on every grid."""
+    sigma = grid(nx)
+    k = np.arange(1, 5)[:, None]
+    a, b = 0.01 * rng.normal(size=(2, 4, 1))
+    values = np.sum(a * np.sin(k * sigma) + b * np.cos(k * sigma), axis=0)
+    return EvolutionState.from_theta(ThetaProfile.from_values(values))
+
+
+def chained(state, alpha, dt, n):
+    states = []
+    for _ in range(n):
+        state = imex_step(state, alpha, dt)
+        states.append(state)
+    return states
+
+
+@pytest.mark.parametrize("nx", [64, 256])
+def test_evolve_matches_chained_steps_bitwise(rng, nx):
+    state = smooth_random_state(rng, nx)
+    out = evolve(state, 17.0, 1e-5, 40)
+    steps = chained(state, 17.0, 1e-5, 40)
+    assert_same_state(out, steps[-1])
+    # the history each result carries gives the same further SBDF2 step
+    assert_same_state(imex_step(out, 17.0, 1e-5), imex_step(steps[-1], 17.0, 1e-5))
+
+
+def test_observer_sees_the_chained_states(rng):
+    state = smooth_random_state(rng, 64)
+    seen = []
+    out = evolve(state, 17.0, 1e-5, 25, observer=seen.append)
+    steps = chained(state, 17.0, 1e-5, 25)
+    assert len(seen) == 25
+    for a, b in zip(seen, steps):
+        assert_same_state(a, b)
+        assert a.prev is not None
+    assert out is seen[-1]
+
+
+def test_probe_matches_a_loop_over_imex_step():
+    wave = flat_solution(17.0, nx=64)
+    cfg = StabilityProbeConfig(dt=1e-3, t_max=1.0)
+    est = stability_probe(wave, cfg)
+
+    sigma = grid(64)
+    theta0 = wave.theta.values + cfg.delta * (np.sin(sigma) + np.sin(2.0 * sigma))
+    state = EvolutionState.from_theta(ThetaProfile.from_values(theta0))
+    times, norms = [], []
+    start = end = None
+    for i in range(1000):
+        state = imex_step(state, wave.alpha, cfg.dt)
+        times.append(state.time)
+        norms.append(np.max(np.abs(state.theta.values - theta0)))
+        if start is None:
+            if norms[i] >= 10.0 * cfg.delta:
+                start = i
+        elif norms[i] >= 100.0 * norms[start]:
+            end = i
+            break
+    slope = np.polyfit(times[start:], np.log(norms[start:]), 1)[0]
+
+    assert est.observed
+    np.testing.assert_array_equal(est.times, times)
+    np.testing.assert_array_equal(est.norms, norms)
+    assert est.window == (times[start], times[end])
+    assert est.rate == slope
+
+
+def test_blow_up_mid_run_stops_the_observer():
+    state = single_mode_state(0.1, 1)
+    seen = []
+    with pytest.raises(BlowUpError) as info:
+        evolve(state, 1e4, 1e-3, 100, observer=seen.append)
+    assert 0 < len(seen) < 100
+    steps = chained(state, 1e4, 1e-3, len(seen))
+    for a, b in zip(seen, steps):
+        assert_same_state(a, b)
+    with pytest.raises(BlowUpError) as chained_info:
+        imex_step(steps[-1], 1e4, 1e-3)
+    assert info.value.time == chained_info.value.time == steps[-1].time + 1e-3
+    assert str(info.value) == str(chained_info.value)
+
+
+def test_near_neutral_probe_of_linear_wave(linear_wave_small):
+    # d(t) ~ 1e-8 against theta ~ 0.05, so the slope's low digits are
+    # rounding: 0.20487315876089993 is the 5-FFT stepper's slope, and any
+    # reordering of the step's arithmetic may move it by up to 1e-6
+    est = stability_probe(linear_wave_small)
+    assert not est.observed
+    assert len(est.times) == 10000
+    assert est.window == (0.0001, 0.9999999999999062)
+    assert est.rate == pytest.approx(0.20487315876089993, rel=1e-6)
