@@ -45,6 +45,10 @@ _UNSUPPORTED_MODEL = 4
 _DEFAULT_H_STEP = {"linear": 0.05, "nonlinear": 0.02}
 
 
+def _non_finite_error(value):
+    return ValueError(f"out of range float values are not JSON compliant: {value!r}")
+
+
 def _format_value(value):
     if isinstance(value, bool) or value is None:
         return "true" if value is True else "false" if value is False else "null"
@@ -52,7 +56,7 @@ def _format_value(value):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
-            raise ValueError(f"out of range float values are not JSON compliant: {value!r}")
+            raise _non_finite_error(value)
         return format(float(value), ".17g")
     if isinstance(value, str):
         return json.dumps(value)
@@ -72,6 +76,12 @@ def _to_json(obj, indent=0):
             return "{}"
         items = [f"{inner}{json.dumps(k)}: {_to_json(v, indent + 1)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        # one finiteness check and no per-element dispatch: the wave
+        # files' four arrays are most of what a branch run writes
+        if not np.isfinite(obj).all():
+            raise _non_finite_error(obj[~np.isfinite(obj)][0])
+        return "[" + ", ".join(format(v, ".17g") for v in obj.tolist()) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
@@ -234,6 +244,26 @@ def _positive_int_entry(path, data, key, default):
     return value
 
 
+def _theta_entry(path, data):
+    value = data["theta"]
+    if not isinstance(value, list):
+        raise ValueError(f"wave file {path} has a 'theta' entry that is not a JSON array: {value!r}")
+    numbers = []
+    for i, item in enumerate(value):
+        # np.asarray(..., dtype=float) would also take true/false and
+        # numeric strings
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"wave file {path} has a 'theta' entry whose element {i} is not a JSON number: {item!r}")
+        try:
+            number = float(item)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValueError(f"wave file {path} has a 'theta' entry whose values must be finite: element {i} is {item!r}")
+        numbers.append(number)
+    return np.array(numbers)
+
+
 def _wave_from_file(path):
     with open(path) as fh:
         data = json.load(fh)
@@ -243,7 +273,7 @@ def _wave_from_file(path):
         if key not in data:
             raise ValueError(f"wave file {path} has no {key!r} entry")
     kind = ModelKind(data.get("model", "linear"))
-    theta = spectral.ThetaProfile.from_values(np.asarray(data["theta"], dtype=float))
+    theta = spectral.ThetaProfile.from_values(_theta_entry(path, data))
     length = _finite_entry(path, data, "L", length_from_theta(theta))
     beta = _finite_entry(path, data, "beta", 1.0)
     alpha = _finite_entry(path, data, "alpha", None)

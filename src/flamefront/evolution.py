@@ -17,17 +17,23 @@ frozen over the step), everything else explicit; the first step is IMEX
 Euler and subsequent steps are SBDF2.
 
 A step works on the rfft half spectrum c of theta, n = 0..nx/2, with
-multiplier tables cached per nx, and makes 4 numpy FFT calls: an rfft of
-the flux theta_s*U (its mode 0 gives L_t), an irfft of its antiderivative
-for V, an rfft of (V - V(0))*theta_s, and one batched irfft of the new c
-times 1, (i n) and (i n)^3, which gives the new values for the blow-up
-check and the next step's theta_s and theta_sss.  The stiff part of
+multiplier tables cached per nx, through three linear maps: (1) the flux
+theta_s*U on the grid to -(V - V(0)), plus its mean, which gives L_t;
+(2) the grid product (V - V(0))*theta_s to its half spectrum; (3) the new
+c to theta, theta_s and theta_sss, which give the blow-up check and the
+next step.  Above nx = 128 they are 4 numpy FFT calls: an rfft and an
+irfft of the antiderivative for (1), an rfft for (2) and one batched
+irfft of c times 1, (i n) and (i n)^3 for (3).  Up to nx = 128 each map
+is a dense real matrix, tabulated once per nx from its FFT expression and
+applied with one matmul: on such grids a numpy FFT call costs several
+times its arithmetic, so per-call overhead, not flops, sets the step's
+cost, and three matmuls beat four FFTs.  The stiff part of
 U_sigma/s_sigma cancels against the implicit term in closed form, so the
 explicit half spectrum is (a*n^2*c + rfft((V - V(0))*theta_s))/s_sigma
 with a = (alpha-1)/s_sigma, plus the stiff term at Nyquist, where
 U_sigma has no content.  imex_step, evolve and stability_probe all run
 the same loop, which builds an EvolutionState only for an observer and
-for the state it returns.
+for the state it returns; theta_rhs uses the same maps.
 """
 
 from __future__ import annotations
@@ -155,12 +161,71 @@ def _multipliers(nx):
     return _Multipliers(rows=rows, n2=n2, inv_in=inv_in, n4=n4)
 
 
-def _rows(c, table, nx):
-    """theta, theta_s and theta_sss on the grid from the half spectrum c."""
-    return np.fft.irfft(table.rows * c, n=nx, norm="forward")
+# Largest grid on which the step's three maps are dense matrices.  Up to
+# it a numpy FFT call costs several times its arithmetic, so one matmul
+# wins; per-step timings put the crossover between nx 128 and 192.
+_DENSE_MAX_NX = 128
 
 
-def _explicit(c, theta_s, theta_sss, length, alpha, table):
+@dataclass(frozen=True, eq=False)
+class _Maps:
+    """The three linear maps of one step on one grid.
+
+    (1) to_velocity: g = -flux/s_sigma on the grid to -(V - V(0))/s_sigma
+        on the grid and the mean of g, which gives L_t;
+    (2) to_spectrum: grid values to their rfft half spectrum;
+    (3) to_rows: half spectrum c to theta, theta_s and theta_sss.
+
+    Each map is defined by its FFT expression below.  For nx up to
+    _DENSE_MAX_NX, _maps tabulates it once as a read-only real matrix and
+    applies it with one matmul: velocity is (nx+1, nx), spectrum (nx+2, nx)
+    onto the float view of the half spectrum, rows (3*nx, nx+2) from it.
+    Above that the matrices are None and the FFTs run.
+    """
+
+    mult: _Multipliers
+    velocity: np.ndarray | None = None
+    spectrum: np.ndarray | None = None
+    rows: np.ndarray | None = None
+
+    def to_velocity(self, g):
+        if self.velocity is not None:
+            w = self.velocity @ g
+            return w[:-1], w[-1]
+        neg_flux_hat = np.fft.rfft(g, norm="forward")
+        # V_sigma = flux + L_t/(2*pi) has zero mean, so V is periodic; the
+        # constant L_t/(2*pi) only touches mode 0, which inv_in drops
+        neg_v = np.fft.irfft(neg_flux_hat * self.mult.inv_in, n=g.size, norm="forward")
+        return neg_v - neg_v[0], neg_flux_hat[0].real
+
+    def to_spectrum(self, values):
+        if self.spectrum is not None:
+            return (self.spectrum @ values).view(complex)
+        return np.fft.rfft(values, norm="forward")
+
+    def to_rows(self, c):
+        if self.rows is not None:
+            return (self.rows @ c.view(float)).reshape(3, -1)
+        return np.fft.irfft(self.mult.rows * c, n=2 * (c.size - 1), norm="forward")
+
+
+@functools.cache
+def _maps(nx):
+    fft = _Maps(_multipliers(nx))
+    if nx > _DENSE_MAX_NX:
+        return fft
+    # column j of each matrix is the FFT map applied to the j-th unit vector
+    eye = np.eye(nx)
+    velocity = np.array([np.append(*fft.to_velocity(e)) for e in eye]).T
+    spectrum = np.array([fft.to_spectrum(e).view(float) for e in eye]).T
+    rows = np.array([fft.to_rows(e.view(complex)).ravel() for e in np.eye(nx + 2)]).T
+    matrices = [np.ascontiguousarray(m) for m in (velocity, spectrum, rows)]
+    for m in matrices:
+        m.setflags(write=False)
+    return _Maps(fft.mult, *matrices)
+
+
+def _explicit(c, theta_s, theta_sss, length, alpha, maps):
     """Explicit half spectrum of theta_t, L_t, and q = 4*(2*pi/L)^4.
 
     theta_t = (u_sigma + (V - V(0))*theta_s)/s_sigma with
@@ -169,30 +234,27 @@ def _explicit(c, theta_s, theta_sss, length, alpha, table):
     here rather than added and subtracted, except at Nyquist, where
     u_sigma has no content and the implicit term is balanced explicitly.
     """
-    nx = theta_s.size
+    mult = maps.mult
     s_sigma = length / (2.0 * np.pi)
     a = (alpha - 1.0) / s_sigma**2
     q = 4.0 / s_sigma**4
-    # the transforms carry -flux/s_sigma and -V/s_sigma: dividing u by
-    # s_sigma up front divides theta_t, and negating it is free
-    neg_flux_hat = np.fft.rfft(theta_s * (1.0 / s_sigma + a * theta_s + q * theta_sss), norm="forward")
-    length_rate = length * float(neg_flux_hat[0].real)
-    # V_sigma = flux + L_t/(2*pi) has zero mean, so V is periodic; the
-    # constant L_t/(2*pi) only touches mode 0, which inv_in drops
-    neg_v = np.fft.irfft(neg_flux_hat * table.inv_in, n=nx, norm="forward")
-    nonstiff = a * table.n2 * c - np.fft.rfft((neg_v - neg_v[0]) * theta_s, norm="forward")
-    nonstiff[-1] += q * table.n4[-1] * c[-1]
+    # the maps carry -flux/s_sigma and -V/s_sigma: dividing u by s_sigma
+    # up front divides theta_t, and negating it is free
+    neg_v, neg_flux_mean = maps.to_velocity(theta_s * (1.0 / s_sigma + a * theta_s + q * theta_sss))
+    length_rate = length * float(neg_flux_mean)
+    nonstiff = a * mult.n2 * c - maps.to_spectrum(neg_v * theta_s)
+    nonstiff[-1] += q * mult.n4[-1] * c[-1]
     return nonstiff, length_rate, q
 
 
 def theta_rhs(state, alpha):
     """Right-hand sides (theta_t values, L_t) of the evolution system."""
     nx = state.theta.nx
-    table = _multipliers(nx)
-    c = state.theta.coeffs[: nx // 2 + 1]
-    _, theta_s, theta_sss = _rows(c, table, nx)
-    nonstiff, length_rate, q = _explicit(c, theta_s, theta_sss, state.length, alpha, table)
-    return np.fft.irfft(nonstiff - q * table.n4 * c, n=nx, norm="forward"), length_rate
+    maps = _maps(nx)
+    c = np.ascontiguousarray(state.theta.coeffs[: nx // 2 + 1])
+    _, theta_s, theta_sss = maps.to_rows(c)
+    nonstiff, length_rate, q = _explicit(c, theta_s, theta_sss, state.length, alpha, maps)
+    return maps.to_rows(nonstiff - q * maps.mult.n4 * c)[0], length_rate
 
 
 def _state(nx, values, c, length, time, *cache):
@@ -220,14 +282,14 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     nx = state.theta.nx
-    table = _multipliers(nx)
-    n4 = table.n4
-    c = state.theta.coeffs[: nx // 2 + 1]
+    maps = _maps(nx)
+    n4 = maps.mult.n4
+    c = np.ascontiguousarray(state.theta.coeffs[: nx // 2 + 1])
     length = state.length
     time = state.time
     prev = state.prev
     if prev is None:
-        _, theta_s, theta_sss = _rows(c, table, nx)
+        _, theta_s, theta_sss = maps.to_rows(c)
     else:
         theta_s, theta_sss = prev.theta_s, prev.theta_sss
     # SBDF2 needs the previous step at the same dt; otherwise IMEX Euler
@@ -236,7 +298,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
         history = (prev.theta_hat, prev.nonstiff_hat, prev.length, prev.length_rate)
     out = state
     for _ in range(n_steps):
-        nonstiff, length_rate, q = _explicit(c, theta_s, theta_sss, length, alpha, table)
+        nonstiff, length_rate, q = _explicit(c, theta_s, theta_sss, length, alpha, maps)
         if history is None:
             new_c = (c + dt * nonstiff) / (1.0 + dt * q * n4)
             new_length = length + dt * length_rate
@@ -247,7 +309,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
             )
             new_length = (4.0 * length - prev_length + 2.0 * dt * (2.0 * length_rate - prev_rate)) / 3.0
         time += dt
-        values, theta_s, theta_sss = _rows(new_c, table, nx)
+        values, theta_s, theta_sss = maps.to_rows(new_c)
         peak = float(np.abs(values).max())
         if not peak <= _THETA_BLOWUP:
             raise BlowUpError(

@@ -270,12 +270,21 @@ FLAT_WAVE = {"model": "linear", "alpha": 17.0, "theta": [0.0] * 64}
         ({**FLAT_WAVE, "residual_norm": True}, "has a 'residual_norm' entry that is not a JSON number: True"),
         ({**FLAT_WAVE, "residual_norm": "0.0"}, "has a 'residual_norm' entry that is not a JSON number: '0.0'"),
         ({**FLAT_WAVE, "alpha": 10**400}, "has a non-finite 'alpha' entry: 1000"),
+        ({**FLAT_WAVE, "theta": "abc"}, "has a 'theta' entry that is not a JSON array: 'abc'"),
+        ({**FLAT_WAVE, "theta": 0.0}, "has a 'theta' entry that is not a JSON array: 0.0"),
+        ({**FLAT_WAVE, "theta": ["0.0"] * 63 + [True]}, "'theta' entry whose element 0 is not a JSON number: '0.0'"),
+        ({**FLAT_WAVE, "theta": [0.0] * 63 + [True]}, "'theta' entry whose element 63 is not a JSON number: True"),
+        ({**FLAT_WAVE, "theta": [0.0] * 63 + [None]}, "'theta' entry whose element 63 is not a JSON number: None"),
+        ({**FLAT_WAVE, "theta": [[0.0]] * 64}, "'theta' entry whose element 0 is not a JSON number: [0.0]"),
+        ({**FLAT_WAVE, "theta": [0.0] * 5 + [10**400] + [0.0] * 58}, "'theta' entry whose values must be finite: element 5 is 1000"),
     ],
     ids=[
         "not-an-object", "no-alpha", "no-theta", "odd-theta", "nan-theta",
         "null-residual", "nan-residual", "zero-k0", "fractional-k0", "text-k0", "bool-k0",
         "bool-alpha", "text-alpha", "bool-alpha-text-beta", "text-length", "bool-length",
         "bool-residual", "text-residual", "huge-alpha",
+        "text-theta", "number-theta", "text-bool-theta", "bool-in-theta", "null-in-theta",
+        "nested-theta", "huge-in-theta",
     ],
 )
 def test_stability_rejects_malformed_wave_file(tmp_path, capsys, wave, message):
@@ -285,6 +294,8 @@ def test_stability_rejects_malformed_wave_file(tmp_path, capsys, wave, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
+    if "'theta' entry" in message:
+        assert f"error: wave file {tmp_path / 'bad.json'} has " in err
     assert not (tmp_path / "out").exists()
 
 

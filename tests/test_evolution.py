@@ -8,6 +8,8 @@ from flamefront.errors import BlowUpError, UnsupportedModelError
 from flamefront.evolution import (
     EvolutionState,
     StabilityProbeConfig,
+    _Maps,
+    _maps,
     _multipliers,
     evolve,
     imex_step,
@@ -16,7 +18,7 @@ from flamefront.evolution import (
 )
 from flamefront.model import ModelKind, WaveParams, dispersion_linear
 from flamefront.solver import flat_solution, quasi_newton_solve
-from flamefront.spectral import ThetaProfile, grid, sine_coeffs
+from flamefront.spectral import ThetaProfile, grid, resample, sine_coeffs
 
 
 def single_mode_state(eps, k, nx=64):
@@ -315,11 +317,13 @@ def test_rhs_matches_complex_fft_oracle_on_wave(linear_wave_h03):
     assert abs(length_rate - ref_rate) <= 1e-10
 
 
-def test_chained_steps_match_complex_fft_oracle(linear_wave_h03):
-    # Euler start, SBDF2, then a dt change that restarts with Euler
+@pytest.mark.parametrize("nx", [64, 256])
+def test_chained_steps_match_complex_fft_oracle(linear_wave_h03, nx):
+    # Euler start, SBDF2, then a dt change that restarts with Euler; nx 64
+    # steps with the dense maps, nx 256 with the FFTs
     sol = linear_wave_h03
-    sigma = grid(sol.theta.nx)
-    theta0 = sol.theta.values + 1e-3 * (np.sin(sigma) + np.sin(2.0 * sigma))
+    sigma = grid(nx)
+    theta0 = resample(sol.theta, nx).values + 1e-3 * (np.sin(sigma) + np.sin(2.0 * sigma))
     state = EvolutionState.from_theta(ThetaProfile.from_values(theta0))
     coeffs, length, prev = state.theta.coeffs, state.length, None
     alpha = 17.0
@@ -333,6 +337,42 @@ def test_chained_steps_match_complex_fft_oracle(linear_wave_h03):
     # the stored spectrum is the Hermitian completion of the half spectrum
     np.testing.assert_allclose(state.theta.coeffs, _oracle_coeffs(state.theta.values), rtol=0, atol=1e-15)
     assert state.time == pytest.approx(150 * 1e-4 + 150 * 5e-5, rel=1e-12)
+
+
+def assert_close(x, ref, rtol):
+    assert np.max(np.abs(x - ref)) <= rtol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nx", [8, 64, 128])
+def test_dense_maps_match_their_fft_expressions(rng, nx):
+    maps = _maps(nx)
+    assert _maps(nx) is maps
+    assert maps.mult is _multipliers(nx)
+    half = nx // 2 + 1
+    shapes = {"velocity": (nx + 1, nx), "spectrum": (nx + 2, nx), "rows": (3 * nx, nx + 2)}
+    for name, shape in shapes.items():
+        matrix = getattr(maps, name)
+        assert matrix.shape == shape and matrix.dtype == float
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+    fft = _Maps(maps.mult)
+    for _ in range(3):
+        g = rng.normal(size=nx)
+        assert_close(np.append(*maps.to_velocity(g)), np.append(*fft.to_velocity(g)), 1e-14)
+        assert_close(maps.to_spectrum(g), fft.to_spectrum(g), 1e-14)
+        # random imaginary parts at modes 0 and nx/2 too: both forms drop them
+        c = rng.normal(size=half) + 1j * rng.normal(size=half)
+        rows = maps.to_rows(c)
+        assert rows.shape == (3, nx)
+        assert_close(rows, fft.to_rows(c), 1e-14)
+
+
+def test_dense_maps_stop_at_the_crossover():
+    assert _maps(128).rows is not None
+    maps = _maps(130)
+    assert _maps(130) is maps
+    assert maps.velocity is None and maps.spectrum is None and maps.rows is None
 
 
 # imex_step, evolve and stability_probe share one stepping loop; these
