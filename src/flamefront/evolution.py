@@ -16,12 +16,12 @@ uniform.  Time stepping is IMEX: the fourth-derivative part
 frozen over the step), everything else explicit; the first step is IMEX
 Euler and subsequent steps are SBDF2.
 
-A step works on the rfft half spectrum c of theta, n = 0..nx/2, with
-multiplier tables cached per nx, through three linear maps: (1) the flux
-theta_s*U on the grid to -(V - V(0)), plus its mean, which gives L_t;
-(2) the grid product (V - V(0))*theta_s to its half spectrum; (3) the new
-c to theta, theta_s and theta_sss, which give the blow-up check and the
-next step.  Above nx = 128 they are 4 numpy FFT calls: an rfft and an
+A step works on the rfft half spectrum c of theta, n = 0..nx/2, the
+spectrum a ThetaProfile holds, with multiplier tables cached per nx,
+through three linear maps: (1) the flux theta_s*U on the grid to
+-(V - V(0)), plus its mean, which gives L_t; (2) the grid product
+(V - V(0))*theta_s to its half spectrum; (3) the new c to theta, theta_s
+and theta_sss, which give the blow-up check and the next step.  Above nx = 128 they are 4 numpy FFT calls: an rfft and an
 irfft of the antiderivative for (1), an rfft for (2) and one batched
 irfft of c times 1, (i n) and (i n)^3 for (3).  Up to nx = 128 each map
 is a dense real matrix, tabulated once per nx from its FFT expression and
@@ -59,6 +59,9 @@ __all__ = [
 ]
 
 _THETA_BLOWUP = 1e3
+
+# The probe fits log d(t) over this many decades of growth.
+_GROWTH_WINDOW_DECADES = 2.0
 
 # Growth slower than exp(1e-3 t) is indistinguishable from neutral over
 # the default probe horizon.
@@ -105,13 +108,12 @@ class StabilityProbeConfig:
     delta: float = 1e-8
     dt: float = 1e-4
     t_max: float = 1.0
-    growth_window_decades: float = 2.0
 
     def __post_init__(self):
         for name in ("delta", "dt", "t_max"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if round(self.t_max / self.dt) < 1:
             raise ValueError(f"t_max {self.t_max!r} is shorter than one step of dt {self.dt!r}")
 
@@ -134,10 +136,11 @@ class _Multipliers:
     """Read-only half-spectrum multipliers of one grid, n = 0..nx/2.
 
     rows holds 1, (i n), (i n)^3, so one irfft of rows * c gives theta,
-    theta_s and theta_sss; the two derivative rows are zeroed at Nyquist
-    as in spectral.deriv.  n2 holds n^2, zeroed at Nyquist because it
-    only feeds u_sigma, the derivative of a u that has no Nyquist content.
-    inv_in holds 1/(i n) with modes 0 and nx/2 zeroed; n4 holds n^4.
+    theta_s and theta_sss; the two derivative rows are zeroed at Nyquist.
+    rows and n4 (n^4) come from the (i n)^k table behind spectral.deriv.
+    n2 holds n^2, zeroed at Nyquist because it only feeds u_sigma, the
+    derivative of a u that has no Nyquist content.  inv_in holds 1/(i n)
+    with modes 0 and nx/2 zeroed.
     """
 
     rows: np.ndarray
@@ -148,17 +151,16 @@ class _Multipliers:
 
 @functools.cache
 def _multipliers(nx):
+    powers = spectral._powers(nx)
+    rows = powers[[0, 1, 3]]
     n = np.arange(nx // 2 + 1)
-    rows = (1j * n) ** np.array([0, 1, 3])[:, None]
-    rows[1:, -1] = 0.0
     n2 = n.astype(float) ** 2
     n2[-1] = 0.0
     inv_in = np.zeros(n.size, dtype=complex)
     inv_in[1:-1] = 1.0 / (1j * n[1:-1])
-    n4 = n.astype(float) ** 4
-    for table in (rows, n2, inv_in, n4):
+    for table in (rows, n2, inv_in):
         table.setflags(write=False)
-    return _Multipliers(rows=rows, n2=n2, inv_in=inv_in, n4=n4)
+    return _Multipliers(rows=rows, n2=n2, inv_in=inv_in, n4=powers[4].real)
 
 
 # Largest grid on which the step's three maps are dense matrices.  Up to
@@ -249,19 +251,16 @@ def _explicit(c, theta_s, theta_sss, length, alpha, maps):
 
 def theta_rhs(state, alpha):
     """Right-hand sides (theta_t values, L_t) of the evolution system."""
-    nx = state.theta.nx
-    maps = _maps(nx)
-    c = np.ascontiguousarray(state.theta.coeffs[: nx // 2 + 1])
+    maps = _maps(state.theta.nx)
+    c = state.theta.coeffs
     _, theta_s, theta_sss = maps.to_rows(c)
     nonstiff, length_rate, q = _explicit(c, theta_s, theta_sss, state.length, alpha, maps)
     return maps.to_rows(nonstiff - q * maps.mult.n4 * c)[0], length_rate
 
 
 def _state(nx, values, c, length, time, *cache):
-    # negative modes by Hermitian symmetry: the values are real
-    coeffs = np.concatenate((c, np.conj(c[-2:0:-1])))
     return EvolutionState(
-        theta=spectral.ThetaProfile(nx=nx, values=values, coeffs=coeffs),
+        theta=spectral.ThetaProfile(nx=nx, values=values, coeffs=c),
         length=length,
         time=time,
         prev=_StepCache(*cache),
@@ -284,7 +283,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     nx = state.theta.nx
     maps = _maps(nx)
     n4 = maps.mult.n4
-    c = np.ascontiguousarray(state.theta.coeffs[: nx // 2 + 1])
+    c = state.theta.coeffs
     length = state.length
     time = state.time
     prev = state.prev
@@ -361,9 +360,9 @@ def stability_probe(wave, cfg=None):
     linear closure at the wave's alpha, and records
     d(t) = max|theta(t) - theta(0)|.  The rate is the least-squares slope
     of log d over the window that starts one decade above delta and ends
-    where d has grown by growth_window_decades more decades; integration
-    stops as soon as that window completes, well before the perturbed
-    front leaves the exponential regime.  If the window never completes
+    where d has grown by two more decades; integration stops as soon as
+    that window completes, well before the perturbed front leaves the
+    exponential regime.  If the window never completes
     by t_max, the largest slope over trailing subwindows is reported and
     the estimate is flagged as not observed.
     """
@@ -379,7 +378,7 @@ def stability_probe(wave, cfg=None):
     state = EvolutionState.from_theta(spectral.ThetaProfile.from_values(theta0))
     reference = state.theta.values.copy()
 
-    factor = 10.0**cfg.growth_window_decades
+    factor = 10.0**_GROWTH_WINDOW_DECADES
     n_steps = int(round(cfg.t_max / cfg.dt))
     times = np.empty(n_steps)
     norms = np.empty(n_steps)

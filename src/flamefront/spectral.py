@@ -1,13 +1,16 @@
 """Fourier pseudo-spectral toolbox on the uniform periodic grid.
 
-All profiles live on sigma_j = 2*pi*j/nx, j = 0..nx-1, and carry discrete
-Fourier coefficients a_n normalized so that
+All profiles are real and live on sigma_j = 2*pi*j/nx, j = 0..nx-1.  A
+profile carries its rfft half spectrum c_n, n = 0..nx/2, normalized so
+that
 
-    theta(sigma) = sum_n a_n exp(i n sigma),   n = -nx/2 .. nx/2 - 1.
+    theta(sigma_j) = c_0 + 2*Re sum_{0<n<nx/2} c_n exp(i n sigma_j)
+                     + c_{nx/2} cos(nx/2 sigma_j),
 
-Coefficients are stored in numpy FFT order; the Nyquist mode n = -nx/2 is
-zeroed whenever an operation (odd-order derivative, antiderivative, odd
-projection) cannot represent it faithfully on the grid.
+i.e. numpy's rfft/irfft with norm="forward".  The imaginary parts of c_0
+and c_{nx/2} are invisible on the grid.  The Nyquist mode n = nx/2 is
+zeroed whenever an operation (odd-order derivative, antiderivative) cannot
+represent it faithfully on the grid.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .errors import InvalidGridError
 
 __all__ = [
     "grid",
-    "wavenumbers",
     "ThetaProfile",
     "deriv",
     "project_odd",
@@ -46,27 +48,27 @@ def grid(nx):
     return 2.0 * np.pi * np.arange(nx) / nx
 
 
-def wavenumbers(nx):
-    """Integer wavenumbers in FFT order: 0, 1, .., nx/2-1, -nx/2, .., -1.
-
-    The array is cached per nx and read-only.
-    """
-    return _wavenumbers(nx)
-
-
 @functools.cache
-def _wavenumbers(nx):
-    n = np.fft.fftfreq(nx, d=1.0 / nx).astype(np.int64)
-    n.setflags(write=False)
-    return n
+def _powers(nx):
+    """Read-only table of (i n)^k, k = 0..4 (rows), n = 0..nx/2 (columns).
+
+    The odd rows are zeroed at Nyquist: the odd derivative of the Nyquist
+    mode is a pure sine, invisible on the grid.  Shared with the stepper's
+    multipliers in evolution.
+    """
+    table = (1j * np.arange(nx // 2 + 1)) ** np.arange(5)[:, None]
+    table[1::2, -1] = 0.0
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
 class ThetaProfile:
-    """Tangent angle sampled on the grid together with its spectrum.
+    """Tangent angle sampled on the grid together with its half spectrum.
 
-    values and coeffs are kept consistent by the constructors; mutating
-    either array afterwards voids the pairing.
+    coeffs holds c_n for n = 0..nx/2 (module docstring).  values and
+    coeffs are kept consistent by the constructors; mutating either array
+    afterwards voids the pairing.
     """
 
     nx: int
@@ -80,19 +82,22 @@ class ThetaProfile:
         _check_nx(nx)
         if not np.all(np.isfinite(values)):
             raise InvalidGridError("profile values must be finite")
-        coeffs = np.fft.fft(values) / nx
-        return cls(nx=nx, values=values, coeffs=coeffs)
+        return cls(nx=nx, values=values, coeffs=np.fft.rfft(values, norm="forward"))
 
     @classmethod
     def from_coeffs(cls, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        nx = coeffs.size
+        """Profile from a half spectrum c_n, n = 0..nx/2, on nx = 2*(size-1) points.
+
+        irfft ignores the imaginary parts of modes 0 and nx/2; they are
+        kept in coeffs as given.
+        """
+        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
+        nx = 2 * (coeffs.size - 1)
         _check_nx(nx)
-        values = np.real(np.fft.ifft(coeffs)) * nx
-        return cls(nx=nx, values=values, coeffs=coeffs)
+        return cls(nx=nx, values=np.fft.irfft(coeffs, n=nx, norm="forward"), coeffs=coeffs)
 
     def mean(self):
-        return float(np.real(self.coeffs[0]))
+        return float(self.coeffs[0].real)
 
 
 def deriv(p, order):
@@ -103,35 +108,28 @@ def deriv(p, order):
     """
     if order not in (1, 2, 3, 4):
         raise ValueError(f"derivative order must be 1..4, got {order!r}")
-    n = wavenumbers(p.nx)
-    c = p.coeffs * (1j * n) ** order
-    if order % 2 == 1:
-        c[p.nx // 2] = 0.0
-    return ThetaProfile.from_coeffs(c)
+    return ThetaProfile.from_coeffs(p.coeffs * _powers(p.nx)[order])
 
 
 def project_odd(p):
     """Odd-parity part (theta(sigma) - theta(-sigma))/2, i.e. the sine series.
 
-    The mean and all cosine content vanish; the Nyquist mode is even on the
-    grid and is annihilated as well.
+    On the half spectrum it keeps only the imaginary parts.  The mean and
+    all cosine content vanish, and so does the Nyquist mode, which is even
+    on the grid.
     """
-    reflected = np.roll(p.values[::-1], 1)
-    return ThetaProfile.from_values(0.5 * (p.values - reflected))
+    return ThetaProfile.from_coeffs(1j * p.coeffs.imag)
 
 
 def antiderivative(p):
     """Zero-mean antiderivative of the zero-mean part of a profile.
 
-    Mode n != 0 maps to a_n/(i n); the mean of the input is discarded (a
+    Mode n != 0 maps to c_n/(i n); the mean of the input is discarded (a
     linear-in-sigma part is not periodic and is the caller's business) and
     the Nyquist mode is zeroed.
     """
-    n = wavenumbers(p.nx)
     c = np.zeros_like(p.coeffs)
-    nonzero = n != 0
-    c[nonzero] = p.coeffs[nonzero] / (1j * n[nonzero])
-    c[p.nx // 2] = 0.0
+    c[1:-1] = p.coeffs[1:-1] / _powers(p.nx)[1, 1:-1]
     return ThetaProfile.from_coeffs(c)
 
 
@@ -141,23 +139,20 @@ def sine_coeffs(p):
     Only the odd-parity content of p is reported; any cosine content is
     ignored.
     """
-    return -2.0 * np.imag(p.coeffs[1 : p.nx // 2])
+    return -2.0 * p.coeffs[1:-1].imag
 
 
 def cosine_coeffs(p):
     """Coefficients c_k of cos(k sigma), k = 0..nx/2 (mean and Nyquist included)."""
-    half = p.nx // 2
-    c = np.empty(half + 1)
-    c[0] = np.real(p.coeffs[0])
-    c[1:half] = 2.0 * np.real(p.coeffs[1:half])
-    c[half] = np.real(p.coeffs[half])
+    c = p.coeffs.real.copy()
+    c[1:-1] *= 2.0
     return c
 
 
 def from_sine_coeffs(b, nx):
     """Profile sum_k b_k sin(k sigma) from b_k, k = 1..nx/2-1.
 
-    The spectrum is assembled exactly (pure imaginary, odd) rather than
+    The spectrum is assembled exactly (pure imaginary) rather than
     recomputed from grid values: a value-level round trip would leave
     O(eps) even-parity dust in the coefficients, which high-order
     derivatives amplify by k^3 and which would then put an artificial
@@ -166,32 +161,28 @@ def from_sine_coeffs(b, nx):
     b = np.asarray(b, dtype=float)
     if b.size != nx // 2 - 1:
         raise ValueError(f"expected {nx // 2 - 1} sine coefficients, got {b.size}")
-    coeffs = np.zeros(nx, dtype=complex)
-    coeffs[1 : nx // 2] = -0.5j * b
-    coeffs[nx // 2 + 1 :] = 0.5j * b[::-1]
-    values = np.fft.irfft(-0.5j * nx * np.append(np.append(0.0, b), 0.0), n=nx)
-    return ThetaProfile(nx=nx, values=values, coeffs=coeffs)
+    coeffs = np.zeros(nx // 2 + 1, dtype=complex)
+    coeffs[1:-1] = -0.5j * b
+    return ThetaProfile.from_coeffs(coeffs)
 
 
 def resample(p, nx_new):
     """Band-limited resampling onto a finer or coarser grid.
 
-    Upsampling zero-pads the spectrum (the Nyquist coefficient is split
-    between +-nx/2 to keep the result real); downsampling truncates.
+    Upsampling zero-pads the half spectrum and halves the old Nyquist
+    mode, whose other half goes to mode -nx/2 of the finer grid.
+    Downsampling truncates; modes +-nx_new/2 of the finer grid alias onto
+    the coarse Nyquist, which doubles its real part.
     """
     _check_nx(nx_new)
     nx = p.nx
     if nx_new == nx:
         return p
-    c_new = np.zeros(nx_new, dtype=complex)
     half = min(nx, nx_new) // 2
-    c_new[:half] = p.coeffs[:half]
-    c_new[-half + 1 :] = p.coeffs[-half + 1 :]
+    c = np.zeros(nx_new // 2 + 1, dtype=complex)
+    c[: half + 1] = p.coeffs[: half + 1]
     if nx_new > nx:
-        nyq = p.coeffs[nx // 2]
-        c_new[nx // 2] = 0.5 * nyq
-        c_new[-nx // 2] = 0.5 * np.conj(nyq)
+        c[half] *= 0.5
     else:
-        # modes +-nx_new/2 of the fine grid alias onto the coarse Nyquist
-        c_new[half] = np.real(p.coeffs[half] + p.coeffs[-half])
-    return ThetaProfile.from_coeffs(c_new)
+        c[half] = 2.0 * c[half].real
+    return ThetaProfile.from_coeffs(c)

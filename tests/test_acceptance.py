@@ -225,7 +225,9 @@ def test_criterion_9_property_suite(linear_branch, nonlinear_branch):
     p = ThetaProfile.from_values(vals)
     back = ThetaProfile.from_coeffs(p.coeffs)
     assert np.max(np.abs(back.values - vals)) < 1e-12
-    assert abs(np.sum(np.abs(p.coeffs) ** 2) - np.sum(vals**2) / 256) < 1e-12
+    weights = np.full(129, 2.0)
+    weights[[0, -1]] = 1.0
+    assert abs(np.sum(weights * np.abs(p.coeffs) ** 2) - np.sum(vals**2) / 256) < 1e-12
 
     # traveling identity and resolution audit on every converged wave
     for rec, _ in (linear_branch, nonlinear_branch):

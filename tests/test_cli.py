@@ -307,6 +307,8 @@ def test_stability_rejects_malformed_wave_file(tmp_path, capsys, wave, message):
         ("--t-max", "0", "t_max must be positive"),
         ("--delta", "-0.5", "delta must be positive"),
         ("--t-max", "1e-5", "shorter than one step"),
+        ("--t-max", "inf", "t_max must be positive and finite"),
+        ("--delta", "inf", "delta must be positive and finite"),
     ],
 )
 def test_stability_rejects_nonpositive_probe_settings(tmp_path, capsys, flag, value, message):

@@ -169,7 +169,16 @@ def test_probe_stable_case_flagged():
 
 @pytest.mark.parametrize(
     "settings",
-    [{"dt": 0.0}, {"dt": -1.0}, {"t_max": 0.0}, {"delta": 0.0}, {"dt": float("nan")}, {"t_max": 1e-5}],
+    [
+        {"dt": 0.0},
+        {"dt": -1.0},
+        {"t_max": 0.0},
+        {"delta": 0.0},
+        {"dt": float("nan")},
+        {"t_max": 1e-5},
+        {"t_max": float("inf")},
+        {"delta": float("inf")},
+    ],
 )
 def test_probe_config_validation(settings):
     with pytest.raises(ValueError):
@@ -199,7 +208,14 @@ def test_probe_growth_window_anchoring(flat17_probe):
 
 # The stepper's arithmetic before it moved to the rfft half spectrum: full
 # complex FFTs, one transform per derivative, kept here in plain numpy as
-# the oracle for the half-spectrum theta_rhs and imex_step.
+# the oracle for the half-spectrum theta_rhs and imex_step.  It takes the
+# full spectrum in FFT order, built from a state's half spectrum by
+# full_spectrum.
+
+
+def full_spectrum(half):
+    """Hermitian completion: the negative modes of a real profile."""
+    return np.concatenate((half, np.conj(half[-2:0:-1])))
 
 
 def _oracle_deriv(coeffs, order):
@@ -302,7 +318,7 @@ def test_rhs_matches_complex_fft_oracle_on_random_states(rng, nx):
         assert abs(state.theta.coeffs[nx // 2]) > 0.0
         for alpha in (17.0, -2.5):
             rhs, length_rate = theta_rhs(state, alpha)
-            ref, ref_rate = oracle_rhs(state.theta.coeffs, state.length, alpha)
+            ref, ref_rate = oracle_rhs(full_spectrum(state.theta.coeffs), state.length, alpha)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(rhs - ref)) <= 1e-8 * scale
             assert length_rate == pytest.approx(ref_rate, rel=1e-12, abs=1e-14)
@@ -312,7 +328,7 @@ def test_rhs_matches_complex_fft_oracle_on_wave(linear_wave_h03):
     sol = linear_wave_h03
     state = EvolutionState(theta=sol.theta, length=sol.length)
     rhs, length_rate = theta_rhs(state, sol.alpha)
-    ref, ref_rate = oracle_rhs(sol.theta.coeffs, sol.length, sol.alpha)
+    ref, ref_rate = oracle_rhs(full_spectrum(sol.theta.coeffs), sol.length, sol.alpha)
     assert np.max(np.abs(rhs - ref)) <= 1e-10
     assert abs(length_rate - ref_rate) <= 1e-10
 
@@ -325,7 +341,7 @@ def test_chained_steps_match_complex_fft_oracle(linear_wave_h03, nx):
     sigma = grid(nx)
     theta0 = resample(sol.theta, nx).values + 1e-3 * (np.sin(sigma) + np.sin(2.0 * sigma))
     state = EvolutionState.from_theta(ThetaProfile.from_values(theta0))
-    coeffs, length, prev = state.theta.coeffs, state.length, None
+    coeffs, length, prev = full_spectrum(state.theta.coeffs), state.length, None
     alpha = 17.0
     for i in range(300):
         dt = 1e-4 if i < 150 else 5e-5
@@ -334,8 +350,9 @@ def test_chained_steps_match_complex_fft_oracle(linear_wave_h03, nx):
         ref = _oracle_values(coeffs)
         assert np.max(np.abs(state.theta.values - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert state.length == pytest.approx(length, rel=1e-13)
-    # the stored spectrum is the Hermitian completion of the half spectrum
-    np.testing.assert_allclose(state.theta.coeffs, _oracle_coeffs(state.theta.values), rtol=0, atol=1e-15)
+    # the stored spectrum is the rfft half spectrum of the stored values
+    half = np.fft.rfft(state.theta.values, norm="forward")
+    np.testing.assert_allclose(state.theta.coeffs, half, rtol=0, atol=1e-15)
     assert state.time == pytest.approx(150 * 1e-4 + 150 * 5e-5, rel=1e-12)
 
 

@@ -12,16 +12,15 @@ from flamefront.spectral import (
     project_odd,
     resample,
     sine_coeffs,
-    wavenumbers,
 )
 
 
 def random_profile(rng, nx=64, zero_nyquist=False):
     vals = rng.standard_normal(nx)
     if zero_nyquist:
-        c = np.fft.fft(vals) / nx
-        c[nx // 2] = 0.0
-        vals = np.real(np.fft.ifft(c * nx))
+        c = np.fft.rfft(vals)
+        c[-1] = 0.0
+        vals = np.fft.irfft(c, n=nx)
     return ThetaProfile.from_values(vals)
 
 
@@ -39,21 +38,9 @@ def test_grid_rejects_odd_and_small():
         grid(6)
     with pytest.raises(InvalidGridError):
         grid(4)
-
-
-def test_wavenumbers_layout():
-    k = wavenumbers(8)
-    np.testing.assert_array_equal(k, [0, 1, 2, 3, -4, -3, -2, -1])
-
-
-def test_wavenumbers_cached_read_only():
-    for nx in (8, 64, 256):
-        k = wavenumbers(nx)
-        assert not k.flags.writeable
-        with pytest.raises(ValueError):
-            k[1] = 7
-        np.testing.assert_array_equal(k, np.fft.fftfreq(nx, d=1.0 / nx).astype(np.int64))
-        np.testing.assert_array_equal(wavenumbers(nx), k)
+    # a half spectrum of 4 entries is a grid of 6 points
+    with pytest.raises(InvalidGridError):
+        ThetaProfile.from_coeffs(np.zeros(4, dtype=complex))
 
 
 def test_round_trip_values_coeffs(rng):
@@ -63,10 +50,13 @@ def test_round_trip_values_coeffs(rng):
 
 
 def test_parseval(rng):
-    # grid mean square equals spectral power with the 1/nx convention
+    # grid mean square equals spectral power with the 1/nx convention; the
+    # half spectrum counts modes 1..nx/2-1 twice, for their negative twins
     p = random_profile(rng, nx=128)
     grid_power = np.sum(p.values**2) / p.nx
-    spec_power = np.sum(np.abs(p.coeffs) ** 2)
+    weights = np.full(p.nx // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    spec_power = np.sum(weights * np.abs(p.coeffs) ** 2)
     np.testing.assert_allclose(spec_power, grid_power, rtol=1e-12)
 
 
@@ -125,6 +115,7 @@ def test_project_odd_splits_parity():
     p = ThetaProfile.from_values(odd + even)
     q = project_odd(p)
     np.testing.assert_allclose(q.values, odd, rtol=0, atol=1e-13)
+    assert np.all(q.coeffs.real == 0.0)
     # idempotent
     np.testing.assert_allclose(project_odd(q).values, q.values, rtol=0, atol=1e-14)
 
@@ -165,7 +156,6 @@ def test_from_sine_coeffs_exact_parity(rng):
     assert np.max(np.abs(np.real(p.coeffs))) == 0.0
     assert p.coeffs[0] == 0.0
     assert p.coeffs[nx // 2] == 0.0
-    np.testing.assert_array_equal(np.imag(p.coeffs[1 : nx // 2]), -np.imag(p.coeffs[-1 : nx // 2 : -1]))
 
 
 def test_cosine_coeff_extraction():
@@ -196,6 +186,16 @@ def test_resample_down_then_up_on_bandlimited():
     p = ThetaProfile.from_values(np.sin(2 * sigma) - 0.3 * np.cos(5 * sigma))
     q = resample(resample(p, 32), nx)
     np.testing.assert_allclose(q.values, p.values, rtol=0, atol=1e-13)
+
+
+def test_resample_up_and_back_keeps_nyquist(rng):
+    # upsampling splits the Nyquist mode between +-nx/2 of the finer grid,
+    # downsampling folds the pair back
+    nx = 32
+    p = ThetaProfile.from_values(rng.standard_normal(nx) + np.cos((nx // 2) * grid(nx)))
+    fine = resample(p, 64)
+    np.testing.assert_allclose(fine.values[::2], p.values, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(resample(fine, 32).values, p.values, rtol=0, atol=1e-14)
 
 
 def test_resample_rejects_invalid_target(rng):
