@@ -163,13 +163,16 @@ def residual(p, params, kind):
 def residual_linearization(p, params, kind):
     """Pointwise partial derivatives of residual(p, params, kind).
 
-    Returns grid arrays (w1, w3, r_q, r_alpha) such that a perturbation
+    Returns (w1, w3, r_q, r_alpha) such that a perturbation
     (d_theta, dq, d_alpha, d_beta) changes the residual by
 
         w1*d_theta_s + w3*d_theta_sss + beta*sin(theta)*d_theta
           + r_q*dq + r_alpha*d_alpha - cos(theta)*d_beta,
 
-    with q = 2*pi/L held as an independent variable.
+    with q = 2*pi/L held as an independent variable.  w1, r_q and r_alpha
+    are grid arrays; w3, the coefficient of theta_sss, is the same at
+    every grid point in both closures (4*q^3 or alpha^2*(alpha+3)*q^3)
+    and is returned as a float.
     """
     alpha = params.alpha
     q = 2.0 * np.pi / params.length
@@ -177,13 +180,13 @@ def residual_linearization(p, params, kind):
     theta_sss = spectral.deriv(p, 3).values
     if kind is ModelKind.LINEAR:
         w1 = np.full(p.nx, (alpha - 1.0) * q)
-        w3 = np.full(p.nx, 4.0 * q**3)
+        w3 = float(4.0 * q**3)
         r_alpha = q * theta_s
     elif kind is ModelKind.NONLINEAR:
         kappa = q * theta_s
         stiff, quad, cubic = _nonlinear_coefficients(alpha)
         w1 = q * ((alpha - 1.0) + 2.0 * quad * kappa + 3.0 * cubic * kappa**2)
-        w3 = np.full(p.nx, stiff * q**3)
+        w3 = float(stiff * q**3)
         r_alpha = (
             kappa
             + (3.0 * alpha**2 + 6.0 * alpha) * q**3 * theta_sss

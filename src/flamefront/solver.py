@@ -11,13 +11,15 @@ theta at the frozen argmax index of the current guess.
 
 Each Newton iteration assembles the exact Jacobian of that system: the
 pointwise linearisation of the residual acting on the sine modes, a
-rank-one term from the dependence of L on theta, the two parameter
-columns, all projected onto the cosine modes by real FFTs along the grid.
+rank-one term from the dependence of L on theta, and the two parameter
+columns.  It is built from the Fourier coefficients of the linearisation's
+coefficient functions, taken by one batched real FFT: multiplying a sine
+mode by a grid function gives a Toeplitz-plus-Hankel matrix of that
+function's coefficients, so no grid matrix is formed.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
@@ -59,8 +61,6 @@ _ALPHA_WELL_POSED = -3.0
 # below _STALL_FACTOR times the best residual before them.
 _STALL_WINDOW = 3
 _STALL_FACTOR = 0.5
-# Grid entries per column block of the Jacobian: 64 KiB of float64 per temporary.
-_JACOBIAN_BLOCK = 8192
 
 Termination = Literal[
     "self-intersection",
@@ -162,55 +162,70 @@ def _square_equations(x, nx, target_h, kind, amp_index):
     return eqs, grid_norm, p, params
 
 
-@functools.cache
-def _sine_mode_tables(nx):
-    """Wavenumbers k = 1..nx/2-1 and the grid tables sin(k sigma_j), cos(k sigma_j).
-
-    The phase k*j is reduced modulo nx in integers, so every entry is a
-    sine or cosine of an angle in [0, 2*pi).
-    """
-    k = np.arange(1, nx // 2)
-    phase = (2.0 * np.pi / nx) * (np.outer(np.arange(nx), k) % nx)
-    tables = (k, np.sin(phase), np.cos(phase))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
 def _newton_jacobian(p, params, kind, amp_index):
     """Exact Jacobian of _square_equations in the unknowns [b_1.., beta, alpha].
 
-    With theta = S b, S[j, k] = sin(k sigma_j), the grid residual varies as
-    w1*(D1 S) + w3*(D3 S) + beta*sin(theta)*S plus r_q times the row
-    dq/db = -(sin(theta) S)/nx of q = 2*pi/L = mean(cos theta); the
-    parameter columns are -cos(theta) and dr/dalpha.  Cosine modes
-    0..nx/2-1 of every column come from a real FFT along the grid, taken
-    over blocks of at most _JACOBIAN_BLOCK grid entries so that no
-    temporary is large enough for the allocator to map fresh pages on
-    every call.
+    With theta = sum_k b_k sin(k sigma), column k of the linearised grid
+    residual is
+
+        (w1*k - w3*k^3)*cos(k sigma) + beta*sin(theta)*sin(k sigma) + r_q*dq_k,
+
+    where dq_k = -mean(sin(theta)*sin(k sigma)) is the derivative of
+    q = 2*pi/L = mean(cos theta); the parameter columns are -cos(theta)
+    and dr/dalpha.  Every column is projected onto cosine modes 0..nx/2-1
+    through the spectra of the coefficient functions w1, r_q, sin(theta),
+    -cos(theta) and r_alpha, taken by one batched real FFT, and never
+    through a grid matrix.  With W_n the cosine coefficients of w1 and
+    Z_n the sine coefficients of sin(theta), the product-to-sum identities
+    on the grid give, in cosine mode m,
+
+        w1*k*cos(k sigma)            ->  (k/2)*(W[m-k] + W[m+k]),
+        beta*sin(theta)*sin(k sigma) ->  (beta/2)*(Z[k+m] + Z[k-m]),
+
+    a Toeplitz plus a Hankel matrix each.  Both are read, without a copy,
+    as strided windows of one extended vector of 3*nx/2-2 entries,
+    n = -(nx/2-1) .. nx-2, folded into 0..nx/2 by evenness (W) or
+    oddness (Z) and period nx.  w3 is a constant, so its term is the
+    diagonal -k^3*w3; the r_q term is the outer product of r_q's cosine
+    coefficients with dq.  The last row is the amplitude pin
+    d theta(sigma_pin)/d b_k = sin(k sigma_pin), its phase k*pin reduced
+    modulo nx in integers.
     """
     nx = p.nx
-    k, sin_k, cos_k = _sine_mode_tables(nx)
+    half = nx // 2
+    k = np.arange(1, half)
     w1, w3, r_q, r_alpha = residual_linearization(p, params, kind)
-    sin_theta = np.sin(p.values)
-    beta_sin_theta = (params.beta * sin_theta)[:, None]
-    dq = -(sin_theta @ sin_k) / nx
-    jac = np.empty((nx // 2 + 1, nx // 2 + 1))
-    cols = max(1, _JACOBIAN_BLOCK // nx)
-    for c in range(0, k.size, cols):
-        block = slice(c, min(c + cols, k.size))
-        kb = k[block]
-        # D1 S = k cos(k sigma), D3 S = -k^3 cos(k sigma)
-        grid_jac = (
-            cos_k[:, block] * (np.outer(w1, kb) - np.outer(w3, kb**3))
-            + beta_sin_theta * sin_k[:, block]
-            + np.outer(r_q, dq[block])
-        )
-        jac[:-1, block] = np.fft.rfft(grid_jac, axis=0)[: nx // 2].real / nx
-    params_jac = np.stack([-np.cos(p.values), r_alpha], axis=1)
-    jac[:-1, -2:] = np.fft.rfft(params_jac, axis=0)[: nx // 2].real / nx
-    jac[1:-1] *= 2.0
-    jac[-1, :-2] = sin_k[amp_index]
+    funcs = np.stack([w1, r_q, np.sin(p.values), -np.cos(p.values), r_alpha])
+    spec = np.fft.rfft(funcs, axis=1) / nx
+    sin_coeffs = -spec[2].imag
+    n = np.arange(1 - half, nx - 1)
+    fold = np.minimum(np.abs(n), nx - n)
+    extended = np.stack(
+        [
+            spec[0].real[fold],
+            (params.beta * np.sign(n) * np.sign(half - n)) * sin_coeffs[fold],
+        ]
+    )
+    windows = np.lib.stride_tricks.sliding_window_view(extended, half - 1, axis=1)
+    # W[m-k], beta*Z[m-k] and W[m+k], beta*Z[m+k] for m = 0..nx/2-1
+    w_toeplitz, z_toeplitz = windows[:, :half, ::-1]
+    w_hankel, z_hankel = windows[:, half:]
+    dq = -sin_coeffs[1:half]
+    # Rows m >= 1 carry the doubled cosine modes; row 0 is halved below.
+    # The block is built in place: one more temporary of its size makes
+    # the allocator map and trim fresh pages on every call at nx 512.
+    jac = np.empty((half + 1, half + 1))
+    block = jac[:-1, :-2]
+    np.multiply(2.0 * spec[1, :half, None].real, dq / k, out=block)
+    block += w_toeplitz
+    block += w_hankel
+    block *= k
+    block += z_hankel
+    block -= z_toeplitz
+    jac[k, k - 1] -= k**3 * w3
+    jac[:-1, -2:] = 2.0 * spec[3:, :half].real.T
+    jac[0] *= 0.5
+    jac[-1, :-2] = np.sin((2.0 * np.pi / nx) * (k * amp_index % nx))
     jac[-1, -2:] = 0.0
     return jac
 

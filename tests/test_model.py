@@ -1,6 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from flamefront import spectral
+from flamefront.bifurcation import asymptotic_guess
 from flamefront.errors import ContractViolationError, DegenerateFrontError
 from flamefront.model import (
     ModelKind,
@@ -9,6 +13,7 @@ from flamefront.model import (
     kinematics,
     length_from_theta,
     residual,
+    residual_linearization,
     unstable_modes,
 )
 from flamefront.spectral import ThetaProfile, from_sine_coeffs, grid
@@ -152,6 +157,52 @@ def test_nonlinear_residual_leading_order_defect():
         norms.append(np.max(np.abs(residual(p, params, ModelKind.NONLINEAR))))
     assert 3.5 < norms[0] / norms[1] < 8.5
     assert 3.5 < norms[1] / norms[2] < 8.5
+
+
+def residual_moved(monkeypatch, p, params, kind, d_theta=0.0, d_s=0.0, d_sss=0.0):
+    """model.residual with theta, theta_s and theta_sss moved independently:
+    the spectral derivatives it reads are replaced by fixed grid arrays."""
+    derivs = {
+        1: spectral.deriv(p, 1).values + d_s,
+        3: spectral.deriv(p, 3).values + d_sss,
+    }
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "deriv", lambda _, order: SimpleNamespace(values=derivs[order]))
+        return residual(SimpleNamespace(values=p.values + d_theta), params, kind)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.NONLINEAR])
+def test_residual_linearization_matches_forward_differences(monkeypatch, kind):
+    p, params = asymptotic_guess(1, 0.3, kind, nx=64)
+    q = 2.0 * np.pi / params.length
+    w1, w3, r_q, r_alpha = residual_linearization(p, params, kind)
+    stiff = 4.0 if kind is ModelKind.LINEAR else params.alpha**2 * (params.alpha + 3.0)
+    # the theta_sss coefficient is one number, not a grid array
+    assert isinstance(w3, float)
+    assert w3 == pytest.approx(stiff * q**3, rel=1e-15)
+
+    base = residual_moved(monkeypatch, p, params, kind)
+    direction = np.random.default_rng(3).uniform(-1.0, 1.0, p.nx)
+    eps = 1e-8
+
+    def check(moved, step, expected):
+        np.testing.assert_allclose(
+            (moved - base) / step, expected, rtol=0, atol=1e-6 * np.max(np.abs(expected))
+        )
+
+    for name, expected in [
+        ("d_s", w1 * direction),
+        ("d_sss", w3 * direction),
+        ("d_theta", params.beta * np.sin(p.values) * direction),
+    ]:
+        moved = residual_moved(monkeypatch, p, params, kind, **{name: eps * direction})
+        check(moved, eps, expected)
+    # q = 2*pi/L moves with L; alpha on its own
+    length = params.length / (1.0 + eps)
+    moved = residual(p, WaveParams(params.alpha, params.beta, length), kind)
+    check(moved, 2.0 * np.pi / length - q, r_q)
+    moved = residual(p, WaveParams(params.alpha + eps, params.beta, params.length), kind)
+    check(moved, eps, r_alpha)
 
 
 def test_dispersion_linear_values():

@@ -1,15 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 
 from flamefront.bifurcation import asymptotic_guess, nonlinear_bifurcation_alpha
-from flamefront import solver
 from flamefront.errors import (
     BranchStartError,
     ConvergenceError,
     DegenerateFrontError,
     SingularSystemError,
 )
-from flamefront.model import ModelKind, WaveParams, residual
+from flamefront.model import ModelKind, WaveParams, residual, residual_linearization
 from flamefront.solver import (
     BranchRecord,
     SolveConfig,
@@ -91,6 +92,8 @@ def fd_jacobian(x, nx, target_h, kind, amp_index, rel_step=1e-7):
     return jac
 
 
+# cached: the finite-difference and grid-transform tests share the cases
+@functools.cache
 def jacobian_case(name, nx):
     """(profile, params, target_h, kind) at which the Jacobians are compared."""
     if name.startswith("guess"):
@@ -142,16 +145,52 @@ def test_newton_jacobian_matches_finite_differences(name, nx):
     assert jac[-1, -2] == 0.0 and jac[-1, -1] == 0.0
 
 
+def grid_transform_jacobian(p, params, kind, amp_index):
+    """The Newton Jacobian built on the grid: the reference for the
+    spectral build.
+
+    Column k is the grid linearisation acting on theta = sin(k sigma),
+    (w1*k - w3*k^3)*cos(k sigma) + beta*sin(theta)*sin(k sigma) + r_q*dq_k,
+    projected onto cosine modes 0..nx/2-1 by a real FFT along the grid;
+    the parameter columns -cos(theta) and r_alpha likewise.
+    """
+    nx = p.nx
+    k = np.arange(1, nx // 2)
+    phase = (2.0 * np.pi / nx) * (np.outer(np.arange(nx), k) % nx)
+    sin_k, cos_k = np.sin(phase), np.cos(phase)
+    w1, w3, r_q, r_alpha = residual_linearization(p, params, kind)
+    sin_theta = np.sin(p.values)
+    dq = -(sin_theta @ sin_k) / nx
+    grid_jac = (
+        cos_k * (np.outer(w1, k) - w3 * k**3)
+        + (params.beta * sin_theta)[:, None] * sin_k
+        + np.outer(r_q, dq)
+    )
+    params_jac = np.stack([-np.cos(p.values), r_alpha], axis=1)
+    jac = np.empty((nx // 2 + 1, nx // 2 + 1))
+    jac[:-1, :-2] = np.fft.rfft(grid_jac, axis=0)[: nx // 2].real / nx
+    jac[:-1, -2:] = np.fft.rfft(params_jac, axis=0)[: nx // 2].real / nx
+    jac[1:-1] *= 2.0
+    jac[-1, :-2] = sin_k[amp_index]
+    jac[-1, -2:] = 0.0
+    return jac
+
+
 @pytest.mark.parametrize("nx", [64, 256, 512])
-def test_newton_jacobian_independent_of_block_width(monkeypatch, nx):
-    """The column blocks only bound the temporaries: one block, the default
-    and 5-column blocks (a short last block) give the same bits."""
-    p, params, _, kind = jacobian_case("guess-nonlinear", nx)
+@pytest.mark.parametrize(
+    "name", ["guess-linear", "guess-nonlinear", "linear-h1", "nonlinear-wall"]
+)
+def test_newton_jacobian_matches_grid_transform(name, nx):
+    """The Toeplitz-plus-Hankel build from coefficient spectra equals the
+    grid build column by column, up to rounding."""
+    p, params, _, kind = jacobian_case(name, nx)
     amp_index = int(np.argmax(p.values))
-    blocked = _newton_jacobian(p, params, kind, amp_index)
-    for width in (nx * nx, 5 * nx):
-        monkeypatch.setattr(solver, "_JACOBIAN_BLOCK", width)
-        assert np.array_equal(_newton_jacobian(p, params, kind, amp_index), blocked)
+    jac = _newton_jacobian(p, params, kind, amp_index)
+    reference = grid_transform_jacobian(p, params, kind, amp_index)
+    assert jac.shape == reference.shape == (nx // 2 + 1, nx // 2 + 1)
+    column_scale = np.max(np.abs(reference), axis=0)
+    assert np.all(column_scale > 0.0)
+    assert np.all(np.max(np.abs(jac - reference), axis=0) <= 1e-14 * column_scale)
 
 
 def test_rebuild_rejects_non_finite_coefficients():
