@@ -72,10 +72,6 @@ def _q_prime(alpha, k0):
     return 1.0 - k0**2 * (3.0 * alpha**2 + 6.0 * alpha)
 
 
-def _p(alpha, k0):
-    return 3.0 * k0**2 * alpha**2 + 6.0 * k0**2 * alpha - 1.0
-
-
 def linear_bifurcation_alpha(k0):
     """Flat-state bifurcation point 4*k0^2 + 1 of the linear closure."""
     _check_k0(k0)

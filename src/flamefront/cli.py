@@ -151,6 +151,10 @@ def cmd_bifurcate(args):
     return 0
 
 
+# the scalar entries of a wave file, in the order of branch.csv's columns
+_BRANCH_COLUMNS = ("h", "alpha", "beta", "L", "delta_alpha", "delta_beta", "delta_L", "residual_norm")
+
+
 def _wave_payload(sol, alpha0):
     curve = reconstruct_curve(sol.theta)
     return {
@@ -177,27 +181,15 @@ def cmd_branch(args):
     bifurcation.check_k0_on_grid(args.k0, args.nx)
     out = _out_dir(args)
     record = solver.continue_branch(args.k0, kind, args.h_step, args.h_max, cfg)
-    if kind is ModelKind.LINEAR:
-        alpha0 = float(bifurcation.linear_bifurcation_alpha(args.k0))
-    else:
-        alpha0 = bifurcation.nonlinear_bifurcation_alpha(args.k0)
+    alpha0 = bifurcation.asymptotic_expansion(args.k0, kind).alpha0
 
     outputs = ["branch.csv"]
-    rows = ["h,alpha,beta,L,delta_alpha,delta_beta,delta_L,residual_norm"]
+    rows = [",".join(_BRANCH_COLUMNS)]
     for sol in record.solutions:
-        fields = (
-            sol.amplitude,
-            sol.alpha,
-            sol.beta,
-            sol.length,
-            sol.alpha - alpha0,
-            sol.beta - 1.0,
-            sol.length - 2.0 * np.pi,
-            sol.residual_norm,
-        )
-        rows.append(",".join(format(v, ".17g") for v in fields))
+        payload = _wave_payload(sol, alpha0)
+        rows.append(",".join(format(payload[key], ".17g") for key in _BRANCH_COLUMNS))
         name = f"wave_{sol.amplitude:.6f}.json"
-        _write_json(out / name, _wave_payload(sol, alpha0))
+        _write_json(out / name, payload)
         outputs.append(name)
     (out / "branch.csv").write_text("\n".join(rows) + "\n")
     _write_manifest(
@@ -279,10 +271,8 @@ def _wave_from_file(path):
     alpha = _finite_entry(path, data, "alpha", None)
     if "residual_norm" in data:
         residual_norm = _finite_entry(path, data, "residual_norm", None)
-    elif kind is ModelKind.LINEAR:
-        residual_norm = float(np.max(np.abs(residual(theta, WaveParams(alpha, beta, length), kind))))
     else:
-        residual_norm = 0.0
+        residual_norm = float(np.max(np.abs(residual(theta, WaveParams(alpha, beta, length), kind))))
     return solver.WaveSolution(
         theta=theta,
         alpha=alpha,

@@ -45,7 +45,8 @@ class ConvergenceError(FlameFrontError):
     """Newton iteration stopped without meeting tolerance.
 
     reason is "stalled" when the residual stopped decreasing before the
-    budget ran out, or "max-iters" when the budget was exhausted.  Carries
+    budget ran out, "max-iters" when the budget was exhausted, or
+    "non-finite" when an iterate's residual overflowed.  Carries
     the last iterate, the residual-norm history and its minimum
     (residual_floor) for diagnosis.
     """

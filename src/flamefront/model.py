@@ -6,9 +6,10 @@ normalized-arclength grid with metric s_sigma = L/(2*pi),
     beta*cos(theta) = 1 + (alpha-1)*kappa + (closure terms),
     kappa = (2*pi/L)*theta_sigma,
 
-where the closure is either the linearized curvature model (third
-derivative with fixed coefficient 4) or the full nonlinear one (cubic
-curvature terms, coefficient alpha^2*(alpha+3) on the third derivative).
+where the closure terms are S*q^3*theta_sss + Q*kappa^2 + C*kappa^3 with
+q = 2*pi/L.  The linearized curvature model has (S, Q, C) = (4, 0, 0);
+the full nonlinear one has S = alpha^2*(alpha+3) and cubic curvature
+terms.  That table (_closure) is the only place the closures differ.
 This module evaluates residuals of that equation on the grid plus the
 front kinematics and the flat-state dispersion relation.
 """
@@ -110,94 +111,88 @@ def kinematics(p, params):
     )
 
 
-def _nonlinear_coefficients(alpha):
-    """Nonlinear-closure coefficients of q^3*theta_sss, kappa^2 and kappa^3."""
-    return (
-        alpha**2 * (alpha + 3.0),
-        1.0 + alpha / 2.0,
-        2.0 * alpha + 5.0 * alpha**2 - alpha**3 / 3.0,
-    )
+def _closure(kind, alpha):
+    """The closure table: (S, Q, C) and (dS, dQ, dC)/d alpha.
 
-
-def residual(p, params, kind):
-    """Pointwise traveling-wave residual on the grid.
-
-    Linear closure:
-
-        r = 1 + (alpha-1)*q*theta_s + 4*q^3*theta_sss - beta*cos(theta)
-
-    Nonlinear closure (kappa = q*theta_s):
-
-        r = 1 + (alpha-1)*kappa + alpha^2*(alpha+3)*q^3*theta_sss
-              + (1 + alpha/2)*kappa^2
-              + (2*alpha + 5*alpha^2 - alpha^3/3)*kappa^3
-              - beta*cos(theta)
-
-    with q = 2*pi/L.  Products are evaluated pointwise without dealiasing.
+    S, Q and C are the coefficients of q^3*theta_sss, kappa^2 and kappa^3
+    in the residual, and the only difference between the two closures.
     """
-    alpha, beta = params.alpha, params.beta
-    q = 2.0 * np.pi / params.length
-    theta_s = spectral.deriv(p, 1).values
-    theta_sss = spectral.deriv(p, 3).values
     if kind is ModelKind.LINEAR:
-        return (
-            1.0
-            + (alpha - 1.0) * q * theta_s
-            + 4.0 * q**3 * theta_sss
-            - beta * np.cos(p.values)
-        )
+        return (4.0, 0.0, 0.0), (0.0, 0.0, 0.0)
     if kind is ModelKind.NONLINEAR:
-        kappa = q * theta_s
-        stiff, quad, cubic = _nonlinear_coefficients(alpha)
         return (
-            1.0
-            + (alpha - 1.0) * kappa
-            + stiff * q**3 * theta_sss
-            + quad * kappa**2
-            + cubic * kappa**3
-            - beta * np.cos(p.values)
+            (alpha**2 * (alpha + 3.0), 1.0 + alpha / 2.0, 2.0 * alpha + 5.0 * alpha**2 - alpha**3 / 3.0),
+            (3.0 * alpha**2 + 6.0 * alpha, 0.5, 2.0 + 10.0 * alpha - alpha**2),
         )
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def residual_linearization(p, params, kind):
-    """Pointwise partial derivatives of residual(p, params, kind).
+def _residual_parts(p, params, coeffs):
+    """The residual with closure coefficients (S, Q, C), and the grid
+    arrays its linearisation reuses."""
+    stiff, quad, cubic = coeffs
+    q = 2.0 * np.pi / params.length
+    theta_s = spectral.deriv(p, 1).values
+    theta_sss = spectral.deriv(p, 3).values
+    kappa = q * theta_s
+    kappa2 = kappa * kappa
+    kappa3 = kappa2 * kappa
+    r = (
+        1.0
+        # (alpha-1)*kappa, grouped as (alpha-1)*q*theta_s: this keeps the
+        # linear branch byte-identical to the linear formula written alone
+        + (params.alpha - 1.0) * q * theta_s
+        + stiff * q**3 * theta_sss
+        + quad * kappa2
+        + cubic * kappa3
+        - params.beta * np.cos(p.values)
+    )
+    return r, q, theta_s, theta_sss, kappa, kappa2, kappa3
 
-    Returns (w1, w3, r_q, r_alpha) such that a perturbation
-    (d_theta, dq, d_alpha, d_beta) changes the residual by
+
+def residual(p, params, kind):
+    """Pointwise traveling-wave residual on the grid,
+
+        r = 1 + (alpha-1)*kappa + S*q^3*theta_sss + Q*kappa^2 + C*kappa^3
+              - beta*cos(theta),
+
+    with q = 2*pi/L, kappa = q*theta_s and the closure's coefficients
+
+        linear:     S = 4,                   Q = 0,            C = 0;
+        nonlinear:  S = alpha^2*(alpha+3),   Q = 1 + alpha/2,
+                    C = 2*alpha + 5*alpha^2 - alpha^3/3.
+
+    Products are evaluated pointwise without dealiasing.
+    """
+    return _residual_parts(p, params, _closure(kind, params.alpha)[0])[0]
+
+
+def residual_linearization(p, params, kind):
+    """The residual and its pointwise partial derivatives, from one
+    evaluation of theta_s and theta_sss.
+
+    Returns (r, w1, w3, r_q, r_alpha), where r is residual(p, params, kind)
+    bit for bit and a perturbation (d_theta, dq, d_alpha, d_beta) changes
+    it by
 
         w1*d_theta_s + w3*d_theta_sss + beta*sin(theta)*d_theta
           + r_q*dq + r_alpha*d_alpha - cos(theta)*d_beta,
 
     with q = 2*pi/L held as an independent variable.  w1, r_q and r_alpha
-    are grid arrays; w3, the coefficient of theta_sss, is the same at
-    every grid point in both closures (4*q^3 or alpha^2*(alpha+3)*q^3)
-    and is returned as a float.
+    are grid arrays; w3 = S*q^3, the coefficient of theta_sss, is the same
+    at every grid point and is returned as a float.
     """
     alpha = params.alpha
-    q = 2.0 * np.pi / params.length
-    theta_s = spectral.deriv(p, 1).values
-    theta_sss = spectral.deriv(p, 3).values
-    if kind is ModelKind.LINEAR:
-        w1 = np.full(p.nx, (alpha - 1.0) * q)
-        w3 = float(4.0 * q**3)
-        r_alpha = q * theta_s
-    elif kind is ModelKind.NONLINEAR:
-        kappa = q * theta_s
-        stiff, quad, cubic = _nonlinear_coefficients(alpha)
-        w1 = q * ((alpha - 1.0) + 2.0 * quad * kappa + 3.0 * cubic * kappa**2)
-        w3 = float(stiff * q**3)
-        r_alpha = (
-            kappa
-            + (3.0 * alpha**2 + 6.0 * alpha) * q**3 * theta_sss
-            + 0.5 * kappa**2
-            + (2.0 + 10.0 * alpha - alpha**2) * kappa**3
-        )
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    (stiff, quad, cubic), (d_stiff, d_quad, d_cubic) = _closure(kind, alpha)
+    r, q, theta_s, theta_sss, kappa, kappa2, kappa3 = _residual_parts(
+        p, params, (stiff, quad, cubic)
+    )
+    w1 = q * ((alpha - 1.0) + 2.0 * quad * kappa + 3.0 * cubic * kappa2)
+    w3 = float(stiff * q**3)
+    r_alpha = kappa + d_stiff * q**3 * theta_sss + d_quad * kappa2 + d_cubic * kappa3
     # every q-dependence enters through q*theta_s and q^3*theta_sss
     r_q = (w1 * theta_s + 3.0 * w3 * theta_sss) / q
-    return w1, w3, r_q, r_alpha
+    return r, w1, w3, r_q, r_alpha
 
 
 def dispersion_linear(alpha, k):

@@ -104,9 +104,10 @@ class WaveSolution:
 class FailedSolve(NamedTuple):
     """One continuation attempt that did not converge.
 
-    reason is the ConvergenceError reason ("stalled" or "max-iters"),
-    "singular-system" or "degenerate-front"; residual_floor is the smallest
-    grid residual of the attempt, None when no Newton history exists.
+    reason is the ConvergenceError reason ("stalled", "max-iters" or
+    "non-finite"), "singular-system" or "degenerate-front"; residual_floor
+    is the smallest grid residual of the attempt, None when no Newton
+    history exists.
     """
 
     target_h: float
@@ -143,26 +144,27 @@ def _pack(sol):
     )
 
 
-def _residual_cosine_modes(p, params, kind):
-    r = residual(p, params, kind)
-    rp = spectral.ThetaProfile.from_values(r)
-    return spectral.cosine_coeffs(rp), float(np.max(np.abs(r)))
-
-
 def _square_equations(x, nx, target_h, kind, amp_index):
     """The square Newton system: cosine modes 0..nx/2-1 plus amplitude pin.
 
     Also reports the grid max-norm of the residual, which the convergence
     test uses so that the monitored-but-unsolved Nyquist mode cannot hide
-    an unresolved wave.
+    an unresolved wave, and the linearisation's coefficient functions
+    (w1, w3, r_q, r_alpha) for _newton_jacobian.  A residual that is not
+    finite (a closure term overflowed) has norm inf and no equations.
     """
     p, params = _rebuild(x, nx)
-    modes, grid_norm = _residual_cosine_modes(p, params, kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, *lin = residual_linearization(p, params, kind)
+    grid_norm = float(np.max(np.abs(r)))
+    if not np.isfinite(grid_norm):
+        return None, np.inf, p, params, lin
+    modes = spectral.cosine_coeffs(spectral.ThetaProfile.from_values(r))
     eqs = np.append(modes[: nx // 2], p.values[amp_index] - target_h)
-    return eqs, grid_norm, p, params
+    return eqs, grid_norm, p, params, lin
 
 
-def _newton_jacobian(p, params, kind, amp_index):
+def _newton_jacobian(p, params, lin, amp_index):
     """Exact Jacobian of _square_equations in the unknowns [b_1.., beta, alpha].
 
     With theta = sum_k b_k sin(k sigma), column k of the linearised grid
@@ -172,8 +174,10 @@ def _newton_jacobian(p, params, kind, amp_index):
 
     where dq_k = -mean(sin(theta)*sin(k sigma)) is the derivative of
     q = 2*pi/L = mean(cos theta); the parameter columns are -cos(theta)
-    and dr/dalpha.  Every column is projected onto cosine modes 0..nx/2-1
-    through the spectra of the coefficient functions w1, r_q, sin(theta),
+    and dr/dalpha.  lin is (w1, w3, r_q, r_alpha) from
+    residual_linearization at (p, params).  Every column is projected onto
+    cosine modes 0..nx/2-1 through the spectra of the coefficient
+    functions w1, r_q, sin(theta),
     -cos(theta) and r_alpha, taken by one batched real FFT, and never
     through a grid matrix.  With W_n the cosine coefficients of w1 and
     Z_n the sine coefficients of sin(theta), the product-to-sum identities
@@ -194,7 +198,7 @@ def _newton_jacobian(p, params, kind, amp_index):
     nx = p.nx
     half = nx // 2
     k = np.arange(1, half)
-    w1, w3, r_q, r_alpha = residual_linearization(p, params, kind)
+    w1, w3, r_q, r_alpha = lin
     funcs = np.stack([w1, r_q, np.sin(p.values), -np.cos(p.values), r_alpha])
     spec = np.fft.rfft(funcs, axis=1) / nx
     sin_coeffs = -spec[2].imag
@@ -252,9 +256,10 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, k0=None):
     solves the dense LU-factored update system.
 
     Raises ConvergenceError with reason "stalled" once none of the last 3
-    residuals is below half the best one before them, or "max-iters" after
-    cfg.max_iters without meeting cfg.tol_residual; SingularSystemError on
-    a negligible pivot.
+    residuals is below half the best one before them, "max-iters" after
+    cfg.max_iters without meeting cfg.tol_residual, or "non-finite" once an
+    iterate's residual overflows; SingularSystemError on a negligible
+    pivot.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -267,23 +272,25 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, k0=None):
         [spectral.sine_coeffs(p0), [params0.beta, params0.alpha]]
     )
     amp_index = int(np.argmax(p0.values))
-    eqs, grid_norm, p, params = _square_equations(x, nx, target_h, kind, amp_index)
+    eqs, grid_norm, p, params, lin = _square_equations(x, nx, target_h, kind, amp_index)
     history = [grid_norm]
     tol = cfg.tol_residual
     iterations = 0
     reason = "max-iters"
     for it in range(1, cfg.max_iters + 1):
-        if grid_norm <= tol and abs(eqs[-1]) <= tol:
+        if eqs is None or (grid_norm <= tol and abs(eqs[-1]) <= tol):
             break
         if len(history) > _STALL_WINDOW and min(history[-_STALL_WINDOW:]) > (
             _STALL_FACTOR * min(history[:-_STALL_WINDOW])
         ):
             reason = "stalled"
             break
-        x = x + _lu_solve(_newton_jacobian(p, params, kind, amp_index), -eqs)
-        eqs, grid_norm, p, params = _square_equations(x, nx, target_h, kind, amp_index)
+        x = x + _lu_solve(_newton_jacobian(p, params, lin, amp_index), -eqs)
+        eqs, grid_norm, p, params, lin = _square_equations(x, nx, target_h, kind, amp_index)
         iterations = it
         history.append(grid_norm)
+    if eqs is None:
+        reason = "non-finite"
     if grid_norm > tol or abs(eqs[-1]) > tol:
         raise ConvergenceError(
             f"no convergence ({reason}) after {iterations} iterations: "

@@ -4,7 +4,9 @@ single PASS line with the measured numbers.
 Heavy artifacts (the two continued branches) are computed once per module
 and shared; their wall time is charged to the branch criteria."""
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +215,30 @@ def test_criterion_8_nonlinear_branch_confinement(nonlinear_branch):
         f"\nPASS criterion 8: nonlinear k0=1 branch alpha rose "
         f"{alphas[0]:.4f} -> {alphas[-1]:.4f}, all < -3, "
         f"terminated by {rec.termination} ({elapsed:.2f} s)"
+    )
+
+
+# (h, alpha, beta, L) of every wave of the two k0 = 1 branches and the
+# reason each branch ended, recorded with 17 digits
+REFERENCE_BRANCHES = Path(__file__).parent / "data" / "branches_k0_1.json"
+
+
+def test_branches_match_reference_tables(linear_branch, nonlinear_branch):
+    reference = json.loads(REFERENCE_BRANCHES.read_text())
+    worst = 0.0
+    for rec, _ in (linear_branch, nonlinear_branch):
+        expected = reference[rec.kind.value]
+        table = np.array(expected["h_alpha_beta_L"])
+        assert rec.termination == expected["termination"]
+        # the same h list, as the wave file names spell it
+        assert [f"{s.amplitude:.6f}" for s in rec.solutions] == [f"{h:.6f}" for h in table[:, 0]]
+        got = np.array([[s.amplitude, s.alpha, s.beta, s.length] for s in rec.solutions])
+        np.testing.assert_allclose(got[:, 1:], table[:, 1:], rtol=1e-10, atol=0)
+        worst = max(worst, float(np.max(np.abs(got[:, 1:] / table[:, 1:] - 1.0))))
+    print(
+        f"\nPASS reference branches: {len(linear_branch[0].solutions)} linear and "
+        f"{len(nonlinear_branch[0].solutions)} nonlinear waves, same h and termination, "
+        f"alpha, beta, L within {worst:.1e} relative"
     )
 
 

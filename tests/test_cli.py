@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import flamefront
-from flamefront.cli import _write_json, main
-from flamefront.model import ModelKind, WaveParams, residual
-from flamefront.spectral import ThetaProfile
+from flamefront.cli import _wave_from_file, _write_json, main
+from flamefront.model import ModelKind, WaveParams, length_from_theta, residual
+from flamefront.spectral import ThetaProfile, grid
 
 
 def exit_code(argv):
@@ -160,6 +160,17 @@ def test_stability_observed_growth(tmp_path):
     assert fit["observed"] is True
     assert fit["slope"] == pytest.approx(80.0, abs=4.0)
     assert fit["window"][0] < fit["window"][1] <= 0.15
+
+
+@pytest.mark.parametrize("model", ["linear", "nonlinear"])
+def test_wave_file_without_residual_norm_gets_its_closure_residual(tmp_path, model):
+    theta = ThetaProfile.from_values(0.1 * np.sin(grid(64)))
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps({"model": model, "alpha": -3.3, "theta": theta.values.tolist()}))
+    params = WaveParams(alpha=-3.3, beta=1.0, length=length_from_theta(theta))
+    expected = float(np.max(np.abs(residual(theta, params, ModelKind(model)))))
+    assert expected > 0.0
+    assert _wave_from_file(path).residual_norm == expected
 
 
 def test_stability_rejects_nonlinear_wave(tmp_path):

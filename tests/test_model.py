@@ -175,7 +175,9 @@ def residual_moved(monkeypatch, p, params, kind, d_theta=0.0, d_s=0.0, d_sss=0.0
 def test_residual_linearization_matches_forward_differences(monkeypatch, kind):
     p, params = asymptotic_guess(1, 0.3, kind, nx=64)
     q = 2.0 * np.pi / params.length
-    w1, w3, r_q, r_alpha = residual_linearization(p, params, kind)
+    r, w1, w3, r_q, r_alpha = residual_linearization(p, params, kind)
+    # the residual it carries is residual()'s, bit for bit
+    assert r.tobytes() == residual(p, params, kind).tobytes()
     stiff = 4.0 if kind is ModelKind.LINEAR else params.alpha**2 * (params.alpha + 3.0)
     # the theta_sss coefficient is one number, not a grid array
     assert isinstance(w3, float)

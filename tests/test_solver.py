@@ -1,8 +1,10 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
 
+from flamefront import spectral
 from flamefront.bifurcation import asymptotic_guess, nonlinear_bifurcation_alpha
 from flamefront.errors import (
     BranchStartError,
@@ -10,7 +12,13 @@ from flamefront.errors import (
     DegenerateFrontError,
     SingularSystemError,
 )
-from flamefront.model import ModelKind, WaveParams, residual, residual_linearization
+from flamefront.model import (
+    ModelKind,
+    WaveParams,
+    length_from_theta,
+    residual,
+    residual_linearization,
+)
 from flamefront.solver import (
     BranchRecord,
     SolveConfig,
@@ -130,8 +138,8 @@ def test_newton_jacobian_matches_finite_differences(name, nx):
         assert -3.02 < params.alpha < -3.0
     x = np.concatenate([sine_coeffs(p), [params.beta, params.alpha]])
     amp_index = int(np.argmax(p.values))
-    _, _, p_x, params_x = _square_equations(x, nx, target_h, kind, amp_index)
-    jac = _newton_jacobian(p_x, params_x, kind, amp_index)
+    _, _, p_x, params_x, lin = _square_equations(x, nx, target_h, kind, amp_index)
+    jac = _newton_jacobian(p_x, params_x, lin, amp_index)
     oracle = fd_jacobian(x, nx, target_h, kind, amp_index)
     assert jac.shape == oracle.shape == (nx // 2 + 1, nx // 2 + 1)
     scale = np.max(np.abs(oracle))
@@ -158,7 +166,7 @@ def grid_transform_jacobian(p, params, kind, amp_index):
     k = np.arange(1, nx // 2)
     phase = (2.0 * np.pi / nx) * (np.outer(np.arange(nx), k) % nx)
     sin_k, cos_k = np.sin(phase), np.cos(phase)
-    w1, w3, r_q, r_alpha = residual_linearization(p, params, kind)
+    _, w1, w3, r_q, r_alpha = residual_linearization(p, params, kind)
     sin_theta = np.sin(p.values)
     dq = -(sin_theta @ sin_k) / nx
     grid_jac = (
@@ -185,12 +193,43 @@ def test_newton_jacobian_matches_grid_transform(name, nx):
     grid build column by column, up to rounding."""
     p, params, _, kind = jacobian_case(name, nx)
     amp_index = int(np.argmax(p.values))
-    jac = _newton_jacobian(p, params, kind, amp_index)
+    lin = residual_linearization(p, params, kind)[1:]
+    jac = _newton_jacobian(p, params, lin, amp_index)
     reference = grid_transform_jacobian(p, params, kind, amp_index)
     assert jac.shape == reference.shape == (nx // 2 + 1, nx // 2 + 1)
     column_scale = np.max(np.abs(reference), axis=0)
     assert np.all(column_scale > 0.0)
     assert np.all(np.max(np.abs(jac - reference), axis=0) <= 1e-14 * column_scale)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.NONLINEAR])
+def test_one_closure_evaluation_per_newton_iterate(monkeypatch, kind):
+    orders = []
+    deriv = spectral.deriv
+
+    def counting_deriv(p, order):
+        orders.append(order)
+        return deriv(p, order)
+
+    monkeypatch.setattr(spectral, "deriv", counting_deriv)
+    sol = quasi_newton_solve(asymptotic_guess(1, 0.1, kind, nx=64), 0.1, kind)
+    assert sol.iterations >= 2
+    # theta_s and theta_sss once at the guess and once at each iterate;
+    # the Jacobian reuses the iterate's closure evaluation
+    assert orders == [1, 3] * (sol.iterations + 1)
+
+
+def test_overflowing_residual_is_a_typed_convergence_error():
+    # kappa^3 of this finite guess overflows the float range
+    p = ThetaProfile.from_values(1e110 * np.sin(grid(64)))
+    guess = (p, WaveParams(alpha=-3.4, beta=1.0, length=length_from_theta(p)))
+    with warnings.catch_warnings():
+        # no RuntimeWarning may reach the caller either
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as info:
+            quasi_newton_solve(guess, 0.1, ModelKind.NONLINEAR)
+    assert info.value.reason == "non-finite"
+    assert info.value.residual_history == [np.inf]
 
 
 def test_rebuild_rejects_non_finite_coefficients():
