@@ -32,7 +32,6 @@ from .errors import (
     SingularSystemError,
     UnsupportedModelError,
 )
-from .geometry import reconstruct_curve
 from .model import ModelKind, WaveParams, length_from_theta, residual
 
 __all__ = ["main"]
@@ -81,7 +80,8 @@ def _to_json(obj, indent=0):
         # files' four arrays are most of what a branch run writes
         if not np.isfinite(obj).all():
             raise _non_finite_error(obj[~np.isfinite(obj)][0])
-        return "[" + ", ".join(format(v, ".17g") for v in obj.tolist()) + "]"
+        # one %-format call per array writes what format(v, ".17g") writes
+        return "[" + ", ".join(["%.17g"] * obj.size) % tuple(obj.tolist()) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
@@ -156,7 +156,6 @@ _BRANCH_COLUMNS = ("h", "alpha", "beta", "L", "delta_alpha", "delta_beta", "delt
 
 
 def _wave_payload(sol, alpha0):
-    curve = reconstruct_curve(sol.theta)
     return {
         "model": sol.kind.value,
         "k0": sol.k0,
@@ -170,8 +169,8 @@ def _wave_payload(sol, alpha0):
         "residual_norm": sol.residual_norm,
         "sigma": spectral.grid(sol.theta.nx),
         "theta": sol.theta.values,
-        "x": curve.x,
-        "y": curve.y,
+        "x": sol.curve.x,
+        "y": sol.curve.y,
     }
 
 
@@ -265,7 +264,10 @@ def _wave_from_file(path):
         if key not in data:
             raise ValueError(f"wave file {path} has no {key!r} entry")
     kind = ModelKind(data.get("model", "linear"))
-    theta = spectral.ThetaProfile.from_values(_theta_entry(path, data))
+    values = _theta_entry(path, data)
+    # refused before the residual or a step can overflow on it
+    evolution._check_blowup(values, 0.0)
+    theta = spectral.ThetaProfile.from_values(values)
     length = _finite_entry(path, data, "L", length_from_theta(theta))
     beta = _finite_entry(path, data, "beta", 1.0)
     alpha = _finite_entry(path, data, "alpha", None)

@@ -267,6 +267,16 @@ def _state(nx, values, c, length, time, *cache):
     )
 
 
+def _check_blowup(values, time):
+    """BlowUpError when max|theta| of the grid values exceeds _THETA_BLOWUP."""
+    peak = float(np.abs(values).max(initial=0.0))
+    if not peak <= _THETA_BLOWUP:
+        raise BlowUpError(
+            f"max|theta| = {peak:.3e} exceeded {_THETA_BLOWUP:g} at t = {time:.6g}",
+            time=time,
+        )
+
+
 def _march(state, alpha, dt, n_steps, observer=None, until=None):
     """The stepping loop behind imex_step, evolve and stability_probe.
 
@@ -274,12 +284,14 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     after one, calls observer(state) after each, and returns the state
     after the last step taken.  The half spectrum, L, t and the SBDF2
     history live in locals; states are built only for the observer and
-    for the return value.
+    for the return value.  A starting state already past the blow-up
+    threshold is refused at its own time, before any step.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
+    _check_blowup(state.theta.values, state.time)
     nx = state.theta.nx
     maps = _maps(nx)
     n4 = maps.mult.n4
@@ -309,12 +321,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
             new_length = (4.0 * length - prev_length + 2.0 * dt * (2.0 * length_rate - prev_rate)) / 3.0
         time += dt
         values, theta_s, theta_sss = maps.to_rows(new_c)
-        peak = float(np.abs(values).max())
-        if not peak <= _THETA_BLOWUP:
-            raise BlowUpError(
-                f"max|theta| = {peak:.3e} exceeded {_THETA_BLOWUP:g} at t = {time:.6g}",
-                time=time,
-            )
+        _check_blowup(values, time)
         history = (c, nonstiff, length, length_rate)
         c, length = new_c, new_length
         out = None

@@ -4,11 +4,17 @@ The front is recovered by integrating (x_sigma, y_sigma) =
 (L/2pi)*(cos theta, sin theta) spectrally: the oscillatory part via
 division by (i n), the mean part as a linear-in-sigma ramp.  One
 horizontal period is returned as nx+1 points with x(2pi) - x(0) = 2pi.
+
+The self-intersection test is the smallest distance between non-adjacent
+points, the next period's copy included.  The smallest (i, i+2) chord r
+bounds it from above, so a sweep over x sorted once visits only the
+pairs with |dx| <= r and returns the same float as a scan of all pairs.
+On a resolved front that is a few pairs per point; a curve that stacks
+its points in x still costs all O(nx^2) pairs.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +31,6 @@ __all__ = [
 
 # A gap below this fraction of the arclength spacing counts as touching.
 _GAP_FRACTION = 0.9
-# Point pairs per block of the gap scan: 64 KiB of float64 per temporary.
-_SCAN_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,53 +81,65 @@ def reconstruct_curve(p):
     return InterfaceCurve(x=x, y=y, length=length)
 
 
-@functools.cache
-def _nonadjacent_masks(nx):
-    """Pair masks of the gap scan, which depend only on nx.
-
-    within: cyclic index distance >= 2.  across: chain index distance
-    nx + j - i >= 2 against the +2*pi translate, which fails only for the
-    closing segment pair (i, j) = (nx-1, 0).
-    """
-    idx = np.arange(nx)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    within = np.minimum(sep, nx - sep) >= 2
-    across = nx + idx[None, :] - idx[:, None] >= 2
-    within.setflags(write=False)
-    across.setflags(write=False)
-    return within, across
+def _pairs(lo, hi):
+    """Expand the windows [lo[k], hi[k]) into (row k, column) index pairs."""
+    counts = hi - lo
+    rows = np.repeat(np.arange(lo.size), counts)
+    cols = np.arange(rows.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return rows, cols
 
 
 def min_nonadjacent_gap(curve):
     """Smallest distance between non-adjacent points of the periodic polyline.
 
-    Brute-force O(n^2) scan over all point pairs with cyclic index
-    distance >= 2, plus every pair against the +2*pi horizontal translate
-    (which covers the -2*pi translate by symmetry).  The minimum is taken
-    over squared distances and square-rooted once, which gives the same
-    float as the minimum of the distances because the rounded square root
-    is monotone.  Any accelerated variant must reproduce this scan exactly.
+    The pairs are those with cyclic index distance >= 2, plus every pair
+    (i, j) against the +2*pi horizontal translate of j with chain distance
+    nx + j - i >= 2 (which covers the -2*pi translate by symmetry).
 
-    The pairs are scanned in blocks of rows of at most _SCAN_BLOCK pairs,
-    so that no temporary is large enough for the allocator to map fresh
-    pages on every call; the minimum does not depend on the blocking.
+    An (i, i+2) pair is non-adjacent, so the smallest (i, i+2) chord r
+    bounds the gap from above, and only pairs with |x_i - x_j| <= r can
+    reach it.  x is sorted once, and two binary searches per point find
+    its window |dx| <= r among the points and among their +2*pi
+    translates (the sweep of Shamos & Hoey, FOCS 1975).  r is widened by
+    1e-12 relative plus a few ulps of max|x| + 2*pi, so rounding at the
+    window ends cannot drop a pair.  Each candidate's squared distance is
+    (x_i - x_j)**2 + dy*dy, or ((x_i - x_j) - 2*pi)**2 + dy*dy against
+    the translate, as in a scan of all pairs, and the minimum is
+    square-rooted once.  The rounded square root is monotone, so the
+    float returned is the minimum of the distances over all pairs, bit
+    for bit.
+
+    A resolved front has a few points per window, so the scan costs about
+    O(nx log nx).  A curve that stacks its points in x within r of each
+    other (a vertical zig-zag) puts them all in one window, and the scan
+    visits all O(nx^2) pairs.
     """
     nx = curve.nx
     x, y = curve.x[:nx], curve.y[:nx]
-    within, across = _nonadjacent_masks(nx)
-    rows = max(1, _SCAN_BLOCK // nx)
-    near, shifted = [], []
-    for i in range(0, nx, rows):
-        block = slice(i, i + rows)
-        dx = x[block, None] - x
-        dy2 = y[block, None] - y
-        dy2 *= dy2
-        near.append(np.min(dx**2 + dy2, where=within[block], initial=np.inf))
-        dx -= 2.0 * np.pi
-        dx *= dx
-        dx += dy2
-        shifted.append(np.min(dx, where=across[block], initial=np.inf))
-    return float(np.sqrt(min(np.min(near), np.min(shifted))))
+    chord = np.inf
+    if nx >= 4:
+        chord = np.sqrt(np.min((x[2:] - x[:-2]) ** 2 + (y[2:] - y[:-2]) ** 2))
+    r = chord * (1.0 + 1e-12) + 4.0 * np.spacing(np.max(np.abs(x)) + 2.0 * np.pi)
+    order = np.argsort(x)
+    xs = x[order]
+    # within the period: each unordered pair once, as sorted positions p < q
+    ahead = np.searchsorted(xs, xs + r, side="right")
+    p, q = _pairs(np.arange(1, nx + 1), ahead)
+    i, j = order[p], order[q]
+    sep = np.abs(i - j)
+    keep = (sep >= 2) & (sep <= nx - 2)
+    i, j = i[keep], j[keep]
+    dy = y[i] - y[j]
+    near = np.min((x[i] - x[j]) ** 2 + dy * dy, initial=np.inf)
+    # point i against the translate of point j: x_i - x_j - 2*pi near 0
+    xt = xs + 2.0 * np.pi
+    p, q = _pairs(np.searchsorted(xt, xs - r), np.searchsorted(xt, xs + r, side="right"))
+    i, j = order[p], order[q]
+    keep = nx + j - i >= 2
+    i, j = i[keep], j[keep]
+    dy = y[i] - y[j]
+    shifted = np.min(((x[i] - x[j]) - 2.0 * np.pi) ** 2 + dy * dy, initial=np.inf)
+    return float(np.sqrt(min(near, shifted)))
 
 
 def is_near_self_intersecting(curve):

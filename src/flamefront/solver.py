@@ -20,6 +20,7 @@ function's coefficients, so no grid matrix is formed.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
@@ -99,6 +100,12 @@ class WaveSolution:
     k0: int
     kind: ModelKind
     iterations: int = 0
+
+    @functools.cached_property
+    def curve(self):
+        """The front rebuilt from theta, once per wave: the branch's
+        self-intersection test and the wave file share it."""
+        return geometry.reconstruct_curve(self.theta)
 
 
 class FailedSolve(NamedTuple):
@@ -351,10 +358,6 @@ def _failed_solve(target_h, exc):
     return FailedSolve(target_h, "degenerate-front", None)
 
 
-def _near_self_intersection(p):
-    return geometry.is_near_self_intersecting(geometry.reconstruct_curve(p))
-
-
 def continue_branch(k0, kind, h_step, h_max, cfg=None):
     """March the branch of mode k0 in the wave amplitude h = max(theta).
 
@@ -363,7 +366,8 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
     secant extrapolation of the previous two solutions.  A failed solve
     halves the step (at most 4 halvings over the whole run) and is logged
     in BranchRecord.failures.  Stops on
-    near-self-intersection of the predicted or converged curve, on
+    near-self-intersection of the predicted or converged curve (the
+    latter is kept as the wave's curve property), on
     crossing the well-posedness threshold alpha = -3 (nonlinear closure),
     on step exhaustion, or once target_h would exceed h_max.
     """
@@ -385,7 +389,7 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
         ) from exc
 
     solutions = [sol]
-    if _near_self_intersection(sol.theta):
+    if geometry.is_near_self_intersecting(sol.curve):
         return BranchRecord(kind, int(k0), tuple(solutions), "self-intersection")
 
     failures = []
@@ -405,7 +409,7 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
             x_guess = x_prev + (x_prev - x_prev2) * ((h_next - h_prev) / (h_prev - h_prev2))
         try:
             p_guess, params_guess = _rebuild(x_guess, cfg.nx)
-            if _near_self_intersection(p_guess):
+            if geometry.is_near_self_intersecting(geometry.reconstruct_curve(p_guess)):
                 termination = "self-intersection"
                 break
             sol_new = quasi_newton_solve(
@@ -423,7 +427,7 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
             termination = "alpha-threshold"
             break
         solutions.append(sol_new)
-        if _near_self_intersection(sol_new.theta):
+        if geometry.is_near_self_intersecting(sol_new.curve):
             termination = "self-intersection"
             break
         x_prev2, h_prev2 = x_prev, h_prev

@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flamefront
-from flamefront.cli import _wave_from_file, _write_json, main
+from flamefront import geometry, solver
+from flamefront.cli import _to_json, _wave_from_file, _write_json, main
 from flamefront.model import ModelKind, WaveParams, length_from_theta, residual
 from flamefront.spectral import ThetaProfile, grid
 
@@ -197,6 +199,72 @@ def test_branch_determinism(tmp_path):
     ma.pop("created")
     mb.pop("created")
     assert ma == mb
+
+
+def test_branch_writes_the_converged_curves(tmp_path):
+    assert run_branch(tmp_path) == 0
+    record = solver.continue_branch(1, ModelKind.LINEAR, 0.05, 0.15, solver.SolveConfig(nx=64))
+    assert len(record.solutions) == 3
+    for sol in record.solutions:
+        data = json.loads((tmp_path / f"wave_{sol.amplitude:.6f}.json").read_text())
+        curve = geometry.reconstruct_curve(sol.theta)
+        assert data["x"] == curve.x.tolist()
+        assert data["y"] == curve.y.tolist()
+
+
+def test_branch_rebuilds_each_curve_once(tmp_path, monkeypatch):
+    # wrap reconstruct_curve wherever a flamefront module holds it, so a
+    # module that imports it by name is counted too
+    original = geometry.reconstruct_curve
+    profiles = []
+
+    def counting(p):
+        profiles.append(p)
+        return original(p)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("flamefront") and getattr(mod, "reconstruct_curve", None) is original:
+            monkeypatch.setattr(mod, "reconstruct_curve", counting)
+    records = []
+    continue_branch = solver.continue_branch
+
+    def recording(*args):
+        records.append(continue_branch(*args))
+        return records[-1]
+
+    monkeypatch.setattr(solver, "continue_branch", recording)
+    assert run_branch(tmp_path) == 0
+    (record,) = records
+    # three converged waves and the two predicted guesses between them
+    waves = [sol.theta for sol in record.solutions]
+    assert len(waves) == 3
+    assert len(profiles) == 5
+    for p in profiles:
+        assert sum(q is p for q in profiles) == 1
+    for w in waves:
+        assert any(p is w for p in profiles)
+
+
+def test_to_json_float_array_matches_per_element_format():
+    values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0])
+    expected = "[" + ", ".join(format(v, ".17g") for v in values.tolist()) + "]"
+    assert _to_json(values) == expected
+    assert _to_json(np.array([])) == "[]"
+
+
+@pytest.mark.parametrize("residual_norm", [None, 0.0], ids=["no-residual-norm", "residual-norm"])
+def test_stability_refuses_a_blown_up_wave_file(tmp_path, capsys, residual_norm):
+    wave = {"model": "linear", "alpha": 5.0, "theta": (1e110 * np.sin(grid(64))).tolist()}
+    if residual_norm is not None:
+        wave["residual_norm"] = residual_norm
+    (tmp_path / "big.json").write_text(json.dumps(wave))
+    with warnings.catch_warnings():
+        # no overflow warning from the residual or a step may come first
+        warnings.simplefilter("error")
+        code = exit_code(["stability", "--wave", str(tmp_path / "big.json"), "--t-max", "0.01",
+                          "--dt", "1e-3", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "max|theta| = 1.000e+110 exceeded 1000 at t = 0\n" in capsys.readouterr().err
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -104,6 +105,19 @@ def test_blow_up_detection():
         evolve(state, 1e4, 1e-3, 100)
     assert info.value.time is not None
     assert info.value.time <= 0.1
+
+
+def test_blow_up_of_the_starting_state():
+    # refused at the start time, before a step can overflow on it
+    state = single_mode_state(1e110, 1)
+    wave = dataclasses.replace(flat_solution(5.0, nx=64), theta=state.theta, amplitude=1e110)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match=r"exceeded 1000 at t = 0$") as info:
+            evolve(state, 5.0, 1e-3, 0)
+        assert info.value.time == 0.0
+        with pytest.raises(BlowUpError, match=r"exceeded 1000 at t = 0$"):
+            stability_probe(wave, StabilityProbeConfig(dt=1e-3, t_max=0.01))
 
 
 def test_dt_validation():

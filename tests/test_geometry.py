@@ -34,8 +34,8 @@ def brute_force_gap(curve):
 
 def reference_gap(curve):
     """The vectorized scan as first written: distances of all pairs, masks
-    built per call, minimum over the masked distances.  The cached-mask
-    scan must return the same float."""
+    built per call, minimum over the masked distances.  The sweep must
+    return the same float."""
     nx = curve.nx
     x, y = curve.x[:nx], curve.y[:nx]
     dx = x[:, None] - x[None, :]
@@ -167,7 +167,7 @@ def test_gap_hairpin():
     assert gap == pytest.approx(brute_force_gap(curve), rel=1e-14)
 
 
-@pytest.mark.parametrize("nx", [64, 256, 512])
+@pytest.mark.parametrize("nx", [8, 64, 256, 512])
 def test_gap_equals_reference_scan(rng, nx):
     curves = [hairpin_curve(nx), hairpin_curve(nx, d=1e-9)]
     curves.append(reconstruct_curve(wave_profile(eps=2.0, nx=nx)))
@@ -175,8 +175,24 @@ def test_gap_equals_reference_scan(rng, nx):
         x = np.sort(rng.uniform(0.0, 2.0 * np.pi, nx))
         curves.append(closed_curve(x, rng.uniform(0.001, 2.0) * rng.standard_normal(nx)))
         curves.append(closed_curve(rng.uniform(0.0, 2.0 * np.pi, nx), rng.standard_normal(nx)))
+    # vertical zig-zag: every point lies within one (i, i+2) chord in x,
+    # so every pair is a candidate
+    k = np.arange(nx)
+    curves.append(closed_curve(1.0 + 1e-3 * (-1.0) ** k, 0.01 * k))
+    # the closest pair, (nx-1, 1), straddles the 2*pi seam
+    h = 2.0 * np.pi / nx
+    x = k * h
+    x[0], x[-1] = 0.4 * h, 2.0 * np.pi - 0.4 * h
+    curves.append(closed_curve(x, 1e-3 * h * rng.standard_normal(nx)))
+    # coincident points: gap 0
+    x, y = np.sort(rng.uniform(0.0, 2.0 * np.pi, nx)), rng.standard_normal(nx)
+    x[5], y[5] = x[2], y[2]
+    curves.append(closed_curve(x, y))
     for curve in curves:
-        assert min_nonadjacent_gap(curve) == reference_gap(curve)
+        gap = reference_gap(curve)
+        assert min_nonadjacent_gap(curve) == gap
+        assert is_near_self_intersecting(curve) == (gap < 0.9 * curve.length / curve.nx)
+    assert reference_gap(curves[-1]) == 0.0
 
 
 def test_gap_sees_neighboring_period():
