@@ -21,19 +21,30 @@ spectrum a ThetaProfile holds, with multiplier tables cached per nx,
 through three linear maps: (1) the flux theta_s*U on the grid to
 -(V - V(0)), plus its mean, which gives L_t; (2) the grid product
 (V - V(0))*theta_s to its half spectrum; (3) the new c to theta, theta_s
-and theta_sss, which give the blow-up check and the next step.  Above nx = 128 they are 4 numpy FFT calls: an rfft and an
-irfft of the antiderivative for (1), an rfft for (2) and one batched
-irfft of c times 1, (i n) and (i n)^3 for (3).  Up to nx = 128 each map
-is a dense real matrix, tabulated once per nx from its FFT expression and
-applied with one matmul: on such grids a numpy FFT call costs several
-times its arithmetic, so per-call overhead, not flops, sets the step's
-cost, and three matmuls beat four FFTs.  The stiff part of
-U_sigma/s_sigma cancels against the implicit term in closed form, so the
-explicit half spectrum is (a*n^2*c + rfft((V - V(0))*theta_s))/s_sigma
-with a = (alpha-1)/s_sigma, plus the stiff term at Nyquist, where
-U_sigma has no content.  imex_step, evolve and stability_probe all run
-the same loop, which builds an EvolutionState only for an observer and
-for the state it returns; theta_rhs uses the same maps.
+and theta_sss, which give the blow-up check and the next step.  As FFTs
+they are an rfft and an irfft of the antiderivative for (1), an rfft for
+(2) and one batched irfft of c times 1, (i n) and (i n)^3 for (3).  On
+small grids a numpy FFT call costs several times its arithmetic, so per
+call overhead, not flops, sets the step's cost: each map is a dense real
+matrix up to its own crossover (_DENSE_MAX_NX, with the timings that set
+it), tabulated once per nx from its FFT expression and applied with one
+matmul.  The velocity map (1) is dense through nx = 256, the spectrum
+map (2) through 224 and the rows map (3) through 128, so a step makes no
+FFT call at nx 64 and two at nx 256.
+
+The step's own arithmetic runs on the float view of the half spectrum,
+real and imaginary parts interleaved, with the n^2 and n^4 multipliers
+repeated per pair: no product promotes a real array to complex and no
+complex number is divided by a real one.  The values equal those of the
+complex arithmetic, which numpy carries out as the same real products.
+
+The stiff part of U_sigma/s_sigma cancels against the implicit term in
+closed form, so the explicit half spectrum is
+(a*n^2*c + rfft((V - V(0))*theta_s))/s_sigma with a = (alpha-1)/s_sigma,
+plus the stiff term at Nyquist, where U_sigma has no content.
+imex_step, evolve and stability_probe all run the same loop, which
+builds an EvolutionState only for an observer and for the state it
+returns; theta_rhs uses the same maps and the same explicit half.
 """
 
 from __future__ import annotations
@@ -71,11 +82,12 @@ _NO_GROWTH_NOTE = "no instability observed at threshold 1e-3"
 class _StepCache(NamedTuple):
     """What the step that made a state leaves for the next one.
 
-    The previous half spectrum, explicit part, length and L_t are the
-    history an SBDF2 step needs; dt is recorded so a changed step size
-    falls back to the self-starting Euler step.  theta_s and theta_sss
-    belong to the state itself: the step's last transform gave them, so
-    the next step need not transform again.
+    The previous half spectrum and explicit part (float views, as the
+    step keeps them), length and L_t are the history an SBDF2 step needs;
+    dt is recorded so a changed step size falls back to the self-starting
+    Euler step.  theta_s and theta_sss belong to the state itself: the
+    step's last transform gave them, so the next step need not transform
+    again.
     """
 
     theta_hat: np.ndarray
@@ -137,16 +149,20 @@ class _Multipliers:
 
     rows holds 1, (i n), (i n)^3, so one irfft of rows * c gives theta,
     theta_s and theta_sss; the two derivative rows are zeroed at Nyquist.
-    rows and n4 (n^4) come from the (i n)^k table behind spectral.deriv.
-    n2 holds n^2, zeroed at Nyquist because it only feeds u_sigma, the
-    derivative of a u that has no Nyquist content.  inv_in holds 1/(i n)
-    with modes 0 and nx/2 zeroed.
+    inv_in holds 1/(i n) with modes 0 and nx/2 zeroed.  Both act on the
+    complex half spectrum.  n2 (n^2) and n4 (n^4) act on its float view,
+    so each value appears twice, once for the real and once for the
+    imaginary part of its mode.  n2 is zeroed at Nyquist because it only
+    feeds u_sigma, the derivative of a u that has no Nyquist content;
+    nyquist_n4 is (nx/2)^4 as a Python float.  rows and n4 come from the
+    (i n)^k table behind spectral.deriv.
     """
 
     rows: np.ndarray
-    n2: np.ndarray
     inv_in: np.ndarray
+    n2: np.ndarray
     n4: np.ndarray
+    nyquist_n4: float
 
 
 @functools.cache
@@ -154,19 +170,35 @@ def _multipliers(nx):
     powers = spectral._powers(nx)
     rows = powers[[0, 1, 3]]
     n = np.arange(nx // 2 + 1)
-    n2 = n.astype(float) ** 2
-    n2[-1] = 0.0
     inv_in = np.zeros(n.size, dtype=complex)
     inv_in[1:-1] = 1.0 / (1j * n[1:-1])
-    for table in (rows, n2, inv_in):
+    n2 = np.repeat(n.astype(float) ** 2, 2)
+    n2[-2:] = 0.0
+    n4 = np.repeat(powers[4].real, 2)
+    for table in (rows, inv_in, n2, n4):
         table.setflags(write=False)
-    return _Multipliers(rows=rows, n2=n2, inv_in=inv_in, n4=powers[4].real)
+    return _Multipliers(rows, inv_in, n2, n4, float(n4[-1]))
 
 
-# Largest grid on which the step's three maps are dense matrices.  Up to
-# it a numpy FFT call costs several times its arithmetic, so one matmul
-# wins; per-step timings put the crossover between nx 128 and 192.
-_DENSE_MAX_NX = 128
+# Largest grid on which each map of a step is a dense matrix.  On small
+# grids a numpy FFT call costs several times its arithmetic, so one matmul
+# wins; the matmul's nx^2 arithmetic overtakes the FFTs at a size that
+# differs per map.  Fastest of 21 runs of 1000 calls in us, one BLAS
+# thread, 2-core Xeon VM, FFT expression / dense matrix:
+#
+#     nx     velocity       spectrum       rows
+#     128    14.3 /  3.6     7.2 /  3.4     9.1 /   7.1
+#     144    13.7 /  3.2     6.9 /  3.2     9.4 /   9.0
+#     160    14.0 /  4.9     6.5 /  3.5     8.2 /  10.0
+#     224    14.4 /  8.2    13.1 /  5.7    10.7 /  21.1
+#     256    17.9 /  7.3    10.2 /  9.5    13.3 /  37.6
+#     384    16.9 / 22.6     7.7 / 21.1    12.1 / 149.3
+#     512    28.6 / 78.1    14.6 / 74.1    21.0 / 305.0
+#
+# Timings on this VM move by up to 2x between runs; across five runs the
+# spectrum map tied at 256 and the rows map at 144, and the dense velocity
+# map won at 256 and lost or tied at 384.
+_DENSE_MAX_NX = {"velocity": 256, "spectrum": 224, "rows": 128}
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,14 +207,16 @@ class _Maps:
 
     (1) to_velocity: g = -flux/s_sigma on the grid to -(V - V(0))/s_sigma
         on the grid and the mean of g, which gives L_t;
-    (2) to_spectrum: grid values to their rfft half spectrum;
-    (3) to_rows: half spectrum c to theta, theta_s and theta_sss.
+    (2) to_spectrum: grid values to the float view of their rfft half
+        spectrum;
+    (3) to_rows: the float view of a half spectrum c to theta, theta_s and
+        theta_sss.
 
-    Each map is defined by its FFT expression below.  For nx up to
-    _DENSE_MAX_NX, _maps tabulates it once as a read-only real matrix and
-    applies it with one matmul: velocity is (nx+1, nx), spectrum (nx+2, nx)
-    onto the float view of the half spectrum, rows (3*nx, nx+2) from it.
-    Above that the matrices are None and the FFTs run.
+    Each map is defined by its FFT expression below, which acts along the
+    last axis.  On grids up to the map's _DENSE_MAX_NX, _maps tabulates it
+    once as a read-only real matrix and applies it with one matmul:
+    velocity is (nx+1, nx), spectrum (nx+2, nx), rows (3*nx, nx+2).  On
+    larger grids the matrix is None and the FFTs run.
     """
 
     mult: _Multipliers
@@ -197,34 +231,41 @@ class _Maps:
         neg_flux_hat = np.fft.rfft(g, norm="forward")
         # V_sigma = flux + L_t/(2*pi) has zero mean, so V is periodic; the
         # constant L_t/(2*pi) only touches mode 0, which inv_in drops
-        neg_v = np.fft.irfft(neg_flux_hat * self.mult.inv_in, n=g.size, norm="forward")
-        return neg_v - neg_v[0], neg_flux_hat[0].real
+        neg_v = np.fft.irfft(neg_flux_hat * self.mult.inv_in, n=g.shape[-1], norm="forward")
+        return neg_v - neg_v[..., :1], neg_flux_hat[..., 0].real
 
     def to_spectrum(self, values):
         if self.spectrum is not None:
-            return (self.spectrum @ values).view(complex)
-        return np.fft.rfft(values, norm="forward")
+            return self.spectrum @ values
+        return np.fft.rfft(values, norm="forward").view(float)
 
     def to_rows(self, c):
         if self.rows is not None:
-            return (self.rows @ c.view(float)).reshape(3, -1)
-        return np.fft.irfft(self.mult.rows * c, n=2 * (c.size - 1), norm="forward")
+            return (self.rows @ c).reshape(3, -1)
+        c = c.view(complex)[..., None, :]
+        return np.fft.irfft(self.mult.rows * c, n=2 * (c.shape[-1] - 1), norm="forward")
 
 
 @functools.cache
 def _maps(nx):
+    """The step's three maps on an nx grid, each dense up to its crossover.
+
+    A dense map is tabulated by applying its FFT expression to the
+    identity in one batched call: row j of the image is the map of the
+    j-th unit vector, so the matrix is the image's transpose.
+    """
     fft = _Maps(_multipliers(nx))
-    if nx > _DENSE_MAX_NX:
-        return fft
-    # column j of each matrix is the FFT map applied to the j-th unit vector
-    eye = np.eye(nx)
-    velocity = np.array([np.append(*fft.to_velocity(e)) for e in eye]).T
-    spectrum = np.array([fft.to_spectrum(e).view(float) for e in eye]).T
-    rows = np.array([fft.to_rows(e.view(complex)).ravel() for e in np.eye(nx + 2)]).T
-    matrices = [np.ascontiguousarray(m) for m in (velocity, spectrum, rows)]
-    for m in matrices:
-        m.setflags(write=False)
-    return _Maps(fft.mult, *matrices)
+    images = {
+        "velocity": lambda: np.column_stack(fft.to_velocity(np.eye(nx))),
+        "spectrum": lambda: fft.to_spectrum(np.eye(nx)),
+        "rows": lambda: fft.to_rows(np.eye(nx + 2)).reshape(nx + 2, 3 * nx),
+    }
+    dense = {}
+    for name, image in images.items():
+        if nx <= _DENSE_MAX_NX[name]:
+            dense[name] = matrix = np.ascontiguousarray(image().T)
+            matrix.setflags(write=False)
+    return _Maps(fft.mult, **dense)
 
 
 def _explicit(c, theta_s, theta_sss, length, alpha, maps):
@@ -235,6 +276,8 @@ def _explicit(c, theta_s, theta_sss, length, alpha, maps):
     carries -q*n^4*c, the term the step treats implicitly.  It is left out
     here rather than added and subtracted, except at Nyquist, where
     u_sigma has no content and the implicit term is balanced explicitly.
+    c and the explicit part are float views of half spectra, real and
+    imaginary parts interleaved, so every product is real by real.
     """
     mult = maps.mult
     s_sigma = length / (2.0 * np.pi)
@@ -244,27 +287,32 @@ def _explicit(c, theta_s, theta_sss, length, alpha, maps):
     # up front divides theta_t, and negating it is free
     neg_v, neg_flux_mean = maps.to_velocity(theta_s * (1.0 / s_sigma + a * theta_s + q * theta_sss))
     length_rate = length * float(neg_flux_mean)
-    nonstiff = a * mult.n2 * c - maps.to_spectrum(neg_v * theta_s)
-    nonstiff[-1] += q * mult.n4[-1] * c[-1]
+    # a*n^2 below Nyquist; at Nyquist, where n2 is zero, q*n^4 balances
+    # the implicit term
+    gain = a * mult.n2
+    gain[-2:] = q * mult.nyquist_n4
+    nonstiff = gain * c - maps.to_spectrum(neg_v * theta_s)
     return nonstiff, length_rate, q
+
+
+def _float_view(coeffs):
+    """A half spectrum as float64 pairs (real, imaginary) per mode."""
+    return np.ascontiguousarray(coeffs, dtype=complex).view(float)
 
 
 def theta_rhs(state, alpha):
     """Right-hand sides (theta_t values, L_t) of the evolution system."""
     maps = _maps(state.theta.nx)
-    c = state.theta.coeffs
+    c = _float_view(state.theta.coeffs)
     _, theta_s, theta_sss = maps.to_rows(c)
     nonstiff, length_rate, q = _explicit(c, theta_s, theta_sss, state.length, alpha, maps)
     return maps.to_rows(nonstiff - q * maps.mult.n4 * c)[0], length_rate
 
 
 def _state(nx, values, c, length, time, *cache):
-    return EvolutionState(
-        theta=spectral.ThetaProfile(nx=nx, values=values, coeffs=c),
-        length=length,
-        time=time,
-        prev=_StepCache(*cache),
-    )
+    # positional arguments: an observed step builds three of these objects
+    theta = spectral.ThetaProfile(nx, values, c.view(complex))
+    return EvolutionState(theta, length, time, _StepCache(*cache))
 
 
 def _check_blowup(values, time):
@@ -295,8 +343,11 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     nx = state.theta.nx
     maps = _maps(nx)
     n4 = maps.mult.n4
-    c = state.theta.coeffs
-    length = state.length
+    # Python floats and float views throughout: no numpy scalar arithmetic
+    # and no real-to-complex promotion in the loop
+    alpha = float(alpha)
+    c = _float_view(state.theta.coeffs)
+    length = float(state.length)
     time = state.time
     prev = state.prev
     if prev is None:
@@ -310,13 +361,15 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     out = state
     for _ in range(n_steps):
         nonstiff, length_rate, q = _explicit(c, theta_s, theta_sss, length, alpha, maps)
+        # a product with the reciprocal, which is how numpy divides a
+        # complex by a real: the same values as the complex update
         if history is None:
-            new_c = (c + dt * nonstiff) / (1.0 + dt * q * n4)
+            new_c = (c + dt * nonstiff) * (1.0 / (1.0 + dt * q * n4))
             new_length = length + dt * length_rate
         else:
             prev_c, prev_nonstiff, prev_length, prev_rate = history
-            new_c = (4.0 * c - prev_c + 2.0 * dt * (2.0 * nonstiff - prev_nonstiff)) / (
-                3.0 + 2.0 * dt * q * n4
+            new_c = (4.0 * c - prev_c + 2.0 * dt * (2.0 * nonstiff - prev_nonstiff)) * (
+                1.0 / (3.0 + 2.0 * dt * q * n4)
             )
             new_length = (4.0 * length - prev_length + 2.0 * dt * (2.0 * length_rate - prev_rate)) / 3.0
         time += dt

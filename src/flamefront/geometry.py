@@ -10,7 +10,8 @@ points, the next period's copy included.  The smallest (i, i+2) chord r
 bounds it from above, so a sweep over x sorted once visits only the
 pairs with |dx| <= r and returns the same float as a scan of all pairs.
 On a resolved front that is a few pairs per point; a curve that stacks
-its points in x still costs all O(nx^2) pairs.
+its points in x still costs all O(nx^2) pairs, expanded a bounded number
+at a time.
 """
 
 from __future__ import annotations
@@ -46,47 +47,53 @@ class InterfaceCurve:
         return self.x.size - 1
 
 
-def _integrate(profile_values, anchor_zero_mean):
-    """Antiderivative of grid samples: linear ramp for the mean, spectral rest.
-
-    Returns nx+1 points covering sigma in [0, 2*pi].  With
-    anchor_zero_mean the result has zero mean over the first nx points;
-    otherwise it starts at zero.
-    """
-    p = spectral.ThetaProfile.from_values(profile_values)
-    nx = p.nx
-    mean = p.mean()
-    osc = spectral.antiderivative(p).values
-    sigma = np.append(spectral.grid(nx), 2.0 * np.pi)
-    out = mean * sigma + np.append(osc, osc[0])
-    if anchor_zero_mean:
-        out -= np.mean(out[:nx])
-    else:
-        out -= out[0]
-    return out
-
-
 def reconstruct_curve(p):
     """Rebuild one period of the front from its tangent angle.
 
     Anchored at x(0) = 0 and mean-zero y.  For an odd-parity profile the
     mean of sin(theta) vanishes, so y is periodic; x always advances by
     exactly one period because the length functional normalizes the mean
-    of cos(theta) to 2*pi/L.
+    of cos(theta) to 2*pi/L.  x_sigma and y_sigma are integrated together,
+    one rfft and one irfft of the stacked pair: each mean becomes a
+    linear-in-sigma ramp, the rest its spectral antiderivative.
     """
     length = length_from_theta(p)
     scale = length / (2.0 * np.pi)
-    x = _integrate(scale * np.cos(p.values), anchor_zero_mean=False)
-    y = _integrate(scale * np.sin(p.values), anchor_zero_mean=True)
+    nx = p.nx
+    hat = np.fft.rfft(scale * np.stack((np.cos(p.values), np.sin(p.values))), norm="forward")
+    anti = np.zeros_like(hat)
+    anti[:, 1:-1] = hat[:, 1:-1] / spectral._powers(nx)[1, 1:-1]
+    osc = np.fft.irfft(anti, n=nx, norm="forward")
+    sigma = np.append(spectral.grid(nx), 2.0 * np.pi)
+    x, y = hat[:, :1].real * sigma + np.concatenate((osc, osc[:, :1]), axis=1)
+    x -= x[0]
+    y -= np.mean(y[:nx])
     return InterfaceCurve(x=x, y=y, length=length)
 
 
+# Candidate pairs a gap scan expands at once.  It holds the scan's
+# temporaries to a few MiB beyond its O(nx) arrays on any curve, and is
+# large enough that a resolved front (a few thousand pairs at nx 512)
+# takes one chunk.
+_PAIR_BUDGET = 1 << 15
+
+
 def _pairs(lo, hi):
-    """Expand the windows [lo[k], hi[k]) into (row k, column) index pairs."""
+    """Expand the windows [lo[k], hi[k]) into (row k, column) index pairs.
+
+    Yields consecutive runs of rows of at most _PAIR_BUDGET pairs each,
+    or a single row when that row alone has more.
+    """
     counts = hi - lo
-    rows = np.repeat(np.arange(lo.size), counts)
-    cols = np.arange(rows.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return rows, cols
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    k = 0
+    while k < lo.size:
+        stop = max(int(np.searchsorted(ends, starts[k] + _PAIR_BUDGET, side="right")), k + 1)
+        rows = np.repeat(np.arange(k, stop), counts[k:stop])
+        cols = np.arange(rows.size) + np.repeat(lo[k:stop] - (starts[k:stop] - starts[k]), counts[k:stop])
+        yield rows, cols
+        k = stop
 
 
 def min_nonadjacent_gap(curve):
@@ -112,7 +119,8 @@ def min_nonadjacent_gap(curve):
     A resolved front has a few points per window, so the scan costs about
     O(nx log nx).  A curve that stacks its points in x within r of each
     other (a vertical zig-zag) puts them all in one window, and the scan
-    visits all O(nx^2) pairs.
+    visits all O(nx^2) pairs.  They are expanded in chunks of about
+    _PAIR_BUDGET pairs, so memory stays O(nx + _PAIR_BUDGET).
     """
     nx = curve.nx
     x, y = curve.x[:nx], curve.y[:nx]
@@ -122,24 +130,24 @@ def min_nonadjacent_gap(curve):
     r = chord * (1.0 + 1e-12) + 4.0 * np.spacing(np.max(np.abs(x)) + 2.0 * np.pi)
     order = np.argsort(x)
     xs = x[order]
-    # within the period: each unordered pair once, as sorted positions p < q
-    ahead = np.searchsorted(xs, xs + r, side="right")
-    p, q = _pairs(np.arange(1, nx + 1), ahead)
-    i, j = order[p], order[q]
-    sep = np.abs(i - j)
-    keep = (sep >= 2) & (sep <= nx - 2)
-    i, j = i[keep], j[keep]
-    dy = y[i] - y[j]
-    near = np.min((x[i] - x[j]) ** 2 + dy * dy, initial=np.inf)
-    # point i against the translate of point j: x_i - x_j - 2*pi near 0
     xt = xs + 2.0 * np.pi
-    p, q = _pairs(np.searchsorted(xt, xs - r), np.searchsorted(xt, xs + r, side="right"))
-    i, j = order[p], order[q]
-    keep = nx + j - i >= 2
-    i, j = i[keep], j[keep]
-    dy = y[i] - y[j]
-    shifted = np.min(((x[i] - x[j]) - 2.0 * np.pi) ** 2 + dy * dy, initial=np.inf)
-    return float(np.sqrt(min(near, shifted)))
+    # within the period: each unordered pair once, as sorted positions p < q
+    within = (np.arange(1, nx + 1), np.searchsorted(xs, xs + r, side="right"), 0.0)
+    # point i against the translate of point j: x_i - x_j - 2*pi near 0
+    across = (np.searchsorted(xt, xs - r), np.searchsorted(xt, xs + r, side="right"), 2.0 * np.pi)
+    best = np.inf
+    for lo, hi, shift in (within, across):
+        for p, q in _pairs(lo, hi):
+            i, j = order[p], order[q]
+            if shift:
+                keep = nx + j - i >= 2
+            else:
+                sep = np.abs(i - j)
+                keep = (sep >= 2) & (sep <= nx - 2)
+            i, j = i[keep], j[keep]
+            dy = y[i] - y[j]
+            best = np.minimum(best, np.min(((x[i] - x[j]) - shift) ** 2 + dy * dy, initial=np.inf))
+    return float(np.sqrt(best))
 
 
 def is_near_self_intersecting(curve):

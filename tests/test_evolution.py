@@ -7,6 +7,7 @@ import pytest
 from flamefront.bifurcation import asymptotic_guess
 from flamefront.errors import BlowUpError, UnsupportedModelError
 from flamefront.evolution import (
+    _DENSE_MAX_NX,
     EvolutionState,
     StabilityProbeConfig,
     _Maps,
@@ -313,11 +314,13 @@ def test_multipliers_cached_read_only_and_zeroed_at_nyquist():
         np.testing.assert_array_equal(table.rows[:, :-1], (1j * n[:-1]) ** np.array([[0], [1], [3]]))
         # the values row keeps the Nyquist mode, the derivative rows drop it
         np.testing.assert_array_equal(table.rows[:, -1], [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(table.n2[:-1], n[:-1].astype(float) ** 2)
-        assert table.n2[-1] == 0.0
+        # n2 and n4 act on the float view: one value per real and imaginary part
+        np.testing.assert_array_equal(table.n2[:-2], np.repeat(n[:-1].astype(float) ** 2, 2))
+        np.testing.assert_array_equal(table.n2[-2:], [0.0, 0.0])
         assert table.inv_in[0] == 0.0 and table.inv_in[-1] == 0.0
         np.testing.assert_array_equal(table.inv_in[1:-1], 1.0 / (1j * n[1:-1]))
-        np.testing.assert_array_equal(table.n4, n.astype(float) ** 4)
+        np.testing.assert_array_equal(table.n4, np.repeat(n.astype(float) ** 4, 2))
+        assert type(table.nyquist_n4) is float and table.nyquist_n4 == (nx // 2) ** 4
         for array in (table.rows, table.n2, table.inv_in, table.n4):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -347,10 +350,11 @@ def test_rhs_matches_complex_fft_oracle_on_wave(linear_wave_h03):
     assert abs(length_rate - ref_rate) <= 1e-10
 
 
-@pytest.mark.parametrize("nx", [64, 256])
+@pytest.mark.parametrize("nx", [64, 256, 512])
 def test_chained_steps_match_complex_fft_oracle(linear_wave_h03, nx):
     # Euler start, SBDF2, then a dt change that restarts with Euler; nx 64
-    # steps with the dense maps, nx 256 with the FFTs
+    # steps with three dense maps, nx 256 with a dense velocity map and
+    # FFTs for the other two, nx 512 with FFTs only
     sol = linear_wave_h03
     sigma = grid(nx)
     theta0 = resample(sol.theta, nx).values + 1e-3 * (np.sin(sigma) + np.sin(2.0 * sigma))
@@ -374,15 +378,17 @@ def assert_close(x, ref, rtol):
     assert np.max(np.abs(x - ref)) <= rtol * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("nx", [8, 64, 128])
+@pytest.mark.parametrize("nx", [8, 64, 128, 224, 256])
 def test_dense_maps_match_their_fft_expressions(rng, nx):
     maps = _maps(nx)
     assert _maps(nx) is maps
     assert maps.mult is _multipliers(nx)
-    half = nx // 2 + 1
     shapes = {"velocity": (nx + 1, nx), "spectrum": (nx + 2, nx), "rows": (3 * nx, nx + 2)}
     for name, shape in shapes.items():
         matrix = getattr(maps, name)
+        if nx > _DENSE_MAX_NX[name]:
+            assert matrix is None
+            continue
         assert matrix.shape == shape and matrix.dtype == float
         assert not matrix.flags.writeable
         with pytest.raises(ValueError):
@@ -392,18 +398,22 @@ def test_dense_maps_match_their_fft_expressions(rng, nx):
         g = rng.normal(size=nx)
         assert_close(np.append(*maps.to_velocity(g)), np.append(*fft.to_velocity(g)), 1e-14)
         assert_close(maps.to_spectrum(g), fft.to_spectrum(g), 1e-14)
-        # random imaginary parts at modes 0 and nx/2 too: both forms drop them
-        c = rng.normal(size=half) + 1j * rng.normal(size=half)
+        # the float view of a half spectrum, with random imaginary parts at
+        # modes 0 and nx/2 too: both forms drop them
+        c = rng.normal(size=nx + 2)
         rows = maps.to_rows(c)
         assert rows.shape == (3, nx)
         assert_close(rows, fft.to_rows(c), 1e-14)
 
 
-def test_dense_maps_stop_at_the_crossover():
-    assert _maps(128).rows is not None
-    maps = _maps(130)
-    assert _maps(130) is maps
-    assert maps.velocity is None and maps.spectrum is None and maps.rows is None
+@pytest.mark.parametrize(
+    ("name", "largest"), [("velocity", 256), ("spectrum", 224), ("rows", 128)]
+)
+def test_each_map_is_dense_up_to_its_crossover(name, largest):
+    assert getattr(_maps(largest), name) is not None
+    maps = _maps(largest + 2)
+    assert _maps(largest + 2) is maps
+    assert getattr(maps, name) is None
 
 
 # imex_step, evolve and stability_probe share one stepping loop; these

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from flamefront import geometry
 from flamefront.geometry import (
     InterfaceCurve,
     is_near_self_intersecting,
@@ -8,7 +11,7 @@ from flamefront.geometry import (
     reconstruct_curve,
 )
 from flamefront.model import length_from_theta
-from flamefront.spectral import ThetaProfile, grid, resample
+from flamefront.spectral import ThetaProfile, antiderivative, grid, resample
 
 
 def wave_profile(eps=0.3, nx=128):
@@ -134,6 +137,26 @@ def test_reconstruction_matches_cumulative_quadrature():
     np.testing.assert_allclose(curve.y, y_fine[::factor], rtol=0, atol=2e-6)
 
 
+
+def integrate_one_component(values, anchor_zero_mean):
+    """The reconstruction as first written, one component at a time: the
+    batched rebuild of x and y must give the same floats."""
+    p = ThetaProfile.from_values(values)
+    sigma = np.append(grid(p.nx), 2.0 * np.pi)
+    osc = antiderivative(p).values
+    out = p.mean() * sigma + np.append(osc, osc[0])
+    return out - (np.mean(out[:-1]) if anchor_zero_mean else out[0])
+
+
+@pytest.mark.parametrize("nx", [8, 64, 256])
+def test_batched_reconstruction_equals_one_component_at_a_time(rng, nx):
+    for values in (2.0 * np.sin(grid(nx)), 0.3 * rng.standard_normal(nx)):
+        p = ThetaProfile.from_values(values)
+        curve = reconstruct_curve(p)
+        scale = length_from_theta(p) / (2.0 * np.pi)
+        np.testing.assert_array_equal(curve.x, integrate_one_component(scale * np.cos(values), False))
+        np.testing.assert_array_equal(curve.y, integrate_one_component(scale * np.sin(values), True))
+
 def test_gap_flat_front():
     p = ThetaProfile.from_values(np.zeros(64))
     curve = reconstruct_curve(p)
@@ -194,6 +217,39 @@ def test_gap_equals_reference_scan(rng, nx):
         assert is_near_self_intersecting(curve) == (gap < 0.9 * curve.length / curve.nx)
     assert reference_gap(curves[-1]) == 0.0
 
+
+
+def test_gap_scan_memory_is_bounded():
+    # the vertical zig-zag at nx 2048 makes every one of its ~4e6 pairs a
+    # candidate; expanded all at once they took 130 MiB
+    nx = 2048
+    k = np.arange(nx)
+    curve = closed_curve(1.0 + 1e-3 * (-1.0) ** k, 0.01 * k)
+    x, y = curve.x[:nx], curve.y[:nx]
+    tracemalloc.start()
+    try:
+        gap = min_nonadjacent_gap(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    # the (i, i+2) pairs, one x apart, are the closest
+    assert gap == np.sqrt(np.min((x[2:] - x[:-2]) ** 2 + (y[2:] - y[:-2]) ** 2))
+
+
+def test_resolved_front_takes_one_chunk(monkeypatch):
+    chunks = []
+    expand = geometry._pairs
+
+    def counted(lo, hi):
+        parts = list(expand(lo, hi))
+        chunks.append(len(parts))
+        return iter(parts)
+
+    monkeypatch.setattr(geometry, "_pairs", counted)
+    for nx in (256, 512):
+        min_nonadjacent_gap(reconstruct_curve(wave_profile(eps=2.0, nx=nx)))
+    assert chunks == [1, 1, 1, 1]
 
 def test_gap_sees_neighboring_period():
     # a tongue reaching toward x = 2*pi gets close to the next period's
