@@ -49,6 +49,18 @@ def _check_k0(k0):
         raise ValueError(f"k0 must be a positive integer, got {k0!r}")
 
 
+def _check_certified_k0(k0):
+    """Reject a mode number whose certificate values are not finite floats.
+
+    The resultant grows like 108*k0^8, and the Sylvester determinant
+    overflows just above k0 = 1.89e38, so k0 must be at most 1.8e38.  The
+    bound is compared on integers, before any float arithmetic can overflow.
+    """
+    _check_k0(k0)
+    if int(k0) > 18 * 10**37:
+        raise ValueError(f"k0={k0} is too large to certify: k0 must be at most 1.8e38")
+
+
 def check_k0_on_grid(k0, nx):
     """Reject a mode number that the nx-point grid cannot carry as a sine mode.
 
@@ -117,7 +129,7 @@ def cubic_discriminant(k0):
     Evaluated by the standard formula 18abcd - 4b^3d + b^2c^2 - 4ac^3
     - 27a^2d^2 with (a, b, c, d) = (-k0^2, -3*k0^2, 1, -1).
     """
-    _check_k0(k0)
+    _check_certified_k0(k0)
     a, b, c, d = -float(k0) ** 2, -3.0 * float(k0) ** 2, 1.0, -1.0
     return (
         18.0 * a * b * c * d
@@ -151,7 +163,7 @@ def transversality_resultant(k0):
     1e-9 relative raises InternalConsistencyError.  Positivity certifies
     that the cubic and p share no root, so the located root is simple.
     """
-    _check_k0(k0)
+    _check_certified_k0(k0)
     k2 = float(k0) ** 2
     closed = 4.0 * k2**2 * (27.0 * k2**2 + 18.0 * k2 - 1.0)
     direct = float(np.linalg.det(sylvester_matrix(k0)))
@@ -191,8 +203,8 @@ class BracketedRootCertificate:
 
 
 def root_certificate(k0):
-    """Assemble the full BracketedRootCertificate for mode k0."""
-    _check_k0(k0)
+    """Assemble the full BracketedRootCertificate for mode k0 <= 1.8e38."""
+    _check_certified_k0(k0)
     alpha0 = nonlinear_bifurcation_alpha(k0)
     return BracketedRootCertificate(
         k0=int(k0),
@@ -248,13 +260,14 @@ def asymptotic_guess(k0, eps, kind, nx=256):
     """Initial wave guess (profile, params) at amplitude parameter eps.
 
     eps must lie in (0, 0.3]; beyond that the truncated expansion is a
-    poor Newton seed.  k0 must be at most nx/2 - 1.
+    poor Newton seed.  k0 must be at most nx/2 - 1, which is checked before
+    the expansion (a root solve for the nonlinear closure) is evaluated.
     """
     if not 0.0 < eps <= _EPS_MAX:
         raise ValueError(f"eps must be in (0, {_EPS_MAX}], got {eps!r}")
-    ex = asymptotic_expansion(k0, kind)
     sigma = spectral.grid(nx)
     check_k0_on_grid(k0, nx)
+    ex = asymptotic_expansion(k0, kind)
     values = eps * np.sin(ex.k0 * sigma)
     if ex.theta2_coeff != 0.0:
         values = values + eps**2 * ex.theta2_coeff * np.sin(2.0 * ex.k0 * sigma)

@@ -4,10 +4,14 @@ Output files are deterministic: floats are serialized with 17 significant
 digits, iteration order is fixed, and the only wall-clock content is the
 timestamp inside manifest.json.  The output directory is taken from
 --out, else the FLAMEFRONT_OUT environment variable, else the working
-directory.
+directory; it is created only once the command's library call has
+succeeded, so a failed command leaves none behind.
 
-Exit codes: 0 success, 2 usage error, 3 solver failure, 4 unsupported
-model.
+Each input is checked once, by the library function that takes it, and
+exit codes map the exceptions by family: 0 success, 2 bad input (any
+ValueError, which InvalidGridError and ContractViolationError are), 3 any
+other FlameFrontError (a solver, branch or time-stepping failure), 4
+unsupported model.
 """
 
 from __future__ import annotations
@@ -23,15 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bifurcation, evolution, solver, spectral
-from .errors import (
-    BlowUpError,
-    BranchStartError,
-    ConvergenceError,
-    DegenerateFrontError,
-    InvalidGridError,
-    SingularSystemError,
-    UnsupportedModelError,
-)
+from .errors import ContractViolationError, FlameFrontError, UnsupportedModelError
 from .model import ModelKind, WaveParams, length_from_theta, residual
 
 __all__ = ["main"]
@@ -121,7 +117,6 @@ def _write_manifest(out, command, parameters, outputs):
 
 def cmd_bifurcate(args):
     kind = ModelKind(args.model)
-    out = _out_dir(args)
     report = {"model": kind.value, "k0": args.k0}
     if kind is ModelKind.LINEAR:
         alpha0 = bifurcation.linear_bifurcation_alpha(args.k0)
@@ -141,6 +136,7 @@ def cmd_bifurcate(args):
         print(f"nonlinear closure, k0={args.k0}: alpha0 = {cert.alpha0:.10g}")
         print(f"  discriminant = {cert.discriminant:.10g} (< 0: real root is unique)")
         print(f"  resultant    = {cert.resultant:.10g} (> 0: root is simple)")
+    out = _out_dir(args)
     _write_json(out / "bifurcation.json", report)
     _write_manifest(
         out,
@@ -177,10 +173,9 @@ def _wave_payload(sol, alpha0):
 def cmd_branch(args):
     kind = ModelKind(args.model)
     cfg = solver.SolveConfig(nx=args.nx)
-    bifurcation.check_k0_on_grid(args.k0, args.nx)
-    out = _out_dir(args)
     record = solver.continue_branch(args.k0, kind, args.h_step, args.h_max, cfg)
     alpha0 = bifurcation.asymptotic_expansion(args.k0, kind).alpha0
+    out = _out_dir(args)
 
     outputs = ["branch.csv"]
     rows = [",".join(_BRANCH_COLUMNS)]
@@ -256,8 +251,12 @@ def _theta_entry(path, data):
 
 
 def _wave_from_file(path):
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        # a missing or unreadable file, bad UTF-8 or malformed JSON
+        raise ValueError(f"wave file {path} cannot be read: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"wave file {path} does not hold a JSON object")
     for key in ("alpha", "theta"):
@@ -271,10 +270,14 @@ def _wave_from_file(path):
     length = _finite_entry(path, data, "L", length_from_theta(theta))
     beta = _finite_entry(path, data, "beta", 1.0)
     alpha = _finite_entry(path, data, "alpha", None)
+    try:
+        params = WaveParams(alpha, beta, length)
+    except ContractViolationError as exc:
+        raise ContractViolationError(f"wave file {path} has an unusable 'L' entry: {exc}") from None
     if "residual_norm" in data:
         residual_norm = _finite_entry(path, data, "residual_norm", None)
     else:
-        residual_norm = float(np.max(np.abs(residual(theta, WaveParams(alpha, beta, length), kind))))
+        residual_norm = float(np.max(np.abs(residual(theta, params, kind))))
     return solver.WaveSolution(
         theta=theta,
         alpha=alpha,
@@ -292,8 +295,8 @@ def cmd_stability(args):
     cfg = evolution.StabilityProbeConfig(
         delta=args.delta, dt=args.dt, t_max=args.t_max
     )
-    out = _out_dir(args)
     estimate = evolution.stability_probe(wave, cfg)
+    out = _out_dir(args)
     lines = ["t,d"]
     for t, d in zip(estimate.times, estimate.norms):
         lines.append(f"{t:.17g},{d:.17g}")
@@ -363,39 +366,16 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "k0", 1) < 1:
-        parser.error(f"--k0 must be a positive integer, got {args.k0}")
-    if args.command == "branch":
-        if args.h_step is None:
-            args.h_step = _DEFAULT_H_STEP[args.model]
-        for flag, value in (("--h-step", args.h_step), ("--h-max", args.h_max)):
-            if not math.isfinite(value):
-                parser.error(f"{flag} must be finite, got {value}")
-        if args.h_step <= 0.0:
-            parser.error("--h-step must be positive")
-        if args.h_max < args.h_step:
-            parser.error("--h-max is below the first amplitude target; nothing to do")
-    if args.command == "stability" and not Path(args.wave).is_file():
-        parser.error(f"wave file not found: {args.wave}")
+    args = _build_parser().parse_args(argv)
+    if args.command == "branch" and args.h_step is None:
+        args.h_step = _DEFAULT_H_STEP[args.model]
     try:
         return args.func(args)
-    except UnsupportedModelError as exc:
+    except (ValueError, FlameFrontError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _UNSUPPORTED_MODEL
-    except (
-        BranchStartError,
-        ConvergenceError,
-        SingularSystemError,
-        DegenerateFrontError,
-        BlowUpError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _SOLVER_ERROR
-    except (ValueError, InvalidGridError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
+        if isinstance(exc, UnsupportedModelError):
+            return _UNSUPPORTED_MODEL
+        return _USAGE_ERROR if isinstance(exc, ValueError) else _SOLVER_ERROR
 
 
 if __name__ == "__main__":

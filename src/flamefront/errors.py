@@ -21,16 +21,16 @@ class FlameFrontError(Exception):
     """Base class for all package-specific failures."""
 
 
-class InvalidGridError(FlameFrontError):
-    """Grid size is odd, too small, or otherwise unusable."""
+class InvalidGridError(FlameFrontError, ValueError):
+    """Grid size is odd, too small, or otherwise unusable: a bad input, so a ValueError too."""
 
 
 class DegenerateFrontError(FlameFrontError):
     """The length functional is undefined: integral of cos(theta) is not positive."""
 
 
-class ContractViolationError(FlameFrontError):
-    """Caller passed data that violates a documented precondition."""
+class ContractViolationError(FlameFrontError, ValueError):
+    """Caller passed data that violates a documented precondition: a ValueError too."""
 
 
 class RootBracketError(FlameFrontError):

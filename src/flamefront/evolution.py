@@ -109,8 +109,8 @@ class EvolutionState:
     prev: _StepCache | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_theta(cls, p, time=0.0):
-        return cls(theta=p, length=length_from_theta(p), time=time)
+    def from_theta(cls, p):
+        return cls(theta=p, length=length_from_theta(p))
 
 
 @dataclass(frozen=True)

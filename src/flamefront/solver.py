@@ -253,12 +253,13 @@ def _lu_solve(jac, rhs):
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
-def quasi_newton_solve(guess, target_h, kind, cfg=None, k0=None):
+def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
     """Solve for the traveling wave with max(theta) pinned to target_h.
 
     guess is a (ThetaProfile, WaveParams) pair; its profile is projected
     onto odd parity, and the amplitude is pinned at the grid index where
-    the guess attains its maximum (frozen for the whole solve).  Every
+    the guess attains its maximum (frozen for the whole solve).  k0 is the
+    mode number of the branch, recorded on the WaveSolution.  Every
     iteration assembles the exact Jacobian at the current iterate and
     solves the dense LU-factored update system.
 
@@ -307,9 +308,6 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, k0=None):
             reason=reason,
         )
 
-    if k0 is None:
-        b = np.abs(x[:-2])
-        k0 = int(np.argmax(b)) + 1 if b.size and np.max(b) > 0.0 else 1
     return WaveSolution(
         theta=p,
         alpha=params.alpha,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,16 @@ def test_guess_rejects_unresolved_k0():
     for k0 in (32, 40):
         with pytest.raises(ValueError, match=f"k0={k0} is not resolved on an nx=64 grid"):
             asymptotic_guess(k0, 0.1, ModelKind.LINEAR, nx=64)
+
+
+def test_certificate_refuses_k0_beyond_the_float_range():
+    with warnings.catch_warnings():
+        # the refusal comes before any overflow warning from numpy
+        warnings.simplefilter("error")
+        cert = root_certificate(10**38)
+        assert cert.holds()
+        assert np.isfinite([cert.discriminant, cert.resultant]).all()
+        for k0 in (10**39, 10**160):
+            for certify in (root_certificate, cubic_discriminant, transversality_resultant):
+                with pytest.raises(ValueError, match=f"k0={k0} is too large to certify"):
+                    certify(k0)

@@ -415,7 +415,8 @@ def test_branch_rejects_non_finite_amplitudes(tmp_path, capsys, flag, value):
     code = exit_code(["branch", "--model", "linear", "--k0", "1", flag, value, "--nx", "64",
                       "--out", str(tmp_path / "out")])
     assert code == 2
-    assert f"{flag} must be finite" in capsys.readouterr().err
+    message = {"--h-step": "h_step must be positive and finite", "--h-max": "h_max must be finite"}[flag]
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -466,4 +467,39 @@ def test_branch_rejects_unresolved_k0(tmp_path, capsys, k0, nx):
     assert code == 2
     err = capsys.readouterr().err
     assert f"error: k0={k0} is not resolved on an nx={nx} grid" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, wave, code, message",
+    [
+        (["branch", "--model", "linear", "--k0", "1", "--h-step", "0.5", "--nx", "64"], None, 2,
+         "eps must be in (0, 0.3], got 0.5"),
+        (["branch", "--model", "nonlinear", "--k0", "1", "--h-step", "0.3", "--h-max", "0.3", "--nx", "16"],
+         None, 3, "first solve at target_h 0.3 failed"),
+        (["stability"], json.dumps({**FLAT_WAVE, "L": -1.0}), 2,
+         "wave file {wave} has an unusable 'L' entry: length must be positive, got -1.0"),
+        (["stability"], json.dumps({**FLAT_WAVE, "L": 0.0, "residual_norm": 0.0}), 2,
+         "wave file {wave} has an unusable 'L' entry: length must be positive, got 0.0"),
+        (["stability"], json.dumps(FLAT_WAVE)[:40], 2, "wave file {wave} cannot be read: "),
+        (["bifurcate", "--model", "nonlinear", "--k0", str(10**39)], None, 2,
+         f"k0={10**39} is too large to certify"),
+        (["bifurcate", "--model", "nonlinear", "--k0", str(10**160)], None, 2,
+         f"k0={10**160} is too large to certify"),
+    ],
+    ids=["h-step-above-eps-cap", "branch-start-error", "negative-length", "zero-length-with-residual",
+         "truncated-wave-file", "k0-1e39", "k0-1e160"],
+)
+def test_failed_command_creates_no_output_directory(tmp_path, capsys, argv, wave, code, message):
+    path = tmp_path / "wave.json"
+    if wave is not None:
+        path.write_text(wave)
+        argv = [*argv, "--wave", str(path)]
+    with warnings.catch_warnings():
+        # no overflow warning may come before the refusal
+        warnings.simplefilter("error")
+        assert exit_code([*argv, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message.format(wave=path) in err
     assert not (tmp_path / "out").exists()
