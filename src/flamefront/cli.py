@@ -9,7 +9,8 @@ succeeded, so a failed command leaves none behind.
 
 Each input is checked once, by the library function that takes it, and
 exit codes map the exceptions by family: 0 success, 2 bad input (any
-ValueError, which InvalidGridError and ContractViolationError are), 3 any
+ValueError, which InvalidGridError and ContractViolationError are, and an
+output directory that cannot be created), 3 any
 other FlameFrontError (a solver, branch or time-stepping failure), 4
 unsupported model.
 """
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bifurcation, evolution, solver, spectral
-from .errors import ContractViolationError, FlameFrontError, UnsupportedModelError
+from .errors import ContractViolationError, DegenerateFrontError, FlameFrontError, UnsupportedModelError
 from .model import ModelKind, WaveParams, length_from_theta, residual
 
 __all__ = ["main"]
@@ -100,7 +101,11 @@ def _out_dir(args):
         base = Path(os.environ["FLAMEFRONT_OUT"])
     else:
         base = Path.cwd()
-    base.mkdir(parents=True, exist_ok=True)
+    try:
+        base.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # e.g. the path is an existing file, or a parent is not writable
+        raise ValueError(f"output directory {base} cannot be created: {exc.strerror or exc}") from None
     return base
 
 
@@ -267,7 +272,13 @@ def _wave_from_file(path):
     # refused before the residual or a step can overflow on it
     evolution._check_blowup(values, 0.0)
     theta = spectral.ThetaProfile.from_values(values)
-    length = _finite_entry(path, data, "L", length_from_theta(theta))
+    if "L" in data:
+        length = _finite_entry(path, data, "L", None)
+    else:
+        try:
+            length = length_from_theta(theta)
+        except DegenerateFrontError as exc:
+            raise ValueError(f"wave file {path} has no 'L' entry, and its theta gives no length: {exc}") from None
     beta = _finite_entry(path, data, "beta", 1.0)
     alpha = _finite_entry(path, data, "alpha", None)
     try:
@@ -349,7 +360,14 @@ def _build_parser():
     p_br = sub.add_parser("branch", help="continue a traveling-wave branch in amplitude")
     p_br.add_argument("--model", choices=["linear", "nonlinear"], required=True)
     p_br.add_argument("--k0", type=int, required=True)
-    p_br.add_argument("--h-step", type=float, default=None, dest="h_step")
+    p_br.add_argument(
+        "--h-step",
+        type=float,
+        default=None,
+        dest="h_step",
+        help=f"first amplitude target and continuation step, in (0, {bifurcation._EPS_MAX}] "
+        f"(default {_DEFAULT_H_STEP['linear']} linear, {_DEFAULT_H_STEP['nonlinear']} nonlinear)",
+    )
     p_br.add_argument("--h-max", type=float, default=10.0, dest="h_max")
     p_br.add_argument("--nx", type=int, default=256)
     add_common(p_br)

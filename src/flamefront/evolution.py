@@ -28,7 +28,7 @@ small grids a numpy FFT call costs several times its arithmetic, so per
 call overhead, not flops, sets the step's cost: each map is a dense real
 matrix up to its own crossover (_DENSE_MAX_NX, with the timings that set
 it), tabulated once per nx from its FFT expression and applied with one
-matmul.  The velocity map (1) is dense through nx = 256, the spectrum
+np.dot.  The velocity map (1) is dense through nx = 256, the spectrum
 map (2) through 224 and the rows map (3) through 128, so a step makes no
 FFT call at nx 64 and two at nx 256.
 
@@ -45,6 +45,23 @@ plus the stiff term at Nyquist, where U_sigma has no content.
 imex_step, evolve and stability_probe all run the same loop, which
 builds an EvolutionState only for an observer and for the state it
 returns; theta_rhs uses the same maps and the same explicit half.
+
+On small grids numpy's per-call cost also sets the cost of the step's
+own arithmetic, so the step is written as a few contractions.  The two
+coefficients a = (alpha-1)/s_sigma^2 and q = 4/s_sigma^4 form one pair
+(a, q), contracted with (theta_s, theta_sss) for the flux and with a
+gains table for the explicit gain on c.  The SBDF2 history lives in one
+(4, nx+2) stack with rows (c, c_prev, N, N_prev), N the explicit part,
+so the Euler and the SBDF2 numerator are the same contraction w @ stack
+with w = (1, 0, dt, 0) or (4, -1, 4 dt, -2 dt), times the reciprocal of
+1 + dt*q*n^4 or 3 + 2 dt*q*n^4; the Euler step's zero weights meet
+zeroed rows.  The row order and the product with the reciprocal are
+fixed by their rounding, which the near-neutral probe
+(test_near_neutral_probe_of_linear_wave) resolves: against the 5-FFT
+stepper's slope, this order moves it by 1.1e-7 relative, the order
+(c, N, c_prev, N_prev) by 5.0e-7 and np.divide by 2.2e-6, beyond the
+test's 1e-6.  Each step fills a fresh stack, so the arrays a state
+holds are never written again and an observed step copies nothing.
 """
 
 from __future__ import annotations
@@ -71,6 +88,9 @@ __all__ = [
 
 _THETA_BLOWUP = 1e3
 
+# Rows of a history stack (c, c_prev, N, N_prev) that start the next one
+_SHIFT = np.array([0, 0, 2, 2])
+
 # The probe fits log d(t) over this many decades of growth.
 _GROWTH_WINDOW_DECADES = 2.0
 
@@ -85,9 +105,11 @@ class _StepCache(NamedTuple):
     The previous half spectrum and explicit part (float views, as the
     step keeps them), length and L_t are the history an SBDF2 step needs;
     dt is recorded so a changed step size falls back to the self-starting
-    Euler step.  theta_s and theta_sss belong to the state itself: the
-    step's last transform gave them, so the next step need not transform
-    again.
+    Euler step.  rows (theta, theta_s, theta_sss on the grid) belongs to
+    the state itself: the step's last transform gave it, so the next step
+    need not transform again.  theta_hat and nonstiff_hat are rows 1 and
+    3 of the history stack of the step that made the state, which no
+    later step writes, so they are kept without a copy.
     """
 
     theta_hat: np.ndarray
@@ -95,8 +117,7 @@ class _StepCache(NamedTuple):
     length: float
     length_rate: float
     dt: float
-    theta_s: np.ndarray
-    theta_sss: np.ndarray
+    rows: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,19 +171,20 @@ class _Multipliers:
     rows holds 1, (i n), (i n)^3, so one irfft of rows * c gives theta,
     theta_s and theta_sss; the two derivative rows are zeroed at Nyquist.
     inv_in holds 1/(i n) with modes 0 and nx/2 zeroed.  Both act on the
-    complex half spectrum.  n2 (n^2) and n4 (n^4) act on its float view,
-    so each value appears twice, once for the real and once for the
-    imaginary part of its mode.  n2 is zeroed at Nyquist because it only
-    feeds u_sigma, the derivative of a u that has no Nyquist content;
-    nyquist_n4 is (nx/2)^4 as a Python float.  rows and n4 come from the
-    (i n)^k table behind spectral.deriv.
+    complex half spectrum.  gains (2, nx+2) and n4 (n^4) act on its float
+    view, so each value appears twice, once for the real and once for
+    the imaginary part of its mode.  gains row 0 is n^2, zeroed at
+    Nyquist because it only feeds u_sigma, the derivative of a u that has
+    no Nyquist content; row 1 is n^4 at Nyquist and zero elsewhere.  So
+    (a, q) @ gains is the explicit gain a*n^2 below Nyquist and q*n^4 at
+    it, with no rounding: one of the two products is always zero.  rows
+    and n4 come from the (i n)^k table behind spectral.deriv.
     """
 
     rows: np.ndarray
     inv_in: np.ndarray
-    n2: np.ndarray
+    gains: np.ndarray
     n4: np.ndarray
-    nyquist_n4: float
 
 
 @functools.cache
@@ -172,12 +194,13 @@ def _multipliers(nx):
     n = np.arange(nx // 2 + 1)
     inv_in = np.zeros(n.size, dtype=complex)
     inv_in[1:-1] = 1.0 / (1j * n[1:-1])
-    n2 = np.repeat(n.astype(float) ** 2, 2)
-    n2[-2:] = 0.0
     n4 = np.repeat(powers[4].real, 2)
-    for table in (rows, inv_in, n2, n4):
+    gains = np.zeros((2, n4.size))
+    gains[0, :-2] = np.repeat(n[:-1].astype(float) ** 2, 2)
+    gains[1, -2:] = n4[-2:]
+    for table in (rows, inv_in, gains, n4):
         table.setflags(write=False)
-    return _Multipliers(rows, inv_in, n2, n4, float(n4[-1]))
+    return _Multipliers(rows, inv_in, gains, n4)
 
 
 # Largest grid on which each map of a step is a dense matrix.  On small
@@ -214,7 +237,9 @@ class _Maps:
 
     Each map is defined by its FFT expression below, which acts along the
     last axis.  On grids up to the map's _DENSE_MAX_NX, _maps tabulates it
-    once as a read-only real matrix and applies it with one matmul:
+    once as a read-only real matrix and applies it with one np.dot, which
+    gives the bits of @ (checked at nx 64 and 128, and 256 for velocity)
+    at 0.1-0.3 us less per call:
     velocity is (nx+1, nx), spectrum (nx+2, nx), rows (3*nx, nx+2).  On
     larger grids the matrix is None and the FFTs run.
     """
@@ -226,7 +251,7 @@ class _Maps:
 
     def to_velocity(self, g):
         if self.velocity is not None:
-            w = self.velocity @ g
+            w = np.dot(self.velocity, g)
             return w[:-1], w[-1]
         neg_flux_hat = np.fft.rfft(g, norm="forward")
         # V_sigma = flux + L_t/(2*pi) has zero mean, so V is periodic; the
@@ -236,12 +261,12 @@ class _Maps:
 
     def to_spectrum(self, values):
         if self.spectrum is not None:
-            return self.spectrum @ values
+            return np.dot(self.spectrum, values)
         return np.fft.rfft(values, norm="forward").view(float)
 
     def to_rows(self, c):
         if self.rows is not None:
-            return (self.rows @ c).reshape(3, -1)
+            return np.dot(self.rows, c).reshape(3, -1)
         c = c.view(complex)[..., None, :]
         return np.fft.irfft(self.mult.rows * c, n=2 * (c.shape[-1] - 1), norm="forward")
 
@@ -268,7 +293,7 @@ def _maps(nx):
     return _Maps(fft.mult, **dense)
 
 
-def _explicit(c, theta_s, theta_sss, length, alpha, maps):
+def _explicit(c, rows, length, alpha, maps, out=None):
     """Explicit half spectrum of theta_t, L_t, and q = 4*(2*pi/L)^4.
 
     theta_t = (u_sigma + (V - V(0))*theta_s)/s_sigma with
@@ -277,21 +302,23 @@ def _explicit(c, theta_s, theta_sss, length, alpha, maps):
     here rather than added and subtracted, except at Nyquist, where
     u_sigma has no content and the implicit term is balanced explicitly.
     c and the explicit part are float views of half spectra, real and
-    imaginary parts interleaved, so every product is real by real.
+    imaginary parts interleaved, so every product is real by real; rows
+    holds theta, theta_s and theta_sss on the grid.  The step's two
+    coefficients enter as one pair (a, q): a*theta_s + q*theta_sss is
+    (a, q) @ rows[1:] and the gain on c is (a, q) @ gains.  The explicit
+    part is written into out when it is given: _march passes the row of
+    its history stack.
     """
-    mult = maps.mult
     s_sigma = length / (2.0 * np.pi)
-    a = (alpha - 1.0) / s_sigma**2
     q = 4.0 / s_sigma**4
+    aq = np.array(((alpha - 1.0) / s_sigma**2, q))
+    theta_s = rows[1]
     # the maps carry -flux/s_sigma and -V/s_sigma: dividing u by s_sigma
     # up front divides theta_t, and negating it is free
-    neg_v, neg_flux_mean = maps.to_velocity(theta_s * (1.0 / s_sigma + a * theta_s + q * theta_sss))
+    neg_v, neg_flux_mean = maps.to_velocity(theta_s * (1.0 / s_sigma + np.dot(aq, rows[1:])))
     length_rate = length * float(neg_flux_mean)
-    # a*n^2 below Nyquist; at Nyquist, where n2 is zero, q*n^4 balances
-    # the implicit term
-    gain = a * mult.n2
-    gain[-2:] = q * mult.nyquist_n4
-    nonstiff = gain * c - maps.to_spectrum(neg_v * theta_s)
+    gain = np.dot(aq, maps.mult.gains)
+    nonstiff = np.subtract(gain * c, maps.to_spectrum(neg_v * theta_s), out=out)
     return nonstiff, length_rate, q
 
 
@@ -304,15 +331,15 @@ def theta_rhs(state, alpha):
     """Right-hand sides (theta_t values, L_t) of the evolution system."""
     maps = _maps(state.theta.nx)
     c = _float_view(state.theta.coeffs)
-    _, theta_s, theta_sss = maps.to_rows(c)
-    nonstiff, length_rate, q = _explicit(c, theta_s, theta_sss, state.length, alpha, maps)
+    nonstiff, length_rate, q = _explicit(c, maps.to_rows(c), state.length, alpha, maps)
     return maps.to_rows(nonstiff - q * maps.mult.n4 * c)[0], length_rate
 
 
-def _state(nx, values, c, length, time, *cache):
-    # positional arguments: an observed step builds three of these objects
-    theta = spectral.ThetaProfile(nx, values, c.view(complex))
-    return EvolutionState(theta, length, time, _StepCache(*cache))
+def _state(nx, stack, rows, length, time, *cache):
+    # positional arguments: an observed step builds three of these objects;
+    # they hold rows of a stack that no later step writes, so nothing is copied
+    theta = spectral.ThetaProfile(nx, rows[0], stack[0].view(complex))
+    return EvolutionState(theta, length, time, _StepCache(stack[1], stack[3], *cache, rows))
 
 
 def _check_blowup(values, time):
@@ -334,6 +361,10 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     history live in locals; states are built only for the observer and
     for the return value.  A starting state already past the blow-up
     threshold is refused at its own time, before any step.
+
+    The half spectra live in the history stack of the module docstring.
+    Each step writes N into its row 2, then takes a fresh stack holding
+    the shifted history and writes the new c into it.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -346,45 +377,49 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     # Python floats and float views throughout: no numpy scalar arithmetic
     # and no real-to-complex promotion in the loop
     alpha = float(alpha)
-    c = _float_view(state.theta.coeffs)
     length = float(state.length)
     time = state.time
     prev = state.prev
-    if prev is None:
-        _, theta_s, theta_sss = maps.to_rows(c)
-    else:
-        theta_s, theta_sss = prev.theta_s, prev.theta_sss
+    stack = np.zeros((4, nx + 2))
+    stack[0] = _float_view(state.theta.coeffs)
+    rows = maps.to_rows(stack[0]) if prev is None else prev.rows
     # SBDF2 needs the previous step at the same dt; otherwise IMEX Euler
-    history = None
+    prev_length = prev_rate = None
     if prev is not None and prev.dt == dt:
-        history = (prev.theta_hat, prev.nonstiff_hat, prev.length, prev.length_rate)
+        stack[1], stack[3] = prev.theta_hat, prev.nonstiff_hat
+        prev_length, prev_rate = prev.length, prev.length_rate
+    # numerator weights on the stack, then d0 and d1 of the denominator
+    # d0 + d1*q*n^4
+    euler = (np.array((1.0, 0.0, dt, 0.0)), 1.0, dt)
+    sbdf2 = (np.array((4.0, -1.0, 4.0 * dt, -2.0 * dt)), 3.0, 2.0 * dt)
+    c = stack[0]
     out = state
     for _ in range(n_steps):
-        nonstiff, length_rate, q = _explicit(c, theta_s, theta_sss, length, alpha, maps)
-        # a product with the reciprocal, which is how numpy divides a
-        # complex by a real: the same values as the complex update
-        if history is None:
-            new_c = (c + dt * nonstiff) * (1.0 / (1.0 + dt * q * n4))
+        _, length_rate, q = _explicit(c, rows, length, alpha, maps, out=stack[2])
+        if prev_length is None:
+            w, d0, d1 = euler
             new_length = length + dt * length_rate
         else:
-            prev_c, prev_nonstiff, prev_length, prev_rate = history
-            new_c = (4.0 * c - prev_c + 2.0 * dt * (2.0 * nonstiff - prev_nonstiff)) * (
-                1.0 / (3.0 + 2.0 * dt * q * n4)
-            )
+            w, d0, d1 = sbdf2
             new_length = (4.0 * length - prev_length + 2.0 * dt * (2.0 * length_rate - prev_rate)) / 3.0
+        # (c, c, N, N): rows 1 and 3 are the next step's history; the
+        # new c overwrites row 0 below and the next N row 2
+        new = stack.take(_SHIFT, axis=0)
+        # a product with the reciprocal, not a division (module docstring)
+        c = np.multiply(np.dot(w, stack), 1.0 / (d0 + d1 * q * n4), out=new[0])
         time += dt
-        values, theta_s, theta_sss = maps.to_rows(new_c)
+        rows = maps.to_rows(c)
+        values = rows[0]
         _check_blowup(values, time)
-        history = (c, nonstiff, length, length_rate)
-        c, length = new_c, new_length
+        stack, length, prev_length, prev_rate = new, new_length, length, length_rate
         out = None
         if observer is not None:
-            out = _state(nx, values, c, length, time, *history, dt, theta_s, theta_sss)
+            out = _state(nx, stack, rows, length, time, prev_length, prev_rate, dt)
             observer(out)
         if until is not None and until(values, time):
             break
     if out is None:
-        out = _state(nx, values, c, length, time, *history, dt, theta_s, theta_sss)
+        out = _state(nx, stack, rows, length, time, prev_length, prev_rate, dt)
     return out
 
 

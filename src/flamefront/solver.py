@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from . import geometry, spectral
-from .bifurcation import asymptotic_guess
+from .bifurcation import _EPS_MAX, asymptotic_guess
 from .errors import (
     BranchStartError,
     ConvergenceError,
@@ -359,8 +359,9 @@ def _failed_solve(target_h, exc):
 def continue_branch(k0, kind, h_step, h_max, cfg=None):
     """March the branch of mode k0 in the wave amplitude h = max(theta).
 
-    Starts from the asymptotic guess at eps = h_step, then increments the
-    amplitude target by the current step, predicting each new iterate by
+    Starts from the asymptotic guess at eps = h_step, so h_step must lie
+    in (0, 0.3], the guess's range; then increments the amplitude target
+    by the current step, predicting each new iterate by
     secant extrapolation of the previous two solutions.  A failed solve
     halves the step (at most 4 halvings over the whole run) and is logged
     in BranchRecord.failures.  Stops on
@@ -373,6 +374,8 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
         cfg = SolveConfig()
     if not (np.isfinite(h_step) and h_step > 0.0):
         raise ValueError(f"h_step must be positive and finite, got {h_step!r}")
+    if h_step > _EPS_MAX:
+        raise ValueError(f"h_step must be in (0, {_EPS_MAX}], got {h_step!r}")
     if not np.isfinite(h_max):
         raise ValueError(f"h_max must be finite, got {h_max!r}")
     if h_max < h_step:

@@ -474,7 +474,9 @@ def test_branch_rejects_unresolved_k0(tmp_path, capsys, k0, nx):
     "argv, wave, code, message",
     [
         (["branch", "--model", "linear", "--k0", "1", "--h-step", "0.5", "--nx", "64"], None, 2,
-         "eps must be in (0, 0.3], got 0.5"),
+         "h_step must be in (0, 0.3], got 0.5"),
+        (["branch", "--model", "nonlinear", "--k0", "1", "--h-step", "0.31", "--h-max", "1", "--nx", "64"],
+         None, 2, "h_step must be in (0, 0.3], got 0.31"),
         (["branch", "--model", "nonlinear", "--k0", "1", "--h-step", "0.3", "--h-max", "0.3", "--nx", "16"],
          None, 3, "first solve at target_h 0.3 failed"),
         (["stability"], json.dumps({**FLAT_WAVE, "L": -1.0}), 2,
@@ -482,13 +484,15 @@ def test_branch_rejects_unresolved_k0(tmp_path, capsys, k0, nx):
         (["stability"], json.dumps({**FLAT_WAVE, "L": 0.0, "residual_norm": 0.0}), 2,
          "wave file {wave} has an unusable 'L' entry: length must be positive, got 0.0"),
         (["stability"], json.dumps(FLAT_WAVE)[:40], 2, "wave file {wave} cannot be read: "),
+        (["stability"], json.dumps({**FLAT_WAVE, "theta": [1.6] * 64}), 2,
+         "wave file {wave} has no 'L' entry, and its theta gives no length: integral of cos(theta)"),
         (["bifurcate", "--model", "nonlinear", "--k0", str(10**39)], None, 2,
          f"k0={10**39} is too large to certify"),
         (["bifurcate", "--model", "nonlinear", "--k0", str(10**160)], None, 2,
          f"k0={10**160} is too large to certify"),
     ],
-    ids=["h-step-above-eps-cap", "branch-start-error", "negative-length", "zero-length-with-residual",
-         "truncated-wave-file", "k0-1e39", "k0-1e160"],
+    ids=["h-step-above-eps-cap", "nonlinear-h-step-above-cap", "branch-start-error", "negative-length",
+         "zero-length-with-residual", "truncated-wave-file", "no-length-from-theta", "k0-1e39", "k0-1e160"],
 )
 def test_failed_command_creates_no_output_directory(tmp_path, capsys, argv, wave, code, message):
     path = tmp_path / "wave.json"
@@ -503,3 +507,23 @@ def test_failed_command_creates_no_output_directory(tmp_path, capsys, argv, wave
     assert err.startswith("error: ")
     assert message.format(wave=path) in err
     assert not (tmp_path / "out").exists()
+
+
+def test_stated_length_is_read_without_the_default(tmp_path):
+    # the default L comes from theta, and is computed only when "L" is
+    # absent: this theta gives none, but the file states one
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps({**FLAT_WAVE, "L": 7.0, "theta": [1.6] * 64}))
+    wave = _wave_from_file(path)
+    assert wave.length == 7.0
+    np.testing.assert_array_equal(wave.theta.values, 1.6)
+
+
+def test_output_path_that_is_a_file_is_refused(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("kept\n")
+    assert exit_code(["bifurcate", "--model", "linear", "--k0", "1", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output directory {path} cannot be created: ")
+    assert "Traceback" not in err
+    assert path.read_text() == "kept\n"

@@ -221,6 +221,40 @@ def test_probe_growth_window_anchoring(flat17_probe):
     assert t1 <= 1.0
 
 
+# The four probes of the benchmark's stability workload.  The step count
+# and window sit on a threshold crossing of d(t), so they pin the probe's
+# path: a change to the step's arithmetic must keep them exactly.
+
+
+def _pinned_path(est, steps, window, rate):
+    assert est.observed
+    assert len(est.times) == steps
+    assert est.window == window
+    assert est.rate == pytest.approx(rate, rel=1e-9)
+
+
+def test_flat_alpha17_probe_keeps_its_path(flat17_probe):
+    _pinned_path(flat17_probe, 5759, (0.1998999999999943, 0.5758999999999529), 12.1899025396754)
+
+
+def _linear_wave(k0):
+    guess = asymptotic_guess(k0, 0.05, ModelKind.LINEAR)
+    return quasi_newton_solve(guess, 0.05, ModelKind.LINEAR, k0=k0)
+
+
+@pytest.mark.parametrize(
+    "wave, steps, window, rate",
+    [
+        (lambda: flat_solution(37.0), 863, (0.028699999999999882, 0.08630000000000144), 79.64749291950605),
+        (lambda: _linear_wave(2), 5751, (0.19959999999999434, 0.575099999999953), 12.205194258792469),
+        (lambda: _linear_wave(3), 863, (0.028699999999999882, 0.08630000000000144), 79.63413642299884),
+    ],
+    ids=["flat-alpha-37", "k0-2-wave", "k0-3-wave"],
+)
+def test_benchmark_probe_keeps_its_path(wave, steps, window, rate):
+    _pinned_path(stability_probe(wave()), steps, window, rate)
+
+
 # The stepper's arithmetic before it moved to the rfft half spectrum: full
 # complex FFTs, one transform per derivative, kept here in plain numpy as
 # the oracle for the half-spectrum theta_rhs and imex_step.  It takes the
@@ -314,18 +348,33 @@ def test_multipliers_cached_read_only_and_zeroed_at_nyquist():
         np.testing.assert_array_equal(table.rows[:, :-1], (1j * n[:-1]) ** np.array([[0], [1], [3]]))
         # the values row keeps the Nyquist mode, the derivative rows drop it
         np.testing.assert_array_equal(table.rows[:, -1], [1.0, 0.0, 0.0])
-        # n2 and n4 act on the float view: one value per real and imaginary part
-        np.testing.assert_array_equal(table.n2[:-2], np.repeat(n[:-1].astype(float) ** 2, 2))
-        np.testing.assert_array_equal(table.n2[-2:], [0.0, 0.0])
+        # gains and n4 act on the float view: one value per real and imaginary part
+        assert table.gains.shape == (2, 2 * half)
+        np.testing.assert_array_equal(table.gains[0, :-2], np.repeat(n[:-1].astype(float) ** 2, 2))
+        np.testing.assert_array_equal(table.gains[0, -2:], [0.0, 0.0])
+        np.testing.assert_array_equal(table.gains[1, :-2], 0.0)
+        np.testing.assert_array_equal(table.gains[1, -2:], [(nx // 2) ** 4] * 2)
         assert table.inv_in[0] == 0.0 and table.inv_in[-1] == 0.0
         np.testing.assert_array_equal(table.inv_in[1:-1], 1.0 / (1j * n[1:-1]))
         np.testing.assert_array_equal(table.n4, np.repeat(n.astype(float) ** 4, 2))
-        assert type(table.nyquist_n4) is float and table.nyquist_n4 == (nx // 2) ** 4
-        for array in (table.rows, table.n2, table.inv_in, table.n4):
+        for array in (table.rows, table.gains, table.inv_in, table.n4):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
     assert _multipliers(64) is not _multipliers(256)
+
+
+@pytest.mark.parametrize("nx", [64, 256])
+def test_gains_give_the_explicit_gain_exactly(rng, nx):
+    # one of the two products in (a, q) @ gains is always zero, so the
+    # contraction equals a*n^2 with q*n^4 set at Nyquist, bit for bit
+    gains = _multipliers(nx).gains
+    n2 = np.repeat(np.arange(nx // 2 + 1, dtype=float) ** 2, 2)
+    n2[-2:] = 0.0
+    for a, q in [*rng.normal(size=(5, 2)) * [[30.0, 4.0]], (-0.25, 4.0 / 1.3**4)]:
+        old = a * n2
+        old[-2:] = q * float((nx // 2) ** 4)
+        np.testing.assert_array_equal(np.dot((a, q), gains), old)
 
 
 @pytest.mark.parametrize("nx", [64, 256])
@@ -467,6 +516,23 @@ def test_observer_sees_the_chained_states(rng):
     assert out is seen[-1]
 
 
+@pytest.mark.parametrize("nx", [64, 256])
+def test_observed_states_keep_their_arrays(rng, nx):
+    # the stepper hands out rows of its history stacks without a copy, so
+    # no later step may write into an array a state already holds
+    def arrays(state):
+        prev = state.prev
+        return [state.theta.values, state.theta.coeffs, prev.theta_hat, prev.nonstiff_hat, prev.rows]
+
+    seen = []
+    evolve(smooth_random_state(rng, nx), 17.0, 1e-5, 30,
+           observer=lambda s: seen.append((s, [x.copy() for x in arrays(s)], s.length, s.time)))
+    for state, copies, length, time in seen:
+        for x, copy in zip(arrays(state), copies):
+            np.testing.assert_array_equal(x, copy)
+        assert (state.length, state.time) == (length, time)
+
+
 def test_probe_matches_a_loop_over_imex_step():
     wave = flat_solution(17.0, nx=64)
     cfg = StabilityProbeConfig(dt=1e-3, t_max=1.0)
@@ -514,7 +580,10 @@ def test_blow_up_mid_run_stops_the_observer():
 def test_near_neutral_probe_of_linear_wave(linear_wave_small):
     # d(t) ~ 1e-8 against theta ~ 0.05, so the slope's low digits are
     # rounding: 0.20487315876089993 is the 5-FFT stepper's slope, and any
-    # reordering of the step's arithmetic may move it by up to 1e-6
+    # reordering of the step's arithmetic may move it by up to 1e-6.  The
+    # contracted step (one history stack, rows c, c_prev, N, N_prev) is
+    # 1.1e-7 from it; the row order c, N, c_prev, N_prev gave 5.0e-7 and
+    # np.divide in place of the product with the reciprocal 2.2e-6
     est = stability_probe(linear_wave_small)
     assert not est.observed
     assert len(est.times) == 10000
