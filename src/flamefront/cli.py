@@ -303,6 +303,11 @@ def _wave_from_file(path):
 
 def cmd_stability(args):
     wave = _wave_from_file(args.wave)
+    # the probe's start takes its L from theta, not from the file's "L"
+    try:
+        length_from_theta(wave.theta)
+    except DegenerateFrontError as exc:
+        raise ValueError(f"wave file {args.wave} has a theta that gives the probe no length: {exc}") from None
     cfg = evolution.StabilityProbeConfig(
         delta=args.delta, dt=args.dt, t_max=args.t_max
     )

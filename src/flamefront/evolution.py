@@ -46,12 +46,33 @@ imex_step, evolve and stability_probe all run the same loop, which
 builds an EvolutionState only for an observer and for the state it
 returns; theta_rhs uses the same maps and the same explicit half.
 
+An exactly odd state, one whose half spectrum has every real part 0.0,
+steps in odd coordinates.  Every solved wave, the flat front and every
+from_sine_coeffs profile is exactly odd, and the reflection
+sigma -> -sigma, theta -> -theta(-sigma) is a symmetry of the system, so
+an odd state stays odd and the general step spends half of each map on
+modes that stay zero.  The odd coordinates are Im c_n, n = 1..nx/2-1
+(-b_n/2 for the sine coefficients b_n); theta lives on the half grid
+j = 0..nx/2, where theta_s, theta_sss and the flux are even and V odd.
+Each map is then one dense matrix about a quarter the size of the
+general one, tabulated from the same FFT expressions (_odd_maps), up to
+a measured crossover (_ODD_MAX_NX, with its timings): at nx 256 a step
+makes no FFT call and costs about 0.6x the general one.  The data choose
+the coordinates once per run (_step_maps), and a step's history is
+never reused in the other coordinates.  States are expanded to the full
+half spectrum, real parts exactly 0, and to the full grid,
+theta_{nx-j} = -theta_j exactly, only for an observer, for the state
+returned and for theta_rhs.  Every other state takes the general path
+bit for bit: a profile made from grid values (ThetaProfile.from_values,
+and so every wave file the CLI reads) has real parts of rounding size,
+not 0.0.
+
 On small grids numpy's per-call cost also sets the cost of the step's
 own arithmetic, so the step is written as a few contractions.  The two
 coefficients a = (alpha-1)/s_sigma^2 and q = 4/s_sigma^4 form one pair
 (a, q), contracted with (theta_s, theta_sss) for the flux and with a
 gains table for the explicit gain on c.  The SBDF2 history lives in one
-(4, nx+2) stack with rows (c, c_prev, N, N_prev), N the explicit part,
+(4, nx+2) stack ((4, nx/2-1) in odd coordinates) with rows (c, c_prev, N, N_prev), N the explicit part,
 so the Euler and the SBDF2 numerator are the same contraction w @ stack
 with w = (1, 0, dt, 0) or (4, -1, 4 dt, -2 dt), times the reciprocal of
 1 + dt*q*n^4 or 3 + 2 dt*q*n^4; the Euler step's zero weights meet
@@ -61,7 +82,8 @@ fixed by their rounding, which the near-neutral probe
 stepper's slope, this order moves it by 1.1e-7 relative, the order
 (c, N, c_prev, N_prev) by 5.0e-7 and np.divide by 2.2e-6, beyond the
 test's 1e-6.  Each step fills a fresh stack, so the arrays a state
-holds are never written again and an observed step copies nothing.
+holds are never written again and an observed step copies nothing but
+the odd coordinates' expansion.
 """
 
 from __future__ import annotations
@@ -105,9 +127,10 @@ class _StepCache(NamedTuple):
     The previous half spectrum and explicit part (float views, as the
     step keeps them), length and L_t are the history an SBDF2 step needs;
     dt is recorded so a changed step size falls back to the self-starting
-    Euler step.  rows (theta, theta_s, theta_sss on the grid) belongs to
-    the state itself: the step's last transform gave it, so the next step
-    need not transform again.  theta_hat and nonstiff_hat are rows 1 and
+    Euler step, and maps, the coordinates the arrays are in, so that a
+    state in the other coordinates starts afresh.  rows (theta, theta_s,
+    theta_sss on the step's grid) belongs to the state itself: the step's
+    last transform gave it, so the next step need not transform again.  theta_hat and nonstiff_hat are rows 1 and
     3 of the history stack of the step that made the state, which no
     later step writes, so they are kept without a copy.
     """
@@ -118,6 +141,7 @@ class _StepCache(NamedTuple):
     length_rate: float
     dt: float
     rows: np.ndarray
+    maps: _Maps
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,11 +202,13 @@ class _Multipliers:
     no Nyquist content; row 1 is n^4 at Nyquist and zero elsewhere.  So
     (a, q) @ gains is the explicit gain a*n^2 below Nyquist and q*n^4 at
     it, with no rounding: one of the two products is always zero.  rows
-    and n4 come from the (i n)^k table behind spectral.deriv.
+    and n4 come from the (i n)^k table behind spectral.deriv.  The odd
+    maps' multipliers hold gains and n4 of the odd modes only; rows and
+    inv_in are None, as no FFT expression runs in odd coordinates.
     """
 
-    rows: np.ndarray
-    inv_in: np.ndarray
+    rows: np.ndarray | None
+    inv_in: np.ndarray | None
     gains: np.ndarray
     n4: np.ndarray
 
@@ -226,7 +252,7 @@ _DENSE_MAX_NX = {"velocity": 256, "spectrum": 224, "rows": 128}
 
 @dataclass(frozen=True, eq=False)
 class _Maps:
-    """The three linear maps of one step on one grid.
+    """The three linear maps of one step on one grid, in one set of coordinates.
 
     (1) to_velocity: g = -flux/s_sigma on the grid to -(V - V(0))/s_sigma
         on the grid and the mean of g, which gives L_t;
@@ -242,12 +268,19 @@ class _Maps:
     at 0.1-0.3 us less per call:
     velocity is (nx+1, nx), spectrum (nx+2, nx), rows (3*nx, nx+2).  On
     larger grids the matrix is None and the FFTs run.
+
+    The odd maps of _odd_maps (odd true) are the same three maps restricted
+    to exactly odd states: c holds Im c_n, n = 1..nx/2-1, and grid values
+    live on the half grid j = 0..nx/2.  They are always dense: velocity is
+    (nx/2+2, nx/2+1), spectrum (nx/2-1, nx/2+1), rows (3*(nx/2+1), nx/2-1),
+    and mult holds only gains and n4, restricted to those modes.
     """
 
     mult: _Multipliers
     velocity: np.ndarray | None = None
     spectrum: np.ndarray | None = None
     rows: np.ndarray | None = None
+    odd: bool = False
 
     def to_velocity(self, g):
         if self.velocity is not None:
@@ -270,6 +303,33 @@ class _Maps:
         c = c.view(complex)[..., None, :]
         return np.fft.irfft(self.mult.rows * c, n=2 * (c.shape[-1] - 1), norm="forward")
 
+    def coordinates(self, coeffs):
+        """A half spectrum as the vector these maps step: a view in general
+        coordinates, a copy in odd ones."""
+        if self.odd:
+            return np.array(coeffs.imag[1:-1])
+        return _float_view(coeffs)
+
+    def full_grid(self, values):
+        """Grid values in these coordinates on the full grid: odd ones are
+        extended by theta_{nx-j} = -theta_j, exactly."""
+        if not self.odd:
+            return values
+        return np.concatenate((values, -values[-2:0:-1]))
+
+    def profile(self, c, values):
+        """The ThetaProfile of c and its grid values, both in these coordinates.
+
+        In odd coordinates the half spectrum gets real parts exactly 0;
+        otherwise the arrays are wrapped as they are.
+        """
+        if not self.odd:
+            return spectral.ThetaProfile(values.size, values, c.view(complex))
+        coeffs = np.zeros(c.size + 2, dtype=complex)
+        coeffs.imag[1:-1] = c
+        values = self.full_grid(values)
+        return spectral.ThetaProfile(values.size, values, coeffs)
+
 
 @functools.cache
 def _maps(nx):
@@ -291,6 +351,90 @@ def _maps(nx):
             dense[name] = matrix = np.ascontiguousarray(image().T)
             matrix.setflags(write=False)
     return _Maps(fft.mult, **dense)
+
+
+# Largest grid on which an exactly odd state steps in odd coordinates;
+# above it, it takes the general path.  The odd maps are dense, so their
+# arithmetic grows like nx^2 against the general path's FFTs.  One step of
+# an exactly odd state at alpha 17, dt 1e-5, in us: the fastest of 21 runs
+# of 1000 steps, one BLAS thread, 2-core Xeon VM, median of three such
+# measurements, general path / odd path:
+#
+#     nx     step
+#     64     21.9 / 16.2
+#     128    26.9 / 18.6
+#     256    65.6 / 38.5
+#     320    70.0 / 52.0
+#     384    63.9 / 69.7
+#     416    67.5 / 81.0
+#     512    69.1 / 121.3
+#
+# Single measurements move by up to 1.5x on this VM; the odd path won at
+# 320 in all of them and lost at 384 in two of three.
+_ODD_MAX_NX = 320
+
+
+@functools.cache
+def _odd_maps(nx):
+    """The step's three maps on an nx grid in odd coordinates, all dense.
+
+    Tabulated from the FFT expressions of the general maps, applied to the
+    odd unit vectors expanded to the full grid or spectrum, with the image
+    restricted to the half grid or to Im c_n, n = 1..nx/2-1.  Expanded to
+    the full grid, a half-grid unit vector e_j is 1 at j and nx - j for an
+    even input (g, whose columns j and nx - j are thereby summed) and 1 at
+    j, -1 at nx - j for an odd one (V theta_s, differenced; columns 0 and
+    nx/2 vanish).  theta is odd, so its rows at j = 0 and nx/2 are set to
+    the exact 0.  Each image is built and reduced before the next one, so
+    at nx 256 the build's temporaries peak at 2.0 MiB (tracemalloc), as
+    those of the general velocity map, which an odd probe no longer
+    builds, do.
+    """
+    half = nx // 2
+    fft = _Maps(_multipliers(nx))
+    # the imaginary parts of modes 1..nx/2-1 in the float view
+    odd_modes = slice(3, 2 * half, 2)
+    j = np.arange(1, half)
+
+    def on_full_grid(sign):
+        units = np.eye(half + 1, nx)
+        units[j, nx - j] = sign
+        return units
+
+    def velocity():
+        neg_v, mean = fft.to_velocity(on_full_grid(1.0))
+        return np.column_stack((neg_v[:, : half + 1], mean))
+
+    def spectrum():
+        units = on_full_grid(-1.0)
+        units[[0, half], [0, half]] = 0.0
+        return fft.to_spectrum(units)[:, odd_modes]
+
+    def rows():
+        units = np.zeros((half - 1, nx + 2))
+        units[j - 1, 2 * j + 1] = 1.0
+        image = fft.to_rows(units)[..., : half + 1]
+        image[:, 0, [0, half]] = 0.0
+        return image.reshape(half - 1, 3 * (half + 1))
+
+    images = {"velocity": velocity, "spectrum": spectrum, "rows": rows}
+    tables = {name: np.ascontiguousarray(image().T) for name, image in images.items()}
+    gains, n4 = (np.ascontiguousarray(table[..., odd_modes]) for table in (fft.mult.gains, fft.mult.n4))
+    for table in (gains, n4, *tables.values()):
+        table.setflags(write=False)
+    return _Maps(_Multipliers(None, None, gains, n4), **tables, odd=True)
+
+
+def _step_maps(theta):
+    """The maps a profile steps with: odd ones for an exactly odd theta.
+
+    A profile is exactly odd when every real part of its half spectrum is
+    0.0; the imaginary parts of modes 0 and nx/2 are invisible on the grid
+    and the odd coordinates drop them.
+    """
+    if theta.nx <= _ODD_MAX_NX and not theta.coeffs.real.any():
+        return _odd_maps(theta.nx)
+    return _maps(theta.nx)
 
 
 def _explicit(c, rows, length, alpha, maps, out=None):
@@ -329,17 +473,18 @@ def _float_view(coeffs):
 
 def theta_rhs(state, alpha):
     """Right-hand sides (theta_t values, L_t) of the evolution system."""
-    maps = _maps(state.theta.nx)
-    c = _float_view(state.theta.coeffs)
+    maps = _step_maps(state.theta)
+    c = maps.coordinates(state.theta.coeffs)
     nonstiff, length_rate, q = _explicit(c, maps.to_rows(c), state.length, alpha, maps)
-    return maps.to_rows(nonstiff - q * maps.mult.n4 * c)[0], length_rate
+    return maps.full_grid(maps.to_rows(nonstiff - q * maps.mult.n4 * c)[0]), length_rate
 
 
-def _state(nx, stack, rows, length, time, *cache):
+def _state(maps, stack, rows, length, time, *cache):
     # positional arguments: an observed step builds three of these objects;
-    # they hold rows of a stack that no later step writes, so nothing is copied
-    theta = spectral.ThetaProfile(nx, rows[0], stack[0].view(complex))
-    return EvolutionState(theta, length, time, _StepCache(stack[1], stack[3], *cache, rows))
+    # in general coordinates they hold rows of a stack that no later step
+    # writes, so nothing is copied
+    theta = maps.profile(stack[0], rows[0])
+    return EvolutionState(theta, length, time, _StepCache(stack[1], stack[3], *cache, rows, maps))
 
 
 def _check_blowup(values, time):
@@ -357,7 +502,9 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
 
     Takes n_steps steps, or fewer if until(values, time) returns True
     after one, calls observer(state) after each, and returns the state
-    after the last step taken.  The half spectrum, L, t and the SBDF2
+    after the last step taken.  The state's data pick the maps, odd or
+    general, once (_step_maps); until sees grid values in their
+    coordinates, on the half grid for the odd maps.  The half spectrum, L, t and the SBDF2
     history live in locals; states are built only for the observer and
     for the return value.  A starting state already past the blow-up
     threshold is refused at its own time, before any step.
@@ -371,8 +518,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     _check_blowup(state.theta.values, state.time)
-    nx = state.theta.nx
-    maps = _maps(nx)
+    maps = _step_maps(state.theta)
     n4 = maps.mult.n4
     # Python floats and float views throughout: no numpy scalar arithmetic
     # and no real-to-complex promotion in the loop
@@ -380,8 +526,11 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     length = float(state.length)
     time = state.time
     prev = state.prev
-    stack = np.zeros((4, nx + 2))
-    stack[0] = _float_view(state.theta.coeffs)
+    if prev is not None and prev.maps is not maps:
+        # history in the other coordinates: start afresh
+        prev = None
+    stack = np.zeros((4, n4.size))
+    stack[0] = maps.coordinates(state.theta.coeffs)
     rows = maps.to_rows(stack[0]) if prev is None else prev.rows
     # SBDF2 needs the previous step at the same dt; otherwise IMEX Euler
     prev_length = prev_rate = None
@@ -414,12 +563,12 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
         stack, length, prev_length, prev_rate = new, new_length, length, length_rate
         out = None
         if observer is not None:
-            out = _state(nx, stack, rows, length, time, prev_length, prev_rate, dt)
+            out = _state(maps, stack, rows, length, time, prev_length, prev_rate, dt)
             observer(out)
         if until is not None and until(values, time):
             break
     if out is None:
-        out = _state(nx, stack, rows, length, time, prev_length, prev_rate, dt)
+        out = _state(maps, stack, rows, length, time, prev_length, prev_rate, dt)
     return out
 
 
@@ -448,12 +597,35 @@ def _fit_loglinear(times, norms):
     return float(slope), float(intercept)
 
 
+def _probe_start(wave, delta):
+    """The probe's starting state, the wave plus delta*(sin sigma + sin 2*sigma).
+
+    An exactly odd wave that steps in odd coordinates gets it added to its
+    half spectrum, -i*delta/2 at n = 1 and 2, so the start is exactly odd
+    and its grid values are those of the odd step.  Any other wave, such as
+    one read from a wave file's grid values, gets it added to its grid
+    values, which the general step then takes bit for bit.
+    """
+    maps = _step_maps(wave.theta)
+    if maps.odd:
+        c = maps.coordinates(wave.theta.coeffs)
+        c[:2] -= 0.5 * delta
+        theta = maps.profile(c, maps.to_rows(c)[0])
+    else:
+        sigma = spectral.grid(wave.theta.nx)
+        theta = spectral.ThetaProfile.from_values(wave.theta.values + delta * (np.sin(sigma) + np.sin(2.0 * sigma)))
+    # refused before its length, which a blown-up theta may not have
+    _check_blowup(theta.values, 0.0)
+    return EvolutionState.from_theta(theta)
+
+
 def stability_probe(wave, cfg=None):
     """Estimate the leading growth rate around a traveling wave.
 
-    Perturbs theta by delta*(sin sigma + sin 2*sigma), evolves with the
-    linear closure at the wave's alpha, and records
-    d(t) = max|theta(t) - theta(0)|.  The rate is the least-squares slope
+    Perturbs theta by delta*(sin sigma + sin 2*sigma) (_probe_start),
+    evolves with the linear closure at the wave's alpha, and records
+    d(t) = max|theta(t) - theta(0)|, on the half grid for an exactly odd
+    start, which has the same max.  The rate is the least-squares slope
     of log d over the window that starts one decade above delta and ends
     where d has grown by two more decades; integration stops as soon as
     that window completes, well before the perturbed front leaves the
@@ -467,11 +639,11 @@ def stability_probe(wave, cfg=None):
         raise UnsupportedModelError(
             f"time evolution is implemented for the linear closure only, got {wave.kind!r}"
         )
-    nx = wave.theta.nx
-    sigma = spectral.grid(nx)
-    theta0 = wave.theta.values + cfg.delta * (np.sin(sigma) + np.sin(2.0 * sigma))
-    state = EvolutionState.from_theta(spectral.ThetaProfile.from_values(theta0))
-    reference = state.theta.values.copy()
+    state = _probe_start(wave, cfg.delta)
+    reference = state.theta.values
+    if _step_maps(state.theta).odd:
+        # the odd step keeps theta on the half grid, which has the same max
+        reference = reference[: wave.theta.nx // 2 + 1]
 
     factor = 10.0**_GROWTH_WINDOW_DECADES
     n_steps = int(round(cfg.t_max / cfg.dt))

@@ -486,13 +486,16 @@ def test_branch_rejects_unresolved_k0(tmp_path, capsys, k0, nx):
         (["stability"], json.dumps(FLAT_WAVE)[:40], 2, "wave file {wave} cannot be read: "),
         (["stability"], json.dumps({**FLAT_WAVE, "theta": [1.6] * 64}), 2,
          "wave file {wave} has no 'L' entry, and its theta gives no length: integral of cos(theta)"),
+        (["stability"], json.dumps({**FLAT_WAVE, "L": 7.0, "theta": [1.6] * 64}), 2,
+         "wave file {wave} has a theta that gives the probe no length: integral of cos(theta)"),
         (["bifurcate", "--model", "nonlinear", "--k0", str(10**39)], None, 2,
          f"k0={10**39} is too large to certify"),
         (["bifurcate", "--model", "nonlinear", "--k0", str(10**160)], None, 2,
          f"k0={10**160} is too large to certify"),
     ],
     ids=["h-step-above-eps-cap", "nonlinear-h-step-above-cap", "branch-start-error", "negative-length",
-         "zero-length-with-residual", "truncated-wave-file", "no-length-from-theta", "k0-1e39", "k0-1e160"],
+         "zero-length-with-residual", "truncated-wave-file", "no-length-from-theta",
+         "stated-length-but-no-length-from-theta", "k0-1e39", "k0-1e160"],
 )
 def test_failed_command_creates_no_output_directory(tmp_path, capsys, argv, wave, code, message):
     path = tmp_path / "wave.json"

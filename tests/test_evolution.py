@@ -8,11 +8,15 @@ from flamefront.bifurcation import asymptotic_guess
 from flamefront.errors import BlowUpError, UnsupportedModelError
 from flamefront.evolution import (
     _DENSE_MAX_NX,
+    _ODD_MAX_NX,
     EvolutionState,
     StabilityProbeConfig,
     _Maps,
     _maps,
     _multipliers,
+    _odd_maps,
+    _probe_start,
+    _step_maps,
     evolve,
     imex_step,
     stability_probe,
@@ -20,7 +24,7 @@ from flamefront.evolution import (
 )
 from flamefront.model import ModelKind, WaveParams, dispersion_linear
 from flamefront.solver import flat_solution, quasi_newton_solve
-from flamefront.spectral import ThetaProfile, grid, resample, sine_coeffs
+from flamefront.spectral import ThetaProfile, from_sine_coeffs, grid, resample, sine_coeffs
 
 
 def single_mode_state(eps, k, nx=64):
@@ -391,23 +395,20 @@ def test_rhs_matches_complex_fft_oracle_on_random_states(rng, nx):
 
 
 def test_rhs_matches_complex_fft_oracle_on_wave(linear_wave_h03):
+    # a solved wave is exactly odd, so this is the odd path
     sol = linear_wave_h03
+    assert _step_maps(sol.theta).odd
     state = EvolutionState(theta=sol.theta, length=sol.length)
     rhs, length_rate = theta_rhs(state, sol.alpha)
     ref, ref_rate = oracle_rhs(full_spectrum(sol.theta.coeffs), sol.length, sol.alpha)
     assert np.max(np.abs(rhs - ref)) <= 1e-10
     assert abs(length_rate - ref_rate) <= 1e-10
+    half = sol.theta.nx // 2
+    np.testing.assert_array_equal(rhs[half + 1 :], -rhs[half - 1 : 0 : -1])
 
 
-@pytest.mark.parametrize("nx", [64, 256, 512])
-def test_chained_steps_match_complex_fft_oracle(linear_wave_h03, nx):
-    # Euler start, SBDF2, then a dt change that restarts with Euler; nx 64
-    # steps with three dense maps, nx 256 with a dense velocity map and
-    # FFTs for the other two, nx 512 with FFTs only
-    sol = linear_wave_h03
-    sigma = grid(nx)
-    theta0 = resample(sol.theta, nx).values + 1e-3 * (np.sin(sigma) + np.sin(2.0 * sigma))
-    state = EvolutionState.from_theta(ThetaProfile.from_values(theta0))
+def _chained_oracle_check(state):
+    # Euler start, SBDF2, then a dt change that restarts with Euler
     coeffs, length, prev = full_spectrum(state.theta.coeffs), state.length, None
     alpha = 17.0
     for i in range(300):
@@ -421,6 +422,29 @@ def test_chained_steps_match_complex_fft_oracle(linear_wave_h03, nx):
     half = np.fft.rfft(state.theta.values, norm="forward")
     np.testing.assert_allclose(state.theta.coeffs, half, rtol=0, atol=1e-15)
     assert state.time == pytest.approx(150 * 1e-4 + 150 * 5e-5, rel=1e-12)
+
+
+@pytest.mark.parametrize("nx", [64, 256, 320, 384, 512])
+def test_chained_steps_match_complex_fft_oracle(linear_wave_h03, nx):
+    # an exactly odd start: up to _ODD_MAX_NX = 320 it steps in odd
+    # coordinates, above it on the general path (FFTs only at 384 and 512)
+    coeffs = resample(linear_wave_h03.theta, nx).coeffs.copy()
+    coeffs[1:3] -= 0.5e-3j
+    state = EvolutionState.from_theta(ThetaProfile.from_coeffs(coeffs))
+    assert _step_maps(state.theta).odd == (nx <= _ODD_MAX_NX)
+    _chained_oracle_check(state)
+
+
+@pytest.mark.parametrize("nx", [64, 256, 512])
+def test_chained_steps_of_a_general_state_match_complex_fft_oracle(linear_wave_h03, nx):
+    # a start from grid values is not exactly odd: nx 64 steps with three
+    # dense maps, nx 256 with a dense velocity map and FFTs for the other
+    # two, nx 512 with FFTs only
+    sigma = grid(nx)
+    theta0 = resample(linear_wave_h03.theta, nx).values + 1e-3 * (np.sin(sigma) + np.sin(2.0 * sigma))
+    state = EvolutionState.from_theta(ThetaProfile.from_values(theta0))
+    assert not _step_maps(state.theta).odd
+    _chained_oracle_check(state)
 
 
 def assert_close(x, ref, rtol):
@@ -463,6 +487,67 @@ def test_each_map_is_dense_up_to_its_crossover(name, largest):
     maps = _maps(largest + 2)
     assert _maps(largest + 2) is maps
     assert getattr(maps, name) is None
+
+
+def _odd_expansions(nx, rng):
+    """Random odd coordinates with their full float-view half spectrum, and
+    random even and odd half-grid values with their full-grid expansions."""
+    half = nx // 2
+    c = rng.normal(size=half - 1)
+    spectrum = np.zeros(nx + 2)
+    spectrum[3 : 2 * half : 2] = c
+    even = rng.normal(size=half + 1)
+    odd = rng.normal(size=half + 1)
+    odd[[0, half]] = 0.0
+    return (
+        (c, spectrum),
+        (even, np.concatenate((even, even[half - 1 : 0 : -1]))),
+        (odd, np.concatenate((odd, -odd[half - 1 : 0 : -1]))),
+    )
+
+
+@pytest.mark.parametrize("nx", [64, 128, 256])
+def test_odd_maps_match_their_fft_expressions(rng, nx):
+    # each odd table is the general FFT expression applied to the expanded
+    # odd vector, restricted to the half grid or to Im c_n, n = 1..nx/2-1
+    odd = _odd_maps(nx)
+    assert _odd_maps(nx) is odd and odd.odd
+    half = nx // 2
+    shapes = {"velocity": (half + 2, half + 1), "spectrum": (half - 1, half + 1), "rows": (3 * (half + 1), half - 1)}
+    for name, shape in shapes.items():
+        matrix = getattr(odd, name)
+        assert matrix.shape == shape and matrix.dtype == float
+        assert not matrix.flags.writeable
+    full = _multipliers(nx)
+    np.testing.assert_array_equal(odd.mult.gains, full.gains[:, 3 : 2 * half : 2])
+    np.testing.assert_array_equal(odd.mult.n4, full.n4[3 : 2 * half : 2])
+    for table in (odd.mult.gains, odd.mult.n4):
+        assert not table.flags.writeable
+    fft = _Maps(full)
+    for _ in range(3):
+        (c, spectrum), (g, g_full), (v, v_full) = _odd_expansions(nx, rng)
+        rows = odd.to_rows(c)
+        assert rows.shape == (3, half + 1)
+        assert_close(rows, fft.to_rows(spectrum)[:, : half + 1], 1e-13)
+        # theta is odd: exactly 0 at sigma = 0 and pi
+        np.testing.assert_array_equal(rows[0, [0, half]], 0.0)
+        neg_v, mean = fft.to_velocity(g_full)
+        assert_close(np.append(*odd.to_velocity(g)), np.append(neg_v[: half + 1], mean), 1e-13)
+        assert_close(odd.to_spectrum(v), fft.to_spectrum(v_full)[3 : 2 * half : 2], 1e-13)
+
+
+@pytest.mark.parametrize("nx", [8, 64, 256, _ODD_MAX_NX])
+def test_exactly_odd_states_step_on_the_odd_maps_up_to_the_crossover(nx):
+    b = np.zeros(nx // 2 - 1)
+    b[0] = 1e-3
+    p = from_sine_coeffs(b, nx)
+    assert _step_maps(p) is _odd_maps(nx)
+    # one real part that is not 0.0 makes the state general
+    coeffs = p.coeffs.copy()
+    coeffs[nx // 2] = 1e-300
+    assert _step_maps(ThetaProfile.from_coeffs(coeffs)) is _maps(nx)
+    above = _ODD_MAX_NX + 2
+    assert _step_maps(from_sine_coeffs(np.zeros(above // 2 - 1), above)) is _maps(above)
 
 
 # imex_step, evolve and stability_probe share one stepping loop; these
@@ -533,14 +618,65 @@ def test_observed_states_keep_their_arrays(rng, nx):
         assert (state.length, state.time) == (length, time)
 
 
+def assert_exactly_odd(state):
+    half = state.theta.nx // 2
+    values = state.theta.values
+    assert not state.theta.coeffs.real.any()
+    np.testing.assert_array_equal(state.theta.coeffs.imag[[0, half]], 0.0)
+    np.testing.assert_array_equal(values[[0, half]], 0.0)
+    np.testing.assert_array_equal(values[half + 1 :], -values[half - 1 : 0 : -1])
+
+
+def odd_random_state(rng, nx):
+    """Random sine content in modes 1..4 only, built spectrally, so the
+    state is exactly odd."""
+    b = np.zeros(nx // 2 - 1)
+    b[:4] = 0.01 * rng.normal(size=4)
+    return EvolutionState.from_theta(from_sine_coeffs(b, nx))
+
+
+@pytest.mark.parametrize("nx", [64, 256])
+def test_odd_run_keeps_every_state_exactly_odd(rng, nx):
+    state = odd_random_state(rng, nx)
+    assert _step_maps(state.theta).odd
+    seen = []
+    out = evolve(state, 17.0, 1e-5, 30, observer=lambda s: seen.append((s, s.theta.values.copy(), s.prev.rows.copy())))
+    assert out is seen[-1][0]
+    steps = chained(state, 17.0, 1e-5, 30)
+    for (observed, values, rows), step in zip(seen, steps):
+        assert_exactly_odd(observed)
+        assert_exactly_odd(step)
+        assert_same_state(observed, step)
+        # no later step wrote into what the state holds
+        np.testing.assert_array_equal(observed.theta.values, values)
+        np.testing.assert_array_equal(observed.prev.rows, rows)
+    assert_exactly_odd(imex_step(state, 17.0, 1e-5))
+    rhs, _ = theta_rhs(out, 17.0)
+    np.testing.assert_array_equal(rhs[nx // 2 + 1 :], -rhs[nx // 2 - 1 : 0 : -1])
+
+
+def test_history_in_the_other_coordinates_is_not_reused(rng):
+    # a general profile carrying an odd step's history, and an odd one
+    # carrying a general step's, each step as from a fresh start
+    odd = evolve(odd_random_state(rng, 64), 17.0, 1e-5, 3)
+    general = evolve(smooth_random_state(rng, 64), 17.0, 1e-5, 3)
+    for theta, prev in ((general.theta, odd.prev), (odd.theta, general.prev)):
+        fresh = EvolutionState(theta, odd.length, odd.time)
+        cached = EvolutionState(theta, odd.length, odd.time, prev)
+        assert_same_state(imex_step(cached, 17.0, 1e-5), imex_step(fresh, 17.0, 1e-5))
+        assert_same_state(evolve(cached, 17.0, 1e-5, 5), evolve(fresh, 17.0, 1e-5, 5))
+
+
 def test_probe_matches_a_loop_over_imex_step():
     wave = flat_solution(17.0, nx=64)
     cfg = StabilityProbeConfig(dt=1e-3, t_max=1.0)
     est = stability_probe(wave, cfg)
 
-    sigma = grid(64)
-    theta0 = wave.theta.values + cfg.delta * (np.sin(sigma) + np.sin(2.0 * sigma))
-    state = EvolutionState.from_theta(ThetaProfile.from_values(theta0))
+    # the flat front is exactly odd, so the start is built spectrally
+    state = _probe_start(wave, cfg.delta)
+    assert_exactly_odd(state)
+    assert not wave.theta.coeffs.any()
+    theta0 = state.theta.values
     times, norms = [], []
     start = end = None
     for i in range(1000):
