@@ -267,7 +267,10 @@ def _wave_from_file(path):
     for key in ("alpha", "theta"):
         if key not in data:
             raise ValueError(f"wave file {path} has no {key!r} entry")
-    kind = ModelKind(data.get("model", "linear"))
+    model = data.get("model", "linear")
+    if model not in ("linear", "nonlinear"):
+        raise ValueError(f"wave file {path} has a 'model' entry that is not 'linear' or 'nonlinear': {model!r}")
+    kind = ModelKind(model)
     values = _theta_entry(path, data)
     # refused before the residual or a step can overflow on it
     evolution._check_blowup(values, 0.0)

@@ -25,12 +25,11 @@ and theta_sss, which give the blow-up check and the next step.  As FFTs
 they are an rfft and an irfft of the antiderivative for (1), an rfft for
 (2) and one batched irfft of c times 1, (i n) and (i n)^3 for (3).  On
 small grids a numpy FFT call costs several times its arithmetic, so per
-call overhead, not flops, sets the step's cost: each map is a dense real
-matrix up to its own crossover (_DENSE_MAX_NX, with the timings that set
-it), tabulated once per nx from its FFT expression and applied with one
-np.dot.  The velocity map (1) is dense through nx = 256, the spectrum
-map (2) through 224 and the rows map (3) through 128, so a step makes no
-FFT call at nx 64 and two at nx 256.
+call overhead, not flops, sets the step's cost: up to a crossover
+(_DENSE_MAX_NX = 128, with the reason for it) all three maps are dense
+real matrices, tabulated once per nx from their FFT expressions and each
+applied with one np.dot, so a step makes no FFT call at nx 64 and four
+at nx 256.
 
 The step's own arithmetic runs on the float view of the half spectrum,
 real and imaginary parts interleaved, with the n^2 and n^4 multipliers
@@ -63,9 +62,12 @@ never reused in the other coordinates.  States are expanded to the full
 half spectrum, real parts exactly 0, and to the full grid,
 theta_{nx-j} = -theta_j exactly, only for an observer, for the state
 returned and for theta_rhs.  Every other state takes the general path
-bit for bit: a profile made from grid values (ThetaProfile.from_values,
-and so every wave file the CLI reads) has real parts of rounding size,
-not 0.0.
+bit for bit; a profile made from grid values (ThetaProfile.from_values)
+has real parts of rounding size, not 0.0.  A stability probe starts from
+the wave's sine content (_probe_start), so every probe, of a wave read
+from a file's grid values too, steps in odd coordinates up to
+_ODD_MAX_NX, and the general step serves the other states that imex_step,
+evolve and theta_rhs are given.
 
 On small grids numpy's per-call cost also sets the cost of the step's
 own arithmetic, so the step is written as a few contractions.  The two
@@ -128,11 +130,12 @@ class _StepCache(NamedTuple):
     step keeps them), length and L_t are the history an SBDF2 step needs;
     dt is recorded so a changed step size falls back to the self-starting
     Euler step, and maps, the coordinates the arrays are in, so that a
-    state in the other coordinates starts afresh.  rows (theta, theta_s,
-    theta_sss on the step's grid) belongs to the state itself: the step's
-    last transform gave it, so the next step need not transform again.  theta_hat and nonstiff_hat are rows 1 and
-    3 of the history stack of the step that made the state, which no
-    later step writes, so they are kept without a copy.
+    state in the other coordinates starts afresh.  Nothing of the state
+    itself is kept: a state whose theta is replaced (dataclasses.replace)
+    keeps this history, and the next step takes its explicit part from the
+    new theta.  theta_hat and nonstiff_hat are rows 1 and 3 of the history
+    stack of the step that made the state, which no later step writes, so
+    they are kept without a copy.
     """
 
     theta_hat: np.ndarray
@@ -140,7 +143,6 @@ class _StepCache(NamedTuple):
     length: float
     length_rate: float
     dt: float
-    rows: np.ndarray
     maps: _Maps
 
 
@@ -229,25 +231,15 @@ def _multipliers(nx):
     return _Multipliers(rows, inv_in, gains, n4)
 
 
-# Largest grid on which each map of a step is a dense matrix.  On small
-# grids a numpy FFT call costs several times its arithmetic, so one matmul
-# wins; the matmul's nx^2 arithmetic overtakes the FFTs at a size that
-# differs per map.  Fastest of 21 runs of 1000 calls in us, one BLAS
-# thread, 2-core Xeon VM, FFT expression / dense matrix:
-#
-#     nx     velocity       spectrum       rows
-#     128    14.3 /  3.6     7.2 /  3.4     9.1 /   7.1
-#     144    13.7 /  3.2     6.9 /  3.2     9.4 /   9.0
-#     160    14.0 /  4.9     6.5 /  3.5     8.2 /  10.0
-#     224    14.4 /  8.2    13.1 /  5.7    10.7 /  21.1
-#     256    17.9 /  7.3    10.2 /  9.5    13.3 /  37.6
-#     384    16.9 / 22.6     7.7 / 21.1    12.1 / 149.3
-#     512    28.6 / 78.1    14.6 / 74.1    21.0 / 305.0
-#
-# Timings on this VM move by up to 2x between runs; across five runs the
-# spectrum map tied at 256 and the rows map at 144, and the dense velocity
-# map won at 256 and lost or tied at 384.
-_DENSE_MAX_NX = {"velocity": 256, "spectrum": 224, "rows": 128}
+# Largest grid on which the general step's three maps are dense matrices.
+# On small grids a numpy FFT call costs several times its arithmetic, so
+# one matmul wins until its nx^2 arithmetic overtakes the FFTs.  128 is the
+# largest nx at which each of the three dense maps won in every one of five
+# runs: per call, FFT expression against dense matrix, velocity 14.3 / 3.6
+# us, spectrum 7.2 / 3.4 us and rows 9.1 / 7.1 us (fastest of 21 runs of
+# 1000 calls, one BLAS thread, 2-core Xeon VM).  The rows map tied at 144
+# and lost from 160 on.
+_DENSE_MAX_NX = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,12 +254,11 @@ class _Maps:
         theta_sss.
 
     Each map is defined by its FFT expression below, which acts along the
-    last axis.  On grids up to the map's _DENSE_MAX_NX, _maps tabulates it
-    once as a read-only real matrix and applies it with one np.dot, which
-    gives the bits of @ (checked at nx 64 and 128, and 256 for velocity)
-    at 0.1-0.3 us less per call:
-    velocity is (nx+1, nx), spectrum (nx+2, nx), rows (3*nx, nx+2).  On
-    larger grids the matrix is None and the FFTs run.
+    last axis.  On grids up to _DENSE_MAX_NX, _maps tabulates all three
+    once as read-only real matrices and applies each with one np.dot,
+    which gives the bits of @ (checked at nx 64 and 128) at 0.1-0.3 us less
+    per call: velocity is (nx+1, nx), spectrum (nx+2, nx), rows
+    (3*nx, nx+2).  On larger grids the matrices are None and the FFTs run.
 
     The odd maps of _odd_maps (odd true) are the same three maps restricted
     to exactly odd states: c holds Im c_n, n = 1..nx/2-1, and grid values
@@ -333,24 +324,24 @@ class _Maps:
 
 @functools.cache
 def _maps(nx):
-    """The step's three maps on an nx grid, each dense up to its crossover.
+    """The step's three maps on an nx grid: all dense up to _DENSE_MAX_NX.
 
     A dense map is tabulated by applying its FFT expression to the
     identity in one batched call: row j of the image is the map of the
     j-th unit vector, so the matrix is the image's transpose.
     """
     fft = _Maps(_multipliers(nx))
-    images = {
-        "velocity": lambda: np.column_stack(fft.to_velocity(np.eye(nx))),
-        "spectrum": lambda: fft.to_spectrum(np.eye(nx)),
-        "rows": lambda: fft.to_rows(np.eye(nx + 2)).reshape(nx + 2, 3 * nx),
-    }
-    dense = {}
-    for name, image in images.items():
-        if nx <= _DENSE_MAX_NX[name]:
-            dense[name] = matrix = np.ascontiguousarray(image().T)
-            matrix.setflags(write=False)
-    return _Maps(fft.mult, **dense)
+    if nx > _DENSE_MAX_NX:
+        return fft
+    images = (
+        np.column_stack(fft.to_velocity(np.eye(nx))),
+        fft.to_spectrum(np.eye(nx)),
+        fft.to_rows(np.eye(nx + 2)).reshape(nx + 2, 3 * nx),
+    )
+    tables = [np.ascontiguousarray(image.T) for image in images]
+    for table in tables:
+        table.setflags(write=False)
+    return _Maps(fft.mult, *tables)
 
 
 # Largest grid on which an exactly odd state steps in odd coordinates;
@@ -386,9 +377,7 @@ def _odd_maps(nx):
     j, -1 at nx - j for an odd one (V theta_s, differenced; columns 0 and
     nx/2 vanish).  theta is odd, so its rows at j = 0 and nx/2 are set to
     the exact 0.  Each image is built and reduced before the next one, so
-    at nx 256 the build's temporaries peak at 2.0 MiB (tracemalloc), as
-    those of the general velocity map, which an odd probe no longer
-    builds, do.
+    at nx 256 the build's temporaries peak at 2.0 MiB (tracemalloc).
     """
     half = nx // 2
     fft = _Maps(_multipliers(nx))
@@ -425,16 +414,17 @@ def _odd_maps(nx):
     return _Maps(_Multipliers(None, None, gains, n4), **tables, odd=True)
 
 
-def _step_maps(theta):
-    """The maps a profile steps with: odd ones for an exactly odd theta.
+def _step_maps(coeffs):
+    """The maps a half spectrum steps with: odd ones for an exactly odd one.
 
-    A profile is exactly odd when every real part of its half spectrum is
-    0.0; the imaginary parts of modes 0 and nx/2 are invisible on the grid
-    and the odd coordinates drop them.
+    A half spectrum is exactly odd when every real part is 0.0; the
+    imaginary parts of modes 0 and nx/2 are invisible on the grid and the
+    odd coordinates drop them.
     """
-    if theta.nx <= _ODD_MAX_NX and not theta.coeffs.real.any():
-        return _odd_maps(theta.nx)
-    return _maps(theta.nx)
+    nx = 2 * (coeffs.size - 1)
+    if nx <= _ODD_MAX_NX and not coeffs.real.any():
+        return _odd_maps(nx)
+    return _maps(nx)
 
 
 def _explicit(c, rows, length, alpha, maps, out=None):
@@ -473,18 +463,18 @@ def _float_view(coeffs):
 
 def theta_rhs(state, alpha):
     """Right-hand sides (theta_t values, L_t) of the evolution system."""
-    maps = _step_maps(state.theta)
+    maps = _step_maps(state.theta.coeffs)
     c = maps.coordinates(state.theta.coeffs)
     nonstiff, length_rate, q = _explicit(c, maps.to_rows(c), state.length, alpha, maps)
     return maps.full_grid(maps.to_rows(nonstiff - q * maps.mult.n4 * c)[0]), length_rate
 
 
-def _state(maps, stack, rows, length, time, *cache):
+def _state(maps, stack, values, length, time, *cache):
     # positional arguments: an observed step builds three of these objects;
     # in general coordinates they hold rows of a stack that no later step
     # writes, so nothing is copied
-    theta = maps.profile(stack[0], rows[0])
-    return EvolutionState(theta, length, time, _StepCache(stack[1], stack[3], *cache, rows, maps))
+    theta = maps.profile(stack[0], values)
+    return EvolutionState(theta, length, time, _StepCache(stack[1], stack[3], *cache, maps))
 
 
 def _check_blowup(values, time):
@@ -518,7 +508,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     _check_blowup(state.theta.values, state.time)
-    maps = _step_maps(state.theta)
+    maps = _step_maps(state.theta.coeffs)
     n4 = maps.mult.n4
     # Python floats and float views throughout: no numpy scalar arithmetic
     # and no real-to-complex promotion in the loop
@@ -531,7 +521,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
         prev = None
     stack = np.zeros((4, n4.size))
     stack[0] = maps.coordinates(state.theta.coeffs)
-    rows = maps.to_rows(stack[0]) if prev is None else prev.rows
+    rows = maps.to_rows(stack[0])
     # SBDF2 needs the previous step at the same dt; otherwise IMEX Euler
     prev_length = prev_rate = None
     if prev is not None and prev.dt == dt:
@@ -563,12 +553,12 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
         stack, length, prev_length, prev_rate = new, new_length, length, length_rate
         out = None
         if observer is not None:
-            out = _state(maps, stack, rows, length, time, prev_length, prev_rate, dt)
+            out = _state(maps, stack, values, length, time, prev_length, prev_rate, dt)
             observer(out)
         if until is not None and until(values, time):
             break
     if out is None:
-        out = _state(maps, stack, rows, length, time, prev_length, prev_rate, dt)
+        out = _state(maps, stack, rows[0], length, time, prev_length, prev_rate, dt)
     return out
 
 
@@ -598,34 +588,35 @@ def _fit_loglinear(times, norms):
 
 
 def _probe_start(wave, delta):
-    """The probe's starting state, the wave plus delta*(sin sigma + sin 2*sigma).
+    """The probe's start, the wave's odd part plus delta*(sin sigma + sin 2*sigma).
 
-    An exactly odd wave that steps in odd coordinates gets it added to its
-    half spectrum, -i*delta/2 at n = 1 and 2, so the start is exactly odd
-    and its grid values are those of the odd step.  Any other wave, such as
-    one read from a wave file's grid values, gets it added to its grid
-    values, which the general step then takes bit for bit.
+    The solver's waves are odd, so the probe studies the wave's odd part:
+    the imaginary parts of its half spectrum, modes 1..nx/2-1, less
+    i*delta/2 at n = 1 and 2.  The start is exactly odd, so it steps in
+    odd coordinates up to _ODD_MAX_NX, even when the wave was read from a
+    file's grid values, whose real parts are of rounding size.  Returns
+    the state and its grid values in the step's coordinates (_step_maps),
+    taken from the step's own rows map: on the half grid for the odd maps.
     """
-    maps = _step_maps(wave.theta)
-    if maps.odd:
-        c = maps.coordinates(wave.theta.coeffs)
-        c[:2] -= 0.5 * delta
-        theta = maps.profile(c, maps.to_rows(c)[0])
-    else:
-        sigma = spectral.grid(wave.theta.nx)
-        theta = spectral.ThetaProfile.from_values(wave.theta.values + delta * (np.sin(sigma) + np.sin(2.0 * sigma)))
+    coeffs = np.zeros_like(wave.theta.coeffs)
+    coeffs.imag[1:-1] = wave.theta.coeffs.imag[1:-1]
+    coeffs.imag[1:3] -= 0.5 * delta
+    maps = _step_maps(coeffs)
+    c = maps.coordinates(coeffs)
+    values = maps.to_rows(c)[0]
     # refused before its length, which a blown-up theta may not have
-    _check_blowup(theta.values, 0.0)
-    return EvolutionState.from_theta(theta)
+    _check_blowup(values, 0.0)
+    return EvolutionState.from_theta(maps.profile(c, values)), values
 
 
 def stability_probe(wave, cfg=None):
     """Estimate the leading growth rate around a traveling wave.
 
-    Perturbs theta by delta*(sin sigma + sin 2*sigma) (_probe_start),
-    evolves with the linear closure at the wave's alpha, and records
-    d(t) = max|theta(t) - theta(0)|, on the half grid for an exactly odd
-    start, which has the same max.  The rate is the least-squares slope
+    Perturbs the wave's odd part by delta*(sin sigma + sin 2*sigma)
+    (_probe_start; the solver's waves are odd), evolves with the linear
+    closure at the wave's alpha, and records d(t) = max|theta(t) - theta(0)|
+    in the step's coordinates, on the half grid for the odd maps, which
+    has the same max.  The rate is the least-squares slope
     of log d over the window that starts one decade above delta and ends
     where d has grown by two more decades; integration stops as soon as
     that window completes, well before the perturbed front leaves the
@@ -639,11 +630,7 @@ def stability_probe(wave, cfg=None):
         raise UnsupportedModelError(
             f"time evolution is implemented for the linear closure only, got {wave.kind!r}"
         )
-    state = _probe_start(wave, cfg.delta)
-    reference = state.theta.values
-    if _step_maps(state.theta).odd:
-        # the odd step keeps theta on the half grid, which has the same max
-        reference = reference[: wave.theta.nx // 2 + 1]
+    state, reference = _probe_start(wave, cfg.delta)
 
     factor = 10.0**_GROWTH_WINDOW_DECADES
     n_steps = int(round(cfg.t_max / cfg.dt))

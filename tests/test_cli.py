@@ -12,6 +12,7 @@ import pytest
 import flamefront
 from flamefront import geometry, solver
 from flamefront.cli import _to_json, _wave_from_file, _write_json, main
+from flamefront.evolution import StabilityProbeConfig, stability_probe
 from flamefront.model import ModelKind, WaveParams, length_from_theta, residual
 from flamefront.spectral import ThetaProfile, grid
 
@@ -162,6 +163,47 @@ def test_stability_observed_growth(tmp_path):
     assert fit["observed"] is True
     assert fit["slope"] == pytest.approx(80.0, abs=4.0)
     assert fit["window"][0] < fit["window"][1] <= 0.15
+
+
+@pytest.fixture(scope="module")
+def branch_wave_file(tmp_path_factory):
+    """The linear k0 = 1, h = 0.05 wave file that `flamefront branch` writes at nx 256."""
+    out = tmp_path_factory.mktemp("branch")
+    assert run_branch(out, nx=256, h_step=0.05, h_max=0.05) == 0
+    return out / "wave_0.050000.json"
+
+
+def test_probe_of_a_wave_file_matches_the_solved_wave(linear_wave_small, branch_wave_file):
+    # the file's grid values are odd only to rounding, so its half spectrum
+    # has nonzero real parts; both probes start from the sine content, and
+    # only that rounding separates them
+    wave = _wave_from_file(branch_wave_file)
+    assert wave.theta.coeffs.real.any()
+    est = stability_probe(linear_wave_small)
+    from_file = stability_probe(wave)
+    assert len(from_file.times) == len(est.times) == 10000
+    assert from_file.window == est.window
+    assert from_file.rate == pytest.approx(est.rate, rel=1e-6)
+
+
+def test_probe_of_a_wave_file_makes_no_fft_call_per_step(branch_wave_file, monkeypatch):
+    # the start is exactly odd, so the probe steps on the dense odd maps
+    wave = _wave_from_file(branch_wave_file)
+    calls = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    est = stability_probe(wave, StabilityProbeConfig(dt=1e-4, t_max=0.05))
+    assert len(est.times) == 500
+    # at most the one-off tabulation of the nx-256 odd maps
+    assert len(calls) <= 4
 
 
 @pytest.mark.parametrize("model", ["linear", "nonlinear"])
@@ -356,6 +398,10 @@ FLAT_WAVE = {"model": "linear", "alpha": 17.0, "theta": [0.0] * 64}
         ({**FLAT_WAVE, "theta": [0.0] * 63 + [None]}, "'theta' entry whose element 63 is not a JSON number: None"),
         ({**FLAT_WAVE, "theta": [[0.0]] * 64}, "'theta' entry whose element 0 is not a JSON number: [0.0]"),
         ({**FLAT_WAVE, "theta": [0.0] * 5 + [10**400] + [0.0] * 58}, "'theta' entry whose values must be finite: element 5 is 1000"),
+        ({**FLAT_WAVE, "model": "foo"}, "has a 'model' entry that is not 'linear' or 'nonlinear': 'foo'"),
+        ({**FLAT_WAVE, "model": 5}, "has a 'model' entry that is not 'linear' or 'nonlinear': 5"),
+        ({**FLAT_WAVE, "model": ["linear"]}, "has a 'model' entry that is not 'linear' or 'nonlinear': ['linear']"),
+        ({**FLAT_WAVE, "model": None}, "has a 'model' entry that is not 'linear' or 'nonlinear': None"),
     ],
     ids=[
         "not-an-object", "no-alpha", "no-theta", "odd-theta", "nan-theta",
@@ -363,7 +409,7 @@ FLAT_WAVE = {"model": "linear", "alpha": 17.0, "theta": [0.0] * 64}
         "bool-alpha", "text-alpha", "bool-alpha-text-beta", "text-length", "bool-length",
         "bool-residual", "text-residual", "huge-alpha",
         "text-theta", "number-theta", "text-bool-theta", "bool-in-theta", "null-in-theta",
-        "nested-theta", "huge-in-theta",
+        "nested-theta", "huge-in-theta", "text-model", "number-model", "list-model", "null-model",
     ],
 )
 def test_stability_rejects_malformed_wave_file(tmp_path, capsys, wave, message):
@@ -373,7 +419,7 @@ def test_stability_rejects_malformed_wave_file(tmp_path, capsys, wave, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
-    if "'theta' entry" in message:
+    if "'theta' entry" in message or "'model' entry" in message:
         assert f"error: wave file {tmp_path / 'bad.json'} has " in err
     assert not (tmp_path / "out").exists()
 

@@ -397,7 +397,7 @@ def test_rhs_matches_complex_fft_oracle_on_random_states(rng, nx):
 def test_rhs_matches_complex_fft_oracle_on_wave(linear_wave_h03):
     # a solved wave is exactly odd, so this is the odd path
     sol = linear_wave_h03
-    assert _step_maps(sol.theta).odd
+    assert _step_maps(sol.theta.coeffs).odd
     state = EvolutionState(theta=sol.theta, length=sol.length)
     rhs, length_rate = theta_rhs(state, sol.alpha)
     ref, ref_rate = oracle_rhs(full_spectrum(sol.theta.coeffs), sol.length, sol.alpha)
@@ -431,19 +431,18 @@ def test_chained_steps_match_complex_fft_oracle(linear_wave_h03, nx):
     coeffs = resample(linear_wave_h03.theta, nx).coeffs.copy()
     coeffs[1:3] -= 0.5e-3j
     state = EvolutionState.from_theta(ThetaProfile.from_coeffs(coeffs))
-    assert _step_maps(state.theta).odd == (nx <= _ODD_MAX_NX)
+    assert _step_maps(state.theta.coeffs).odd == (nx <= _ODD_MAX_NX)
     _chained_oracle_check(state)
 
 
 @pytest.mark.parametrize("nx", [64, 256, 512])
 def test_chained_steps_of_a_general_state_match_complex_fft_oracle(linear_wave_h03, nx):
     # a start from grid values is not exactly odd: nx 64 steps with three
-    # dense maps, nx 256 with a dense velocity map and FFTs for the other
-    # two, nx 512 with FFTs only
+    # dense maps, nx 256 and 512 with FFTs only
     sigma = grid(nx)
     theta0 = resample(linear_wave_h03.theta, nx).values + 1e-3 * (np.sin(sigma) + np.sin(2.0 * sigma))
     state = EvolutionState.from_theta(ThetaProfile.from_values(theta0))
-    assert not _step_maps(state.theta).odd
+    assert not _step_maps(state.theta.coeffs).odd
     _chained_oracle_check(state)
 
 
@@ -451,7 +450,7 @@ def assert_close(x, ref, rtol):
     assert np.max(np.abs(x - ref)) <= rtol * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("nx", [8, 64, 128, 224, 256])
+@pytest.mark.parametrize("nx", [8, 64, 128])
 def test_dense_maps_match_their_fft_expressions(rng, nx):
     maps = _maps(nx)
     assert _maps(nx) is maps
@@ -459,9 +458,6 @@ def test_dense_maps_match_their_fft_expressions(rng, nx):
     shapes = {"velocity": (nx + 1, nx), "spectrum": (nx + 2, nx), "rows": (3 * nx, nx + 2)}
     for name, shape in shapes.items():
         matrix = getattr(maps, name)
-        if nx > _DENSE_MAX_NX[name]:
-            assert matrix is None
-            continue
         assert matrix.shape == shape and matrix.dtype == float
         assert not matrix.flags.writeable
         with pytest.raises(ValueError):
@@ -479,14 +475,16 @@ def test_dense_maps_match_their_fft_expressions(rng, nx):
         assert_close(rows, fft.to_rows(c), 1e-14)
 
 
-@pytest.mark.parametrize(
-    ("name", "largest"), [("velocity", 256), ("spectrum", 224), ("rows", 128)]
-)
-def test_each_map_is_dense_up_to_its_crossover(name, largest):
-    assert getattr(_maps(largest), name) is not None
-    maps = _maps(largest + 2)
-    assert _maps(largest + 2) is maps
+@pytest.mark.parametrize(("name", "nx"), [("velocity", 256), ("spectrum", 224), ("rows", 128)])
+def test_each_map_is_dense_up_to_its_crossover(name, nx):
+    # the three maps share one crossover: each is dense on grids up to
+    # _DENSE_MAX_NX and FFT-backed above it, at nx 224 and 256 too
+    assert _DENSE_MAX_NX == 128
+    assert getattr(_maps(_DENSE_MAX_NX), name) is not None
+    maps = _maps(_DENSE_MAX_NX + 2)
+    assert _maps(_DENSE_MAX_NX + 2) is maps
     assert getattr(maps, name) is None
+    assert (getattr(_maps(nx), name) is not None) == (nx <= _DENSE_MAX_NX)
 
 
 def _odd_expansions(nx, rng):
@@ -541,13 +539,13 @@ def test_exactly_odd_states_step_on_the_odd_maps_up_to_the_crossover(nx):
     b = np.zeros(nx // 2 - 1)
     b[0] = 1e-3
     p = from_sine_coeffs(b, nx)
-    assert _step_maps(p) is _odd_maps(nx)
+    assert _step_maps(p.coeffs) is _odd_maps(nx)
     # one real part that is not 0.0 makes the state general
     coeffs = p.coeffs.copy()
     coeffs[nx // 2] = 1e-300
-    assert _step_maps(ThetaProfile.from_coeffs(coeffs)) is _maps(nx)
+    assert _step_maps(coeffs) is _maps(nx)
     above = _ODD_MAX_NX + 2
-    assert _step_maps(from_sine_coeffs(np.zeros(above // 2 - 1), above)) is _maps(above)
+    assert _step_maps(from_sine_coeffs(np.zeros(above // 2 - 1), above).coeffs) is _maps(above)
 
 
 # imex_step, evolve and stability_probe share one stepping loop; these
@@ -607,7 +605,7 @@ def test_observed_states_keep_their_arrays(rng, nx):
     # no later step may write into an array a state already holds
     def arrays(state):
         prev = state.prev
-        return [state.theta.values, state.theta.coeffs, prev.theta_hat, prev.nonstiff_hat, prev.rows]
+        return [state.theta.values, state.theta.coeffs, prev.theta_hat, prev.nonstiff_hat]
 
     seen = []
     evolve(smooth_random_state(rng, nx), 17.0, 1e-5, 30,
@@ -638,18 +636,17 @@ def odd_random_state(rng, nx):
 @pytest.mark.parametrize("nx", [64, 256])
 def test_odd_run_keeps_every_state_exactly_odd(rng, nx):
     state = odd_random_state(rng, nx)
-    assert _step_maps(state.theta).odd
+    assert _step_maps(state.theta.coeffs).odd
     seen = []
-    out = evolve(state, 17.0, 1e-5, 30, observer=lambda s: seen.append((s, s.theta.values.copy(), s.prev.rows.copy())))
+    out = evolve(state, 17.0, 1e-5, 30, observer=lambda s: seen.append((s, s.theta.values.copy())))
     assert out is seen[-1][0]
     steps = chained(state, 17.0, 1e-5, 30)
-    for (observed, values, rows), step in zip(seen, steps):
+    for (observed, values), step in zip(seen, steps):
         assert_exactly_odd(observed)
         assert_exactly_odd(step)
         assert_same_state(observed, step)
         # no later step wrote into what the state holds
         np.testing.assert_array_equal(observed.theta.values, values)
-        np.testing.assert_array_equal(observed.prev.rows, rows)
     assert_exactly_odd(imex_step(state, 17.0, 1e-5))
     rhs, _ = theta_rhs(out, 17.0)
     np.testing.assert_array_equal(rhs[nx // 2 + 1 :], -rhs[nx // 2 - 1 : 0 : -1])
@@ -667,22 +664,59 @@ def test_history_in_the_other_coordinates_is_not_reused(rng):
         assert_same_state(evolve(cached, 17.0, 1e-5, 5), evolve(fresh, 17.0, 1e-5, 5))
 
 
+def test_a_replaced_theta_steps_from_its_own_values(rng):
+    # dataclasses.replace keeps the history (prev) of the state that made
+    # the old theta; the SBDF2 step takes that history, and its explicit
+    # part from the new theta
+    made = evolve(smooth_random_state(rng, 64), 17.0, 1e-5, 3)
+    other = smooth_random_state(rng, 64).theta
+    out = imex_step(dataclasses.replace(made, theta=other), 17.0, 1e-5)
+    prev = made.prev
+    history = (
+        full_spectrum(prev.theta_hat.view(complex)),
+        full_spectrum(prev.nonstiff_hat.view(complex)),
+        prev.length,
+        prev.length_rate,
+        prev.dt,
+    )
+    coeffs, length, _ = oracle_step(full_spectrum(other.coeffs), made.length, history, 17.0, 1e-5)
+    assert_close(out.theta.values, _oracle_values(coeffs), 1e-12)
+    assert out.length == pytest.approx(length, rel=1e-13)
+
+
+def test_cosine_content_does_not_change_the_probe(rng, linear_wave_small):
+    # the probe studies the wave's odd part: the real parts of its half
+    # spectrum, the cosine content, are dropped
+    cfg = StabilityProbeConfig(dt=1e-4, t_max=0.05)
+    coeffs = linear_wave_small.theta.coeffs.copy()
+    coeffs.real += 1e-3 * rng.normal(size=coeffs.size)
+    even = dataclasses.replace(linear_wave_small, theta=ThetaProfile.from_coeffs(coeffs))
+    assert not _step_maps(even.theta.coeffs).odd
+    est = stability_probe(linear_wave_small, cfg)
+    other = stability_probe(even, cfg)
+    np.testing.assert_array_equal(other.times, est.times)
+    np.testing.assert_array_equal(other.norms, est.norms)
+    assert (other.rate, other.intercept, other.window) == (est.rate, est.intercept, est.window)
+
+
 def test_probe_matches_a_loop_over_imex_step():
     wave = flat_solution(17.0, nx=64)
     cfg = StabilityProbeConfig(dt=1e-3, t_max=1.0)
     est = stability_probe(wave, cfg)
 
-    # the flat front is exactly odd, so the start is built spectrally
-    state = _probe_start(wave, cfg.delta)
+    # the start is exactly odd, and its values are those of the odd step,
+    # on the half grid
+    state, theta0 = _probe_start(wave, cfg.delta)
     assert_exactly_odd(state)
     assert not wave.theta.coeffs.any()
-    theta0 = state.theta.values
+    half = wave.theta.nx // 2
+    np.testing.assert_array_equal(theta0, state.theta.values[: half + 1])
     times, norms = [], []
     start = end = None
     for i in range(1000):
         state = imex_step(state, wave.alpha, cfg.dt)
         times.append(state.time)
-        norms.append(np.max(np.abs(state.theta.values - theta0)))
+        norms.append(np.max(np.abs(state.theta.values[: half + 1] - theta0)))
         if start is None:
             if norms[i] >= 10.0 * cfg.delta:
                 start = i
