@@ -314,7 +314,11 @@ def cmd_stability(args):
     cfg = evolution.StabilityProbeConfig(
         delta=args.delta, dt=args.dt, t_max=args.t_max
     )
-    estimate = evolution.stability_probe(wave, cfg)
+    try:
+        estimate = evolution.stability_probe(wave, cfg)
+    except ValueError as exc:
+        # a wave that is not odd to rounding
+        raise ValueError(f"wave file {args.wave} cannot be probed: {exc}") from None
     out = _out_dir(args)
     lines = ["t,d"]
     for t, d in zip(estimate.times, estimate.norms):

@@ -23,13 +23,8 @@ through three linear maps: (1) the flux theta_s*U on the grid to
 (V - V(0))*theta_s to its half spectrum; (3) the new c to theta, theta_s
 and theta_sss, which give the blow-up check and the next step.  As FFTs
 they are an rfft and an irfft of the antiderivative for (1), an rfft for
-(2) and one batched irfft of c times 1, (i n) and (i n)^3 for (3).  On
-small grids a numpy FFT call costs several times its arithmetic, so per
-call overhead, not flops, sets the step's cost: up to a crossover
-(_DENSE_MAX_NX = 128, with the reason for it) all three maps are dense
-real matrices, tabulated once per nx from their FFT expressions and each
-applied with one np.dot, so a step makes no FFT call at nx 64 and four
-at nx 256.
+(2) and one batched irfft of c times 1, (i n) and (i n)^3 for (3): four
+FFT calls per step of a general state, on every grid.
 
 The step's own arithmetic runs on the float view of the half spectrum,
 real and imaginary parts interleaved, with the n^2 and n^4 multipliers
@@ -45,37 +40,41 @@ imex_step, evolve and stability_probe all run the same loop, which
 builds an EvolutionState only for an observer and for the state it
 returns; theta_rhs uses the same maps and the same explicit half.
 
-An exactly odd state, one whose half spectrum has every real part 0.0,
-steps in odd coordinates.  Every solved wave, the flat front and every
-from_sine_coeffs profile is exactly odd, and the reflection
+A state odd to rounding steps in odd coordinates.  The reflection
 sigma -> -sigma, theta -> -theta(-sigma) is a symmetry of the system, so
-an odd state stays odd and the general step spends half of each map on
-modes that stay zero.  The odd coordinates are Im c_n, n = 1..nx/2-1
-(-b_n/2 for the sine coefficients b_n); theta lives on the half grid
-j = 0..nx/2, where theta_s, theta_sss and the flux are even and V odd.
-Each map is then one dense matrix about a quarter the size of the
-general one, tabulated from the same FFT expressions (_odd_maps), up to
-a measured crossover (_ODD_MAX_NX, with its timings): at nx 256 a step
-makes no FFT call and costs about 0.6x the general one.  The data choose
-the coordinates once per run (_step_maps), and a step's history is
-never reused in the other coordinates.  States are expanded to the full
-half spectrum, real parts exactly 0, and to the full grid,
+an odd state stays odd, and the general step would spend half of each map
+on modes that stay zero.  Every solved wave, the flat front and every
+probe's start is odd, but grid values of an odd front are odd only to
+rounding (ThetaProfile.from_values gives real parts of rounding size),
+so the test is not exact: a state is odd to rounding when its largest
+real part, its cosine content, is at most _ODD_ULPS ulps of its
+max|theta| (_odd_to_rounding).  The odd coordinates drop the real parts.
+They are Im c_n, n = 1..nx/2-1 (-b_n/2 for the sine coefficients b_n);
+theta lives on the half grid j = 0..nx/2, where theta_s, theta_sss and
+the flux are even and V odd.  On small grids a numpy FFT call costs
+several times its arithmetic, so each odd map is one dense matrix about
+a quarter the size of a general one, tabulated from the general FFT
+expressions (_odd_maps), up to the one crossover (_ODD_MAX_NX, with its
+timings): at nx 64 and 256 such a step makes no FFT call.  The data
+choose the coordinates once per run (_step_maps), and a step's history
+is never reused in the other coordinates, so a chained imex_step run
+whose cosine content decays below the bound restarts in odd coordinates
+with one Euler step, as after a change of dt.  States are expanded to
+the full half spectrum, real parts exactly 0, and to the full grid,
 theta_{nx-j} = -theta_j exactly, only for an observer, for the state
-returned and for theta_rhs.  Every other state takes the general path
-bit for bit; a profile made from grid values (ThetaProfile.from_values)
-has real parts of rounding size, not 0.0.  A stability probe starts from
-the wave's sine content (_probe_start), so every probe, of a wave read
-from a file's grid values too, steps in odd coordinates up to
-_ODD_MAX_NX, and the general step serves the other states that imex_step,
-evolve and theta_rhs are given.
+returned and for theta_rhs.  A stability probe starts from the wave's
+sine content (_probe_start) and refuses a wave that is not odd to
+rounding, whose dropped cosine content would make it probe another
+front.
 
 On small grids numpy's per-call cost also sets the cost of the step's
 own arithmetic, so the step is written as a few contractions.  The two
 coefficients a = (alpha-1)/s_sigma^2 and q = 4/s_sigma^4 form one pair
 (a, q), contracted with (theta_s, theta_sss) for the flux and with a
 gains table for the explicit gain on c.  The SBDF2 history lives in one
-(4, nx+2) stack ((4, nx/2-1) in odd coordinates) with rows (c, c_prev, N, N_prev), N the explicit part,
-so the Euler and the SBDF2 numerator are the same contraction w @ stack
+(4, nx+2) stack ((4, nx/2-1) in odd coordinates) with rows (c, c_prev,
+N, N_prev), N the explicit part, so the Euler and the SBDF2 numerator
+are the same contraction w @ stack
 with w = (1, 0, dt, 0) or (4, -1, 4 dt, -2 dt), times the reciprocal of
 1 + dt*q*n^4 or 3 + 2 dt*q*n^4; the Euler step's zero weights meet
 zeroed rows.  The row order and the product with the reciprocal are
@@ -143,7 +142,7 @@ class _StepCache(NamedTuple):
     length: float
     length_rate: float
     dt: float
-    maps: _Maps
+    maps: _Maps | _OddMaps
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +172,10 @@ class StabilityProbeConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if round(self.t_max / self.dt) < 1:
+        steps = self.t_max / self.dt
+        if not np.isfinite(steps):
+            raise ValueError(f"t_max {self.t_max!r} over dt {self.dt!r} is too many steps to count")
+        if round(steps) < 1:
             raise ValueError(f"t_max {self.t_max!r} is shorter than one step of dt {self.dt!r}")
 
 
@@ -191,32 +193,62 @@ class GrowthEstimate:
 
 
 @dataclass(frozen=True, eq=False)
-class _Multipliers:
-    """Read-only half-spectrum multipliers of one grid, n = 0..nx/2.
+class _Maps:
+    """The three linear maps of one step on one grid, in general coordinates.
 
-    rows holds 1, (i n), (i n)^3, so one irfft of rows * c gives theta,
-    theta_s and theta_sss; the two derivative rows are zeroed at Nyquist.
-    inv_in holds 1/(i n) with modes 0 and nx/2 zeroed.  Both act on the
-    complex half spectrum.  gains (2, nx+2) and n4 (n^4) act on its float
-    view, so each value appears twice, once for the real and once for
-    the imaginary part of its mode.  gains row 0 is n^2, zeroed at
-    Nyquist because it only feeds u_sigma, the derivative of a u that has
-    no Nyquist content; row 1 is n^4 at Nyquist and zero elsewhere.  So
+    (1) to_velocity: g = -flux/s_sigma on the grid to -(V - V(0))/s_sigma
+        on the grid and the mean of g, which gives L_t;
+    (2) to_spectrum: grid values to the float view of their rfft half
+        spectrum;
+    (3) to_rows: the float view of a half spectrum c to theta, theta_s and
+        theta_sss.
+
+    Each map is an FFT expression that acts along the last axis, with
+    read-only half-spectrum multipliers, n = 0..nx/2.  rows holds 1,
+    (i n), (i n)^3, so one irfft of rows * c gives theta, theta_s and
+    theta_sss; the two derivative rows are zeroed at Nyquist.  inv_in
+    holds 1/(i n) with modes 0 and nx/2 zeroed.  Both act on the complex
+    half spectrum.  gains (2, nx+2) and n4 (n^4) act on its float view,
+    so each value appears twice, once for the real and once for the
+    imaginary part of its mode.  gains row 0 is n^2, zeroed at Nyquist
+    because it only feeds u_sigma, the derivative of a u that has no
+    Nyquist content; row 1 is n^4 at Nyquist and zero elsewhere.  So
     (a, q) @ gains is the explicit gain a*n^2 below Nyquist and q*n^4 at
     it, with no rounding: one of the two products is always zero.  rows
-    and n4 come from the (i n)^k table behind spectral.deriv.  The odd
-    maps' multipliers hold gains and n4 of the odd modes only; rows and
-    inv_in are None, as no FFT expression runs in odd coordinates.
+    and n4 come from the (i n)^k table behind spectral.deriv.
     """
 
-    rows: np.ndarray | None
-    inv_in: np.ndarray | None
+    rows: np.ndarray
+    inv_in: np.ndarray
     gains: np.ndarray
     n4: np.ndarray
 
+    def to_velocity(self, g):
+        neg_flux_hat = np.fft.rfft(g, norm="forward")
+        # V_sigma = flux + L_t/(2*pi) has zero mean, so V is periodic; the
+        # constant L_t/(2*pi) only touches mode 0, which inv_in drops
+        neg_v = np.fft.irfft(neg_flux_hat * self.inv_in, n=g.shape[-1], norm="forward")
+        return neg_v - neg_v[..., :1], neg_flux_hat[..., 0].real
+
+    def to_spectrum(self, values):
+        return np.fft.rfft(values, norm="forward").view(float)
+
+    def to_rows(self, c):
+        c = c.view(complex)[..., None, :]
+        return np.fft.irfft(self.rows * c, n=2 * (c.shape[-1] - 1), norm="forward")
+
+    def coordinates(self, coeffs):
+        """A half spectrum as the vector these maps step: its float view,
+        float64 pairs (real, imaginary) per mode."""
+        return np.ascontiguousarray(coeffs, dtype=complex).view(float)
+
+    def profile(self, c, values):
+        """The ThetaProfile of c and its grid values, wrapped as they are."""
+        return spectral.ThetaProfile(values.size, values, c.view(complex))
+
 
 @functools.cache
-def _multipliers(nx):
+def _maps(nx):
     powers = spectral._powers(nx)
     rows = powers[[0, 1, 3]]
     n = np.arange(nx // 2 + 1)
@@ -228,128 +260,60 @@ def _multipliers(nx):
     gains[1, -2:] = n4[-2:]
     for table in (rows, inv_in, gains, n4):
         table.setflags(write=False)
-    return _Multipliers(rows, inv_in, gains, n4)
-
-
-# Largest grid on which the general step's three maps are dense matrices.
-# On small grids a numpy FFT call costs several times its arithmetic, so
-# one matmul wins until its nx^2 arithmetic overtakes the FFTs.  128 is the
-# largest nx at which each of the three dense maps won in every one of five
-# runs: per call, FFT expression against dense matrix, velocity 14.3 / 3.6
-# us, spectrum 7.2 / 3.4 us and rows 9.1 / 7.1 us (fastest of 21 runs of
-# 1000 calls, one BLAS thread, 2-core Xeon VM).  The rows map tied at 144
-# and lost from 160 on.
-_DENSE_MAX_NX = 128
+    return _Maps(rows, inv_in, gains, n4)
 
 
 @dataclass(frozen=True, eq=False)
-class _Maps:
-    """The three linear maps of one step on one grid, in one set of coordinates.
+class _OddMaps:
+    """The three maps of _Maps restricted to odd states, as dense matrices.
 
-    (1) to_velocity: g = -flux/s_sigma on the grid to -(V - V(0))/s_sigma
-        on the grid and the mean of g, which gives L_t;
-    (2) to_spectrum: grid values to the float view of their rfft half
-        spectrum;
-    (3) to_rows: the float view of a half spectrum c to theta, theta_s and
-        theta_sss.
-
-    Each map is defined by its FFT expression below, which acts along the
-    last axis.  On grids up to _DENSE_MAX_NX, _maps tabulates all three
-    once as read-only real matrices and applies each with one np.dot,
-    which gives the bits of @ (checked at nx 64 and 128) at 0.1-0.3 us less
-    per call: velocity is (nx+1, nx), spectrum (nx+2, nx), rows
-    (3*nx, nx+2).  On larger grids the matrices are None and the FFTs run.
-
-    The odd maps of _odd_maps (odd true) are the same three maps restricted
-    to exactly odd states: c holds Im c_n, n = 1..nx/2-1, and grid values
-    live on the half grid j = 0..nx/2.  They are always dense: velocity is
-    (nx/2+2, nx/2+1), spectrum (nx/2-1, nx/2+1), rows (3*(nx/2+1), nx/2-1),
-    and mult holds only gains and n4, restricted to those modes.
+    c holds Im c_n, n = 1..nx/2-1, and grid values live on the half grid
+    j = 0..nx/2.  Each map is one read-only real matrix applied with one
+    np.dot, which gives the bits of @ at 0.1-0.3 us less per call:
+    velocity is (nx/2+2, nx/2+1), spectrum (nx/2-1, nx/2+1), rows
+    (3*(nx/2+1), nx/2-1).  gains and n4 are those of _Maps, restricted to
+    these modes.
     """
 
-    mult: _Multipliers
-    velocity: np.ndarray | None = None
-    spectrum: np.ndarray | None = None
-    rows: np.ndarray | None = None
-    odd: bool = False
+    velocity: np.ndarray
+    spectrum: np.ndarray
+    rows: np.ndarray
+    gains: np.ndarray
+    n4: np.ndarray
 
     def to_velocity(self, g):
-        if self.velocity is not None:
-            w = np.dot(self.velocity, g)
-            return w[:-1], w[-1]
-        neg_flux_hat = np.fft.rfft(g, norm="forward")
-        # V_sigma = flux + L_t/(2*pi) has zero mean, so V is periodic; the
-        # constant L_t/(2*pi) only touches mode 0, which inv_in drops
-        neg_v = np.fft.irfft(neg_flux_hat * self.mult.inv_in, n=g.shape[-1], norm="forward")
-        return neg_v - neg_v[..., :1], neg_flux_hat[..., 0].real
+        w = np.dot(self.velocity, g)
+        return w[:-1], w[-1]
 
     def to_spectrum(self, values):
-        if self.spectrum is not None:
-            return np.dot(self.spectrum, values)
-        return np.fft.rfft(values, norm="forward").view(float)
+        return np.dot(self.spectrum, values)
 
     def to_rows(self, c):
-        if self.rows is not None:
-            return np.dot(self.rows, c).reshape(3, -1)
-        c = c.view(complex)[..., None, :]
-        return np.fft.irfft(self.mult.rows * c, n=2 * (c.shape[-1] - 1), norm="forward")
+        return np.dot(self.rows, c).reshape(3, -1)
 
     def coordinates(self, coeffs):
-        """A half spectrum as the vector these maps step: a view in general
-        coordinates, a copy in odd ones."""
-        if self.odd:
-            return np.array(coeffs.imag[1:-1])
-        return _float_view(coeffs)
-
-    def full_grid(self, values):
-        """Grid values in these coordinates on the full grid: odd ones are
-        extended by theta_{nx-j} = -theta_j, exactly."""
-        if not self.odd:
-            return values
-        return np.concatenate((values, -values[-2:0:-1]))
+        """A half spectrum as the vector these maps step: a copy of Im c_n,
+        n = 1..nx/2-1.  The real parts, of rounding size for a state odd to
+        rounding, and the imaginary parts of modes 0 and nx/2, invisible on
+        the grid, are dropped."""
+        return np.array(coeffs.imag[1:-1])
 
     def profile(self, c, values):
-        """The ThetaProfile of c and its grid values, both in these coordinates.
-
-        In odd coordinates the half spectrum gets real parts exactly 0;
-        otherwise the arrays are wrapped as they are.
-        """
-        if not self.odd:
-            return spectral.ThetaProfile(values.size, values, c.view(complex))
+        """The ThetaProfile of c and its half-grid values: real parts exactly
+        0, and values extended by theta_{nx-j} = -theta_j, exactly."""
         coeffs = np.zeros(c.size + 2, dtype=complex)
         coeffs.imag[1:-1] = c
-        values = self.full_grid(values)
+        values = np.concatenate((values, -values[-2:0:-1]))
         return spectral.ThetaProfile(values.size, values, coeffs)
 
 
-@functools.cache
-def _maps(nx):
-    """The step's three maps on an nx grid: all dense up to _DENSE_MAX_NX.
-
-    A dense map is tabulated by applying its FFT expression to the
-    identity in one batched call: row j of the image is the map of the
-    j-th unit vector, so the matrix is the image's transpose.
-    """
-    fft = _Maps(_multipliers(nx))
-    if nx > _DENSE_MAX_NX:
-        return fft
-    images = (
-        np.column_stack(fft.to_velocity(np.eye(nx))),
-        fft.to_spectrum(np.eye(nx)),
-        fft.to_rows(np.eye(nx + 2)).reshape(nx + 2, 3 * nx),
-    )
-    tables = [np.ascontiguousarray(image.T) for image in images]
-    for table in tables:
-        table.setflags(write=False)
-    return _Maps(fft.mult, *tables)
-
-
-# Largest grid on which an exactly odd state steps in odd coordinates;
-# above it, it takes the general path.  The odd maps are dense, so their
-# arithmetic grows like nx^2 against the general path's FFTs.  One step of
-# an exactly odd state at alpha 17, dt 1e-5, in us: the fastest of 21 runs
-# of 1000 steps, one BLAS thread, 2-core Xeon VM, median of three such
-# measurements, general path / odd path:
+# Largest grid on which a state odd to rounding steps in odd coordinates;
+# above it, it takes the general path.  This is the step's only crossover:
+# the odd maps are dense, so their arithmetic grows like nx^2 against the
+# general path's FFTs.  One step of an exactly odd state at alpha 17,
+# dt 1e-5, in us: the fastest of 21 runs of 1000 steps, one BLAS thread,
+# 2-core Xeon VM, median of three such measurements, general path / odd
+# path:
 #
 #     nx     step
 #     64     21.9 / 16.2
@@ -360,8 +324,10 @@ def _maps(nx):
 #     416    67.5 / 81.0
 #     512    69.1 / 121.3
 #
-# Single measurements move by up to 1.5x on this VM; the odd path won at
-# 320 in all of them and lost at 384 in two of three.
+# The general figures up to nx 256 were taken while the general path still
+# had dense maps there; from 320 on it ran the FFTs it runs now, so the
+# crossover stands.  Single measurements move by up to 1.5x on this VM; the
+# odd path won at 320 in all of them and lost at 384 in two of three.
 _ODD_MAX_NX = 320
 
 
@@ -380,7 +346,7 @@ def _odd_maps(nx):
     at nx 256 the build's temporaries peak at 2.0 MiB (tracemalloc).
     """
     half = nx // 2
-    fft = _Maps(_multipliers(nx))
+    fft = _maps(nx)
     # the imaginary parts of modes 1..nx/2-1 in the float view
     odd_modes = slice(3, 2 * half, 2)
     j = np.arange(1, half)
@@ -408,23 +374,34 @@ def _odd_maps(nx):
 
     images = {"velocity": velocity, "spectrum": spectrum, "rows": rows}
     tables = {name: np.ascontiguousarray(image().T) for name, image in images.items()}
-    gains, n4 = (np.ascontiguousarray(table[..., odd_modes]) for table in (fft.mult.gains, fft.mult.n4))
+    gains, n4 = (np.ascontiguousarray(table[..., odd_modes]) for table in (fft.gains, fft.n4))
     for table in (gains, n4, *tables.values()):
         table.setflags(write=False)
-    return _Maps(_Multipliers(None, None, gains, n4), **tables, odd=True)
+    return _OddMaps(**tables, gains=gains, n4=n4)
 
 
-def _step_maps(coeffs):
-    """The maps a half spectrum steps with: odd ones for an exactly odd one.
+# Largest cosine content, in ulps of max|theta|, of a state odd to
+# rounding.  Grid values of an odd front carry less than one: at most 0.84
+# on from_values(1e-6 sin k sigma), k = 1..3, at nx 64; 0.25 on the 65
+# waves of both k0 = 1 branches read back from their files; about 0.2 on
+# 200 random odd spectra per nx from 8 to 1024.  Non-odd test states carry
+# about 1e-3 of theta's scale.
+_ODD_ULPS = 4.0
 
-    A half spectrum is exactly odd when every real part is 0.0; the
-    imaginary parts of modes 0 and nx/2 are invisible on the grid and the
-    odd coordinates drop them.
-    """
-    nx = 2 * (coeffs.size - 1)
-    if nx <= _ODD_MAX_NX and not coeffs.real.any():
-        return _odd_maps(nx)
-    return _maps(nx)
+
+def _odd_to_rounding(theta):
+    """Whether a ThetaProfile's largest real part, its cosine content, is at
+    most _ODD_ULPS ulps of its max|theta|."""
+    scale = np.finfo(float).eps * np.abs(theta.values).max()
+    return np.abs(theta.coeffs.real).max() <= _ODD_ULPS * scale
+
+
+def _step_maps(theta):
+    """The maps a ThetaProfile steps with: the odd ones, up to _ODD_MAX_NX,
+    for one odd to rounding, else the general ones."""
+    if theta.nx <= _ODD_MAX_NX and _odd_to_rounding(theta):
+        return _odd_maps(theta.nx)
+    return _maps(theta.nx)
 
 
 def _explicit(c, rows, length, alpha, maps, out=None):
@@ -451,22 +428,18 @@ def _explicit(c, rows, length, alpha, maps, out=None):
     # up front divides theta_t, and negating it is free
     neg_v, neg_flux_mean = maps.to_velocity(theta_s * (1.0 / s_sigma + np.dot(aq, rows[1:])))
     length_rate = length * float(neg_flux_mean)
-    gain = np.dot(aq, maps.mult.gains)
+    gain = np.dot(aq, maps.gains)
     nonstiff = np.subtract(gain * c, maps.to_spectrum(neg_v * theta_s), out=out)
     return nonstiff, length_rate, q
 
 
-def _float_view(coeffs):
-    """A half spectrum as float64 pairs (real, imaginary) per mode."""
-    return np.ascontiguousarray(coeffs, dtype=complex).view(float)
-
-
 def theta_rhs(state, alpha):
     """Right-hand sides (theta_t values, L_t) of the evolution system."""
-    maps = _step_maps(state.theta.coeffs)
+    maps = _step_maps(state.theta)
     c = maps.coordinates(state.theta.coeffs)
     nonstiff, length_rate, q = _explicit(c, maps.to_rows(c), state.length, alpha, maps)
-    return maps.full_grid(maps.to_rows(nonstiff - q * maps.mult.n4 * c)[0]), length_rate
+    rhs = nonstiff - q * maps.n4 * c
+    return maps.profile(rhs, maps.to_rows(rhs)[0]).values, length_rate
 
 
 def _state(maps, stack, values, length, time, *cache):
@@ -494,9 +467,9 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     after one, calls observer(state) after each, and returns the state
     after the last step taken.  The state's data pick the maps, odd or
     general, once (_step_maps); until sees grid values in their
-    coordinates, on the half grid for the odd maps.  The half spectrum, L, t and the SBDF2
-    history live in locals; states are built only for the observer and
-    for the return value.  A starting state already past the blow-up
+    coordinates, on the half grid for the odd maps.  The half spectrum, L,
+    t and the SBDF2 history live in locals; states are built only for the
+    observer and for the return value.  A starting state already past the blow-up
     threshold is refused at its own time, before any step.
 
     The half spectra live in the history stack of the module docstring.
@@ -508,8 +481,8 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     _check_blowup(state.theta.values, state.time)
-    maps = _step_maps(state.theta.coeffs)
-    n4 = maps.mult.n4
+    maps = _step_maps(state.theta)
+    n4 = maps.n4
     # Python floats and float views throughout: no numpy scalar arithmetic
     # and no real-to-complex promotion in the loop
     alpha = float(alpha)
@@ -517,7 +490,8 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     time = state.time
     prev = state.prev
     if prev is not None and prev.maps is not maps:
-        # history in the other coordinates: start afresh
+        # history in the other coordinates, as after a general run whose
+        # cosine content decayed below the bound: start afresh
         prev = None
     stack = np.zeros((4, n4.size))
     stack[0] = maps.coordinates(state.theta.coeffs)
@@ -592,16 +566,24 @@ def _probe_start(wave, delta):
 
     The solver's waves are odd, so the probe studies the wave's odd part:
     the imaginary parts of its half spectrum, modes 1..nx/2-1, less
-    i*delta/2 at n = 1 and 2.  The start is exactly odd, so it steps in
-    odd coordinates up to _ODD_MAX_NX, even when the wave was read from a
-    file's grid values, whose real parts are of rounding size.  Returns
-    the state and its grid values in the step's coordinates (_step_maps),
-    taken from the step's own rows map: on the half grid for the odd maps.
+    i*delta/2 at n = 1 and 2.  Only a cosine content of rounding size is
+    dropped: a wave that is not odd to rounding (_odd_to_rounding) is
+    refused with ValueError.  The start steps in the wave's coordinates,
+    odd up to _ODD_MAX_NX.  Returns the state and its grid values in those
+    coordinates, taken from the step's own rows map: on the half grid for
+    the odd maps.
     """
-    coeffs = np.zeros_like(wave.theta.coeffs)
-    coeffs.imag[1:-1] = wave.theta.coeffs.imag[1:-1]
+    theta = wave.theta
+    if not _odd_to_rounding(theta):
+        even, scale = (float(np.abs(x).max()) for x in (theta.coeffs.real, theta.values))
+        raise ValueError(
+            f"the probe takes odd waves only: the wave's cosine content max|Re c_n| = {even:.3e} "
+            f"exceeds {_ODD_ULPS:g} ulps of max|theta| = {scale:.3e}"
+        )
+    maps = _step_maps(theta)
+    coeffs = np.zeros_like(theta.coeffs)
+    coeffs.imag[1:-1] = theta.coeffs.imag[1:-1]
     coeffs.imag[1:3] -= 0.5 * delta
-    maps = _step_maps(coeffs)
     c = maps.coordinates(coeffs)
     values = maps.to_rows(c)[0]
     # refused before its length, which a blown-up theta may not have
@@ -613,7 +595,8 @@ def stability_probe(wave, cfg=None):
     """Estimate the leading growth rate around a traveling wave.
 
     Perturbs the wave's odd part by delta*(sin sigma + sin 2*sigma)
-    (_probe_start; the solver's waves are odd), evolves with the linear
+    (_probe_start; the solver's waves are odd, and a wave that is not odd
+    to rounding raises ValueError), evolves with the linear
     closure at the wave's alpha, and records d(t) = max|theta(t) - theta(0)|
     in the step's coordinates, on the half grid for the odd maps, which
     has the same max.  The rate is the least-squares slope

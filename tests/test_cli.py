@@ -12,7 +12,7 @@ import pytest
 import flamefront
 from flamefront import geometry, solver
 from flamefront.cli import _to_json, _wave_from_file, _write_json, main
-from flamefront.evolution import StabilityProbeConfig, stability_probe
+from flamefront.evolution import StabilityProbeConfig, _probe_start, stability_probe
 from flamefront.model import ModelKind, WaveParams, length_from_theta, residual
 from flamefront.spectral import ThetaProfile, grid
 
@@ -204,6 +204,20 @@ def test_probe_of_a_wave_file_makes_no_fft_call_per_step(branch_wave_file, monke
     assert len(est.times) == 500
     # at most the one-off tabulation of the nx-256 odd maps
     assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("model", ["linear", "nonlinear"])
+def test_every_branch_wave_file_is_odd_to_rounding(tmp_path, model):
+    # grid values of an odd wave are odd only to rounding; the probe's
+    # start accepts every wave file that `flamefront branch` writes
+    assert main(["branch", "--model", model, "--k0", "1", "--out", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("wave_*.json"))
+    assert len(paths) >= 20
+    for path in paths:
+        wave = _wave_from_file(path)
+        assert wave.theta.coeffs.real.any()
+        state, _ = _probe_start(wave, 1e-8)
+        assert not state.theta.coeffs.real.any()
 
 
 @pytest.mark.parametrize("model", ["linear", "nonlinear"])
@@ -534,6 +548,11 @@ def test_branch_rejects_unresolved_k0(tmp_path, capsys, k0, nx):
          "wave file {wave} has no 'L' entry, and its theta gives no length: integral of cos(theta)"),
         (["stability"], json.dumps({**FLAT_WAVE, "L": 7.0, "theta": [1.6] * 64}), 2,
          "wave file {wave} has a theta that gives the probe no length: integral of cos(theta)"),
+        (["stability", "--t-max", "0.3"], json.dumps({**FLAT_WAVE, "theta": list(0.3 * np.cos(grid(64)))}), 2,
+         "wave file {wave} cannot be probed: the probe takes odd waves only: the wave's cosine content "
+         "max|Re c_n| = 1.500e-01 exceeds 4 ulps of max|theta| = 3.000e-01"),
+        (["stability", "--dt", "1e-300", "--t-max", "1e300"], json.dumps(FLAT_WAVE), 2,
+         "t_max 1e+300 over dt 1e-300 is too many steps to count"),
         (["bifurcate", "--model", "nonlinear", "--k0", str(10**39)], None, 2,
          f"k0={10**39} is too large to certify"),
         (["bifurcate", "--model", "nonlinear", "--k0", str(10**160)], None, 2,
@@ -541,7 +560,7 @@ def test_branch_rejects_unresolved_k0(tmp_path, capsys, k0, nx):
     ],
     ids=["h-step-above-eps-cap", "nonlinear-h-step-above-cap", "branch-start-error", "negative-length",
          "zero-length-with-residual", "truncated-wave-file", "no-length-from-theta",
-         "stated-length-but-no-length-from-theta", "k0-1e39", "k0-1e160"],
+         "stated-length-but-no-length-from-theta", "cosine-wave", "step-count-overflow", "k0-1e39", "k0-1e160"],
 )
 def test_failed_command_creates_no_output_directory(tmp_path, capsys, argv, wave, code, message):
     path = tmp_path / "wave.json"

@@ -7,14 +7,13 @@ import pytest
 from flamefront.bifurcation import asymptotic_guess
 from flamefront.errors import BlowUpError, UnsupportedModelError
 from flamefront.evolution import (
-    _DENSE_MAX_NX,
     _ODD_MAX_NX,
+    _ODD_ULPS,
     EvolutionState,
     StabilityProbeConfig,
-    _Maps,
     _maps,
-    _multipliers,
     _odd_maps,
+    _OddMaps,
     _probe_start,
     _step_maps,
     evolve,
@@ -197,6 +196,8 @@ def test_probe_stable_case_flagged():
         {"t_max": 1e-5},
         {"t_max": float("inf")},
         {"delta": float("inf")},
+        # t_max/dt overflows to inf: no step count, not an OverflowError
+        {"dt": 1e-300, "t_max": 1e300},
     ],
 )
 def test_probe_config_validation(settings):
@@ -344,8 +345,8 @@ def linear_wave_h03():
 
 def test_multipliers_cached_read_only_and_zeroed_at_nyquist():
     for nx in (64, 256):
-        table = _multipliers(nx)
-        assert _multipliers(nx) is table
+        table = _maps(nx)
+        assert _maps(nx) is table
         half = nx // 2 + 1
         n = np.arange(half)
         assert table.rows.shape == (3, half)
@@ -365,14 +366,14 @@ def test_multipliers_cached_read_only_and_zeroed_at_nyquist():
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
-    assert _multipliers(64) is not _multipliers(256)
+    assert _maps(64) is not _maps(256)
 
 
 @pytest.mark.parametrize("nx", [64, 256])
 def test_gains_give_the_explicit_gain_exactly(rng, nx):
     # one of the two products in (a, q) @ gains is always zero, so the
     # contraction equals a*n^2 with q*n^4 set at Nyquist, bit for bit
-    gains = _multipliers(nx).gains
+    gains = _maps(nx).gains
     n2 = np.repeat(np.arange(nx // 2 + 1, dtype=float) ** 2, 2)
     n2[-2:] = 0.0
     for a, q in [*rng.normal(size=(5, 2)) * [[30.0, 4.0]], (-0.25, 4.0 / 1.3**4)]:
@@ -397,7 +398,7 @@ def test_rhs_matches_complex_fft_oracle_on_random_states(rng, nx):
 def test_rhs_matches_complex_fft_oracle_on_wave(linear_wave_h03):
     # a solved wave is exactly odd, so this is the odd path
     sol = linear_wave_h03
-    assert _step_maps(sol.theta.coeffs).odd
+    assert _step_maps(sol.theta) is _odd_maps(sol.theta.nx)
     state = EvolutionState(theta=sol.theta, length=sol.length)
     rhs, length_rate = theta_rhs(state, sol.alpha)
     ref, ref_rate = oracle_rhs(full_spectrum(sol.theta.coeffs), sol.length, sol.alpha)
@@ -431,60 +432,22 @@ def test_chained_steps_match_complex_fft_oracle(linear_wave_h03, nx):
     coeffs = resample(linear_wave_h03.theta, nx).coeffs.copy()
     coeffs[1:3] -= 0.5e-3j
     state = EvolutionState.from_theta(ThetaProfile.from_coeffs(coeffs))
-    assert _step_maps(state.theta.coeffs).odd == (nx <= _ODD_MAX_NX)
+    assert isinstance(_step_maps(state.theta), _OddMaps) == (nx <= _ODD_MAX_NX)
     _chained_oracle_check(state)
 
 
 @pytest.mark.parametrize("nx", [64, 256, 512])
 def test_chained_steps_of_a_general_state_match_complex_fft_oracle(linear_wave_h03, nx):
-    # a start from grid values is not exactly odd: nx 64 steps with three
-    # dense maps, nx 256 and 512 with FFTs only
+    # cosine content far above rounding: the general path, FFTs only
     sigma = grid(nx)
     theta0 = resample(linear_wave_h03.theta, nx).values + 1e-3 * (np.sin(sigma) + np.sin(2.0 * sigma))
-    state = EvolutionState.from_theta(ThetaProfile.from_values(theta0))
-    assert not _step_maps(state.theta.coeffs).odd
+    state = EvolutionState.from_theta(ThetaProfile.from_values(theta0 + 1e-3 * np.cos(3.0 * sigma)))
+    assert _step_maps(state.theta) is _maps(nx)
     _chained_oracle_check(state)
 
 
 def assert_close(x, ref, rtol):
     assert np.max(np.abs(x - ref)) <= rtol * np.max(np.abs(ref))
-
-
-@pytest.mark.parametrize("nx", [8, 64, 128])
-def test_dense_maps_match_their_fft_expressions(rng, nx):
-    maps = _maps(nx)
-    assert _maps(nx) is maps
-    assert maps.mult is _multipliers(nx)
-    shapes = {"velocity": (nx + 1, nx), "spectrum": (nx + 2, nx), "rows": (3 * nx, nx + 2)}
-    for name, shape in shapes.items():
-        matrix = getattr(maps, name)
-        assert matrix.shape == shape and matrix.dtype == float
-        assert not matrix.flags.writeable
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 1.0
-    fft = _Maps(maps.mult)
-    for _ in range(3):
-        g = rng.normal(size=nx)
-        assert_close(np.append(*maps.to_velocity(g)), np.append(*fft.to_velocity(g)), 1e-14)
-        assert_close(maps.to_spectrum(g), fft.to_spectrum(g), 1e-14)
-        # the float view of a half spectrum, with random imaginary parts at
-        # modes 0 and nx/2 too: both forms drop them
-        c = rng.normal(size=nx + 2)
-        rows = maps.to_rows(c)
-        assert rows.shape == (3, nx)
-        assert_close(rows, fft.to_rows(c), 1e-14)
-
-
-@pytest.mark.parametrize(("name", "nx"), [("velocity", 256), ("spectrum", 224), ("rows", 128)])
-def test_each_map_is_dense_up_to_its_crossover(name, nx):
-    # the three maps share one crossover: each is dense on grids up to
-    # _DENSE_MAX_NX and FFT-backed above it, at nx 224 and 256 too
-    assert _DENSE_MAX_NX == 128
-    assert getattr(_maps(_DENSE_MAX_NX), name) is not None
-    maps = _maps(_DENSE_MAX_NX + 2)
-    assert _maps(_DENSE_MAX_NX + 2) is maps
-    assert getattr(maps, name) is None
-    assert (getattr(_maps(nx), name) is not None) == (nx <= _DENSE_MAX_NX)
 
 
 def _odd_expansions(nx, rng):
@@ -509,19 +472,18 @@ def test_odd_maps_match_their_fft_expressions(rng, nx):
     # each odd table is the general FFT expression applied to the expanded
     # odd vector, restricted to the half grid or to Im c_n, n = 1..nx/2-1
     odd = _odd_maps(nx)
-    assert _odd_maps(nx) is odd and odd.odd
+    assert _odd_maps(nx) is odd
     half = nx // 2
     shapes = {"velocity": (half + 2, half + 1), "spectrum": (half - 1, half + 1), "rows": (3 * (half + 1), half - 1)}
     for name, shape in shapes.items():
         matrix = getattr(odd, name)
         assert matrix.shape == shape and matrix.dtype == float
         assert not matrix.flags.writeable
-    full = _multipliers(nx)
-    np.testing.assert_array_equal(odd.mult.gains, full.gains[:, 3 : 2 * half : 2])
-    np.testing.assert_array_equal(odd.mult.n4, full.n4[3 : 2 * half : 2])
-    for table in (odd.mult.gains, odd.mult.n4):
+    fft = _maps(nx)
+    np.testing.assert_array_equal(odd.gains, fft.gains[:, 3 : 2 * half : 2])
+    np.testing.assert_array_equal(odd.n4, fft.n4[3 : 2 * half : 2])
+    for table in (odd.gains, odd.n4):
         assert not table.flags.writeable
-    fft = _Maps(full)
     for _ in range(3):
         (c, spectrum), (g, g_full), (v, v_full) = _odd_expansions(nx, rng)
         rows = odd.to_rows(c)
@@ -539,13 +501,53 @@ def test_exactly_odd_states_step_on_the_odd_maps_up_to_the_crossover(nx):
     b = np.zeros(nx // 2 - 1)
     b[0] = 1e-3
     p = from_sine_coeffs(b, nx)
-    assert _step_maps(p.coeffs) is _odd_maps(nx)
-    # one real part that is not 0.0 makes the state general
-    coeffs = p.coeffs.copy()
-    coeffs[nx // 2] = 1e-300
-    assert _step_maps(coeffs) is _maps(nx)
+    assert _step_maps(p) is _odd_maps(nx)
+    # cosine content up to _ODD_ULPS ulps of max|theta| is rounding, so the
+    # state still steps on the odd maps; just above that bound it does not
+    bound = _ODD_ULPS * np.finfo(float).eps * np.abs(p.values).max()
+    for real, maps in ((1e-300, _odd_maps(nx)), (bound, _odd_maps(nx)), (np.nextafter(bound, 1.0), _maps(nx))):
+        coeffs = p.coeffs.copy()
+        coeffs.real[1] = real
+        assert _step_maps(ThetaProfile(nx, p.values, coeffs)) is maps
     above = _ODD_MAX_NX + 2
-    assert _step_maps(from_sine_coeffs(np.zeros(above // 2 - 1), above).coeffs) is _maps(above)
+    assert _step_maps(from_sine_coeffs(np.zeros(above // 2 - 1), above)) is _maps(above)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_criterion_5_states_step_on_the_odd_maps(k):
+    # built as the benchmark's stability workload builds them, from grid
+    # values: their real parts are rounding, not 0.0
+    p = ThetaProfile.from_values(1e-6 * np.sin(k * grid(64)))
+    assert p.coeffs.real.any()
+    assert _step_maps(p) is _odd_maps(64)
+    seen = []
+    out = evolve(EvolutionState.from_theta(p), 17.0, 1e-5, 3, observer=seen.append)
+    for state in seen:
+        assert state.prev.maps is _odd_maps(64)
+        assert_exactly_odd(state)
+    assert out is seen[-1]
+
+
+def test_a_chained_run_whose_cosine_content_decays_restarts_on_the_odd_maps():
+    # 1e-12 cos 8 sigma decays like exp(-15360 t) at alpha 17, so a chained
+    # run of imex_step crosses the bound after some 15 steps.  The general
+    # history is not reused in odd coordinates: the first odd step is one
+    # IMEX Euler step, as after a change of dt.  An evolve run chooses its
+    # coordinates once, so it stays general.
+    sigma = grid(64)
+    theta0 = 1e-3 * np.sin(sigma) + 1e-12 * np.cos(8.0 * sigma)
+    state = EvolutionState.from_theta(ThetaProfile.from_values(theta0))
+    steps = chained(state, 17.0, 1e-4, 30)
+    used = [step.prev.maps for step in steps]
+    crossing = used.index(_odd_maps(64))
+    assert crossing >= 2
+    assert all(maps is _maps(64) for maps in used[:crossing])
+    assert all(maps is _odd_maps(64) for maps in used[crossing:])
+    before = steps[crossing - 1]
+    assert before.prev.maps is _maps(64) and before.prev.dt == 1e-4
+    assert_same_state(steps[crossing], imex_step(dataclasses.replace(before, prev=None), 17.0, 1e-4))
+    assert_exactly_odd(steps[-1])
+    assert evolve(state, 17.0, 1e-4, 30).prev.maps is _maps(64)
 
 
 # imex_step, evolve and stability_probe share one stepping loop; these
@@ -636,7 +638,7 @@ def odd_random_state(rng, nx):
 @pytest.mark.parametrize("nx", [64, 256])
 def test_odd_run_keeps_every_state_exactly_odd(rng, nx):
     state = odd_random_state(rng, nx)
-    assert _step_maps(state.theta.coeffs).odd
+    assert _step_maps(state.theta) is _odd_maps(nx)
     seen = []
     out = evolve(state, 17.0, 1e-5, 30, observer=lambda s: seen.append((s, s.theta.values.copy())))
     assert out is seen[-1][0]
@@ -685,18 +687,24 @@ def test_a_replaced_theta_steps_from_its_own_values(rng):
 
 
 def test_cosine_content_does_not_change_the_probe(rng, linear_wave_small):
-    # the probe studies the wave's odd part: the real parts of its half
-    # spectrum, the cosine content, are dropped
+    # the probe studies the wave's odd part: cosine content of rounding
+    # size, as a wave read back from its grid values carries, is dropped;
+    # content above the bound would probe another front, so it is refused
     cfg = StabilityProbeConfig(dt=1e-4, t_max=0.05)
     coeffs = linear_wave_small.theta.coeffs.copy()
-    coeffs.real += 1e-3 * rng.normal(size=coeffs.size)
-    even = dataclasses.replace(linear_wave_small, theta=ThetaProfile.from_coeffs(coeffs))
-    assert not _step_maps(even.theta.coeffs).odd
+    coeffs.real = ThetaProfile.from_values(linear_wave_small.theta.values).coeffs.real
+    assert coeffs.real.any()
+    rounding = dataclasses.replace(linear_wave_small, theta=ThetaProfile.from_coeffs(coeffs))
+    assert _step_maps(rounding.theta) is _odd_maps(256)
     est = stability_probe(linear_wave_small, cfg)
-    other = stability_probe(even, cfg)
+    other = stability_probe(rounding, cfg)
     np.testing.assert_array_equal(other.times, est.times)
     np.testing.assert_array_equal(other.norms, est.norms)
     assert (other.rate, other.intercept, other.window) == (est.rate, est.intercept, est.window)
+    coeffs.real += 1e-3 * rng.normal(size=coeffs.size)
+    even = dataclasses.replace(linear_wave_small, theta=ThetaProfile.from_coeffs(coeffs))
+    with pytest.raises(ValueError, match=r"^the probe takes odd waves only: the wave's cosine content"):
+        stability_probe(even, cfg)
 
 
 def test_probe_matches_a_loop_over_imex_step():
