@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bifurcation, evolution, solver, spectral
-from .errors import ContractViolationError, DegenerateFrontError, FlameFrontError, UnsupportedModelError
+from .errors import ContractViolationError, DegenerateFrontError, FlameFrontError, InvalidGridError, UnsupportedModelError
 from .model import ModelKind, WaveParams, length_from_theta, residual
 
 __all__ = ["main"]
@@ -274,7 +274,10 @@ def _wave_from_file(path):
     values = _theta_entry(path, data)
     # refused before the residual or a step can overflow on it
     evolution._check_blowup(values, 0.0)
-    theta = spectral.ThetaProfile.from_values(values)
+    try:
+        theta = spectral.ThetaProfile.from_values(values)
+    except InvalidGridError as exc:
+        raise ValueError(f"wave file {path} has a 'theta' entry that gives no grid: {exc}") from None
     if "L" in data:
         length = _finite_entry(path, data, "L", None)
     else:

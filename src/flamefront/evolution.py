@@ -26,12 +26,6 @@ they are an rfft and an irfft of the antiderivative for (1), an rfft for
 (2) and one batched irfft of c times 1, (i n) and (i n)^3 for (3): four
 FFT calls per step of a general state, on every grid.
 
-The step's own arithmetic runs on the float view of the half spectrum,
-real and imaginary parts interleaved, with the n^2 and n^4 multipliers
-repeated per pair: no product promotes a real array to complex and no
-complex number is divided by a real one.  The values equal those of the
-complex arithmetic, which numpy carries out as the same real products.
-
 The stiff part of U_sigma/s_sigma cancels against the implicit term in
 closed form, so the explicit half spectrum is
 (a*n^2*c + rfft((V - V(0))*theta_s))/s_sigma with a = (alpha-1)/s_sigma,
@@ -56,29 +50,30 @@ several times its arithmetic, so each odd map is one dense matrix about
 a quarter the size of a general one, tabulated from the general FFT
 expressions (_odd_maps), up to the one crossover (_ODD_MAX_NX, with its
 timings): at nx 64 and 256 such a step makes no FFT call.  The data
-choose the coordinates once per run (_step_maps), and a step's history
-is never reused in the other coordinates, so a chained imex_step run
-whose cosine content decays below the bound restarts in odd coordinates
-with one Euler step, as after a change of dt.  States are expanded to
-the full half spectrum, real parts exactly 0, and to the full grid,
-theta_{nx-j} = -theta_j exactly, only for an observer, for the state
-returned and for theta_rhs.  A stability probe starts from the wave's
-sine content (_probe_start) and refuses a wave that is not odd to
-rounding, whose dropped cosine content would make it probe another
-front.
+choose the coordinates at the start of a run (_step_maps), except that a
+run whose history is on the general maps stays on them: chained imex_step
+calls whose cosine content decays below the bound step as one evolve run
+does.  Odd history handed a front that is not odd (dataclasses.replace)
+is dropped, and the front starts afresh with one Euler step, as after a
+change of dt.  States are expanded to the full half spectrum, real parts
+exactly 0, and to the full grid, theta_{nx-j} = -theta_j exactly, only
+for an observer, for the state returned and for theta_rhs.  A stability
+probe starts from the wave's sine content (_probe_start) and refuses a
+wave that is not odd to rounding, whose dropped cosine content would
+make it probe another front.
 
 On small grids numpy's per-call cost also sets the cost of the step's
 own arithmetic, so the step is written as a few contractions.  The two
 coefficients a = (alpha-1)/s_sigma^2 and q = 4/s_sigma^4 form one pair
 (a, q), contracted with (theta_s, theta_sss) for the flux and with a
 gains table for the explicit gain on c.  The SBDF2 history lives in one
-(4, nx+2) stack ((4, nx/2-1) in odd coordinates) with rows (c, c_prev,
-N, N_prev), N the explicit part, so the Euler and the SBDF2 numerator
-are the same contraction w @ stack
-with w = (1, 0, dt, 0) or (4, -1, 4 dt, -2 dt), times the reciprocal of
-1 + dt*q*n^4 or 3 + 2 dt*q*n^4; the Euler step's zero weights meet
-zeroed rows.  The row order and the product with the reciprocal are
-fixed by their rounding, which the near-neutral probe
+(4, nx/2+1) complex stack ((4, nx/2-1) real in odd coordinates) with
+rows (c, c_prev, N, N_prev), N the explicit part, so the Euler and the
+SBDF2 numerator are the same contraction w @ stack with w = (1, 0, dt,
+0) or (4, -1, 4 dt, -2 dt), times the reciprocal of 1 + dt*q*n^4 or
+3 + 2 dt*q*n^4; the Euler step's zero weights meet zeroed rows.  The
+row order and the product with the reciprocal are fixed by their
+rounding, which the near-neutral probe
 (test_near_neutral_probe_of_linear_wave) resolves: against the 5-FFT
 stepper's slope, this order moves it by 1.1e-7 relative, the order
 (c, N, c_prev, N_prev) by 5.0e-7 and np.divide by 2.2e-6, beyond the
@@ -90,6 +85,7 @@ the odd coordinates' expansion.
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -125,11 +121,12 @@ _NO_GROWTH_NOTE = "no instability observed at threshold 1e-3"
 class _StepCache(NamedTuple):
     """What the step that made a state leaves for the next one.
 
-    The previous half spectrum and explicit part (float views, as the
-    step keeps them), length and L_t are the history an SBDF2 step needs;
+    The previous half spectrum and explicit part, in the coordinates of
+    maps, length and L_t are the history an SBDF2 step needs;
     dt is recorded so a changed step size falls back to the self-starting
-    Euler step, and maps, the coordinates the arrays are in, so that a
-    state in the other coordinates starts afresh.  Nothing of the state
+    Euler step, and maps, the coordinates the arrays are in: a run whose
+    history is on the general maps stays on them, and odd history handed
+    a front that is not odd is dropped.  Nothing of the state
     itself is kept: a state whose theta is replaced (dataclasses.replace)
     keeps this history, and the next step takes its explicit part from the
     new theta.  theta_hat and nonstiff_hat are rows 1 and 3 of the history
@@ -196,26 +193,23 @@ class GrowthEstimate:
 class _Maps:
     """The three linear maps of one step on one grid, in general coordinates.
 
+    The coordinates are the rfft half spectrum c, n = 0..nx/2, that
+    ThetaProfile.coeffs holds.
     (1) to_velocity: g = -flux/s_sigma on the grid to -(V - V(0))/s_sigma
         on the grid and the mean of g, which gives L_t;
-    (2) to_spectrum: grid values to the float view of their rfft half
-        spectrum;
-    (3) to_rows: the float view of a half spectrum c to theta, theta_s and
-        theta_sss.
+    (2) to_spectrum: grid values to their rfft half spectrum;
+    (3) to_rows: a half spectrum c to theta, theta_s and theta_sss.
 
     Each map is an FFT expression that acts along the last axis, with
-    read-only half-spectrum multipliers, n = 0..nx/2.  rows holds 1,
-    (i n), (i n)^3, so one irfft of rows * c gives theta, theta_s and
-    theta_sss; the two derivative rows are zeroed at Nyquist.  inv_in
-    holds 1/(i n) with modes 0 and nx/2 zeroed.  Both act on the complex
-    half spectrum.  gains (2, nx+2) and n4 (n^4) act on its float view,
-    so each value appears twice, once for the real and once for the
-    imaginary part of its mode.  gains row 0 is n^2, zeroed at Nyquist
-    because it only feeds u_sigma, the derivative of a u that has no
-    Nyquist content; row 1 is n^4 at Nyquist and zero elsewhere.  So
+    read-only multipliers, one value per mode.  rows holds 1, (i n),
+    (i n)^3, so one irfft of rows * c gives theta, theta_s and theta_sss;
+    the two derivative rows are zeroed at Nyquist.  inv_in holds 1/(i n)
+    with modes 0 and nx/2 zeroed.  gains (2, nx/2+1) row 0 is n^2, zeroed
+    at Nyquist because it only feeds u_sigma, the derivative of a u that
+    has no Nyquist content; row 1 is n^4 at Nyquist and zero elsewhere.  So
     (a, q) @ gains is the explicit gain a*n^2 below Nyquist and q*n^4 at
     it, with no rounding: one of the two products is always zero.  rows
-    and n4 come from the (i n)^k table behind spectral.deriv.
+    and n4 (n^4) come from the (i n)^k table behind spectral.deriv.
     """
 
     rows: np.ndarray
@@ -231,20 +225,19 @@ class _Maps:
         return neg_v - neg_v[..., :1], neg_flux_hat[..., 0].real
 
     def to_spectrum(self, values):
-        return np.fft.rfft(values, norm="forward").view(float)
+        return np.fft.rfft(values, norm="forward")
 
     def to_rows(self, c):
-        c = c.view(complex)[..., None, :]
-        return np.fft.irfft(self.rows * c, n=2 * (c.shape[-1] - 1), norm="forward")
+        return np.fft.irfft(self.rows * c[..., None, :], n=2 * (c.shape[-1] - 1), norm="forward")
 
     def coordinates(self, coeffs):
-        """A half spectrum as the vector these maps step: its float view,
-        float64 pairs (real, imaginary) per mode."""
-        return np.ascontiguousarray(coeffs, dtype=complex).view(float)
+        """A half spectrum as the vector these maps step: the coefficients
+        themselves."""
+        return coeffs
 
     def profile(self, c, values):
         """The ThetaProfile of c and its grid values, wrapped as they are."""
-        return spectral.ThetaProfile(values.size, values, c.view(complex))
+        return spectral.ThetaProfile(values.size, values, c)
 
 
 @functools.cache
@@ -254,10 +247,10 @@ def _maps(nx):
     n = np.arange(nx // 2 + 1)
     inv_in = np.zeros(n.size, dtype=complex)
     inv_in[1:-1] = 1.0 / (1j * n[1:-1])
-    n4 = np.repeat(powers[4].real, 2)
-    gains = np.zeros((2, n4.size))
-    gains[0, :-2] = np.repeat(n[:-1].astype(float) ** 2, 2)
-    gains[1, -2:] = n4[-2:]
+    n4 = powers[4].real.copy()
+    gains = np.zeros((2, n.size))
+    gains[0, :-1] = n[:-1].astype(float) ** 2
+    gains[1, -1] = n4[-1]
     for table in (rows, inv_in, gains, n4):
         table.setflags(write=False)
     return _Maps(rows, inv_in, gains, n4)
@@ -312,22 +305,22 @@ class _OddMaps:
 # the odd maps are dense, so their arithmetic grows like nx^2 against the
 # general path's FFTs.  One step of an exactly odd state at alpha 17,
 # dt 1e-5, in us: the fastest of 21 runs of 1000 steps, one BLAS thread,
-# 2-core Xeon VM, median of three such measurements, general path / odd
-# path:
+# 2-core Xeon VM, median of three such measurements, general path (FFTs
+# on the complex half spectrum) / odd path:
 #
 #     nx     step
-#     64     21.9 / 16.2
-#     128    26.9 / 18.6
-#     256    65.6 / 38.5
-#     320    70.0 / 52.0
-#     384    63.9 / 69.7
-#     416    67.5 / 81.0
-#     512    69.1 / 121.3
+#     64     43.7 / 14.3
+#     128    44.5 / 19.1
+#     256    47.1 / 26.3
+#     320    52.1 / 35.4
+#     384    76.8 / 54.8
+#     416    79.3 / 74.1
+#     512    56.5 / 123.4
 #
-# The general figures up to nx 256 were taken while the general path still
-# had dense maps there; from 320 on it ran the FFTs it runs now, so the
-# crossover stands.  Single measurements move by up to 1.5x on this VM; the
-# odd path won at 320 in all of them and lost at 384 in two of three.
+# Single measurements move by up to 2x on this VM.  The odd path won at
+# 320 in all three measurements and in a second table of three (60.2 /
+# 39.4); at 384 it won two of three, and the second table read 52.6 /
+# 50.8, close to even, so the crossover stays at 320.
 _ODD_MAX_NX = 320
 
 
@@ -347,8 +340,6 @@ def _odd_maps(nx):
     """
     half = nx // 2
     fft = _maps(nx)
-    # the imaginary parts of modes 1..nx/2-1 in the float view
-    odd_modes = slice(3, 2 * half, 2)
     j = np.arange(1, half)
 
     def on_full_grid(sign):
@@ -363,18 +354,18 @@ def _odd_maps(nx):
     def spectrum():
         units = on_full_grid(-1.0)
         units[[0, half], [0, half]] = 0.0
-        return fft.to_spectrum(units)[:, odd_modes]
+        return fft.to_spectrum(units).imag[:, 1:half]
 
     def rows():
-        units = np.zeros((half - 1, nx + 2))
-        units[j - 1, 2 * j + 1] = 1.0
+        units = np.zeros((half - 1, half + 1), dtype=complex)
+        units[j - 1, j] = 1j
         image = fft.to_rows(units)[..., : half + 1]
         image[:, 0, [0, half]] = 0.0
         return image.reshape(half - 1, 3 * (half + 1))
 
     images = {"velocity": velocity, "spectrum": spectrum, "rows": rows}
     tables = {name: np.ascontiguousarray(image().T) for name, image in images.items()}
-    gains, n4 = (np.ascontiguousarray(table[..., odd_modes]) for table in (fft.gains, fft.n4))
+    gains, n4 = (np.ascontiguousarray(table[..., 1:half]) for table in (fft.gains, fft.n4))
     for table in (gains, n4, *tables.values()):
         table.setflags(write=False)
     return _OddMaps(**tables, gains=gains, n4=n4)
@@ -412,9 +403,8 @@ def _explicit(c, rows, length, alpha, maps, out=None):
     carries -q*n^4*c, the term the step treats implicitly.  It is left out
     here rather than added and subtracted, except at Nyquist, where
     u_sigma has no content and the implicit term is balanced explicitly.
-    c and the explicit part are float views of half spectra, real and
-    imaginary parts interleaved, so every product is real by real; rows
-    holds theta, theta_s and theta_sss on the grid.  The step's two
+    c and the explicit part are in the coordinates of maps; rows holds
+    theta, theta_s and theta_sss on the grid.  The step's two
     coefficients enter as one pair (a, q): a*theta_s + q*theta_sss is
     (a, q) @ rows[1:] and the gain on c is (a, q) @ gains.  The explicit
     part is written into out when it is given: _march passes the row of
@@ -451,13 +441,15 @@ def _state(maps, stack, values, length, time, *cache):
 
 
 def _check_blowup(values, time):
-    """BlowUpError when max|theta| of the grid values exceeds _THETA_BLOWUP."""
+    """BlowUpError when max|theta| of the grid values exceeds _THETA_BLOWUP
+    or is not finite."""
     peak = float(np.abs(values).max(initial=0.0))
     if not peak <= _THETA_BLOWUP:
-        raise BlowUpError(
-            f"max|theta| = {peak:.3e} exceeded {_THETA_BLOWUP:g} at t = {time:.6g}",
-            time=time,
-        )
+        if np.isfinite(peak):
+            what = f"max|theta| = {peak:.3e} exceeded {_THETA_BLOWUP:g}"
+        else:
+            what = "theta is not finite"
+        raise BlowUpError(f"{what} at t = {time:.6g}", time=time)
 
 
 def _march(state, alpha, dt, n_steps, observer=None, until=None):
@@ -466,7 +458,8 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     Takes n_steps steps, or fewer if until(values, time) returns True
     after one, calls observer(state) after each, and returns the state
     after the last step taken.  The state's data pick the maps, odd or
-    general, once (_step_maps); until sees grid values in their
+    general, once (_step_maps), unless its history is on the general maps,
+    which then carry the run; until sees grid values in their
     coordinates, on the half grid for the odd maps.  The half spectrum, L,
     t and the SBDF2 history live in locals; states are built only for the
     observer and for the return value.  A starting state already past the blow-up
@@ -474,7 +467,10 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
 
     The half spectra live in the history stack of the module docstring.
     Each step writes N into its row 2, then takes a fresh stack holding
-    the shifted history and writes the new c into it.
+    the shifted history and writes the new c into it.  The loop, observer
+    included, runs with numpy's overflow and invalid-value warnings off: a
+    step that overflows leaves a theta that is not finite, which the
+    blow-up check refuses.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -482,20 +478,24 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     _check_blowup(state.theta.values, state.time)
     maps = _step_maps(state.theta)
+    prev = state.prev
+    if prev is not None and prev.maps is not maps:
+        if prev.maps is _maps(state.theta.nx):
+            # a run on the general maps stays on them, even once its
+            # cosine content decays below the bound
+            maps = prev.maps
+        else:
+            # odd history handed a front that is not odd: start afresh
+            prev = None
     n4 = maps.n4
-    # Python floats and float views throughout: no numpy scalar arithmetic
-    # and no real-to-complex promotion in the loop
+    # Python floats throughout: no numpy scalar arithmetic in the loop
     alpha = float(alpha)
     length = float(state.length)
     time = state.time
-    prev = state.prev
-    if prev is not None and prev.maps is not maps:
-        # history in the other coordinates, as after a general run whose
-        # cosine content decayed below the bound: start afresh
-        prev = None
-    stack = np.zeros((4, n4.size))
-    stack[0] = maps.coordinates(state.theta.coeffs)
-    rows = maps.to_rows(stack[0])
+    c = maps.coordinates(state.theta.coeffs)
+    stack = np.zeros((4, c.size), dtype=c.dtype)
+    stack[0] = c
+    rows = maps.to_rows(c)
     # SBDF2 needs the previous step at the same dt; otherwise IMEX Euler
     prev_length = prev_rate = None
     if prev is not None and prev.dt == dt:
@@ -505,32 +505,32 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     # d0 + d1*q*n^4
     euler = (np.array((1.0, 0.0, dt, 0.0)), 1.0, dt)
     sbdf2 = (np.array((4.0, -1.0, 4.0 * dt, -2.0 * dt)), 3.0, 2.0 * dt)
-    c = stack[0]
     out = state
-    for _ in range(n_steps):
-        _, length_rate, q = _explicit(c, rows, length, alpha, maps, out=stack[2])
-        if prev_length is None:
-            w, d0, d1 = euler
-            new_length = length + dt * length_rate
-        else:
-            w, d0, d1 = sbdf2
-            new_length = (4.0 * length - prev_length + 2.0 * dt * (2.0 * length_rate - prev_rate)) / 3.0
-        # (c, c, N, N): rows 1 and 3 are the next step's history; the
-        # new c overwrites row 0 below and the next N row 2
-        new = stack.take(_SHIFT, axis=0)
-        # a product with the reciprocal, not a division (module docstring)
-        c = np.multiply(np.dot(w, stack), 1.0 / (d0 + d1 * q * n4), out=new[0])
-        time += dt
-        rows = maps.to_rows(c)
-        values = rows[0]
-        _check_blowup(values, time)
-        stack, length, prev_length, prev_rate = new, new_length, length, length_rate
-        out = None
-        if observer is not None:
-            out = _state(maps, stack, values, length, time, prev_length, prev_rate, dt)
-            observer(out)
-        if until is not None and until(values, time):
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            _, length_rate, q = _explicit(c, rows, length, alpha, maps, out=stack[2])
+            if prev_length is None:
+                w, d0, d1 = euler
+                new_length = length + dt * length_rate
+            else:
+                w, d0, d1 = sbdf2
+                new_length = (4.0 * length - prev_length + 2.0 * dt * (2.0 * length_rate - prev_rate)) / 3.0
+            # (c, c, N, N): rows 1 and 3 are the next step's history; the
+            # new c overwrites row 0 below and the next N row 2
+            new = stack.take(_SHIFT, axis=0)
+            # a product with the reciprocal, not a division (module docstring)
+            c = np.multiply(np.dot(w, stack), 1.0 / (d0 + d1 * q * n4), out=new[0])
+            time += dt
+            rows = maps.to_rows(c)
+            values = rows[0]
+            _check_blowup(values, time)
+            stack, length, prev_length, prev_rate = new, new_length, length, length_rate
+            out = None
+            if observer is not None:
+                out = _state(maps, stack, values, length, time, prev_length, prev_rate, dt)
+                observer(out)
+            if until is not None and until(values, time):
+                break
     if out is None:
         out = _state(maps, stack, rows[0], length, time, prev_length, prev_rate, dt)
     return out
@@ -617,29 +617,29 @@ def stability_probe(wave, cfg=None):
 
     factor = 10.0**_GROWTH_WINDOW_DECADES
     n_steps = int(round(cfg.t_max / cfg.dt))
-    times = np.empty(n_steps)
-    norms = np.empty(n_steps)
+    # one float64 per step taken: the window usually completes long before
+    # n_steps, which may be far too many to hold
+    times = array("d")
+    norms = array("d")
     start = None
     end = None
-    taken = 0
 
     def record(values, time):
-        nonlocal start, end, taken
-        i = taken
-        times[i] = time
-        norms[i] = np.abs(values - reference).max()
-        taken = i + 1
+        nonlocal start, end
+        norm = float(np.abs(values - reference).max())
+        times.append(time)
+        norms.append(norm)
         if start is None:
-            if norms[i] >= 10.0 * cfg.delta:
-                start = i
-        elif i > start and norms[i] >= factor * norms[start]:
-            end = i
+            if norm >= 10.0 * cfg.delta:
+                start = len(norms) - 1
+        elif norm >= factor * norms[start]:
+            end = len(norms) - 1
             return True
         return False
 
     _march(state, wave.alpha, cfg.dt, n_steps, until=record)
-    times = times[:taken]
-    norms = norms[:taken]
+    times = np.array(times)
+    norms = np.array(norms)
 
     positive = norms > 0.0
     if start is not None and end is not None:

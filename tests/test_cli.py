@@ -389,7 +389,9 @@ FLAT_WAVE = {"model": "linear", "alpha": 17.0, "theta": [0.0] * 64}
         (3.0, "does not hold a JSON object"),
         ({"model": "linear", "theta": [0.0] * 64}, "has no 'alpha' entry"),
         ({"model": "linear", "alpha": 17.0}, "has no 'theta' entry"),
-        ({"model": "linear", "alpha": 17.0, "theta": [0.0] * 63}, "nx must be an even integer >= 8, got 63"),
+        ({"model": "linear", "alpha": 17.0, "theta": [0.0] * 63},
+         "has a 'theta' entry that gives no grid: nx must be an even integer >= 8, got 63"),
+        ({**FLAT_WAVE, "theta": []}, "has a 'theta' entry that gives no grid: nx must be an even integer >= 8, got 0"),
         ({"model": "linear", "alpha": 17.0, "theta": [float("nan")] + [0.0] * 63}, "must be finite"),
         ({**FLAT_WAVE, "residual_norm": None}, "has a non-numeric 'residual_norm' entry: None"),
         ({**FLAT_WAVE, "residual_norm": "nan"}, "has a non-finite 'residual_norm' entry: 'nan'"),
@@ -418,7 +420,7 @@ FLAT_WAVE = {"model": "linear", "alpha": 17.0, "theta": [0.0] * 64}
         ({**FLAT_WAVE, "model": None}, "has a 'model' entry that is not 'linear' or 'nonlinear': None"),
     ],
     ids=[
-        "not-an-object", "no-alpha", "no-theta", "odd-theta", "nan-theta",
+        "not-an-object", "no-alpha", "no-theta", "odd-theta", "empty-theta", "nan-theta",
         "null-residual", "nan-residual", "zero-k0", "fractional-k0", "text-k0", "bool-k0",
         "bool-alpha", "text-alpha", "bool-alpha-text-beta", "text-length", "bool-length",
         "bool-residual", "text-residual", "huge-alpha",
@@ -553,6 +555,12 @@ def test_branch_rejects_unresolved_k0(tmp_path, capsys, k0, nx):
          "max|Re c_n| = 1.500e-01 exceeds 4 ulps of max|theta| = 3.000e-01"),
         (["stability", "--dt", "1e-300", "--t-max", "1e300"], json.dumps(FLAT_WAVE), 2,
          "t_max 1e+300 over dt 1e-300 is too many steps to count"),
+        (["stability", "--dt", "1e-3", "--t-max", "0.01"], json.dumps({**FLAT_WAVE, "alpha": 1e308}), 3,
+         "theta is not finite at t = 0.001"),
+        (["stability"], json.dumps({**FLAT_WAVE, "theta": [0.0] * 63}), 2,
+         "wave file {wave} has a 'theta' entry that gives no grid: nx must be an even integer >= 8, got 63"),
+        (["stability"], json.dumps({**FLAT_WAVE, "theta": []}), 2,
+         "wave file {wave} has a 'theta' entry that gives no grid: nx must be an even integer >= 8, got 0"),
         (["bifurcate", "--model", "nonlinear", "--k0", str(10**39)], None, 2,
          f"k0={10**39} is too large to certify"),
         (["bifurcate", "--model", "nonlinear", "--k0", str(10**160)], None, 2,
@@ -560,7 +568,8 @@ def test_branch_rejects_unresolved_k0(tmp_path, capsys, k0, nx):
     ],
     ids=["h-step-above-eps-cap", "nonlinear-h-step-above-cap", "branch-start-error", "negative-length",
          "zero-length-with-residual", "truncated-wave-file", "no-length-from-theta",
-         "stated-length-but-no-length-from-theta", "cosine-wave", "step-count-overflow", "k0-1e39", "k0-1e160"],
+         "stated-length-but-no-length-from-theta", "cosine-wave", "step-count-overflow", "huge-alpha",
+         "odd-theta", "empty-theta", "k0-1e39", "k0-1e160"],
 )
 def test_failed_command_creates_no_output_directory(tmp_path, capsys, argv, wave, code, message):
     path = tmp_path / "wave.json"

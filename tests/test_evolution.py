@@ -124,6 +124,19 @@ def test_blow_up_of_the_starting_state():
             stability_probe(wave, StabilityProbeConfig(dt=1e-3, t_max=0.01))
 
 
+def test_overflow_in_a_step_is_a_blow_up():
+    # a finite but huge alpha overflows the first step: refused as a
+    # blow-up, with no numpy warning (the suite turns warnings into errors)
+    # and numpy's error state left as it was
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match=r"^theta is not finite at t = 0.001$") as info:
+            stability_probe(flat_solution(1e308, nx=64), StabilityProbeConfig(dt=1e-3, t_max=0.01))
+    assert info.value.time == pytest.approx(1e-3)
+    assert np.geterr() == before
+
+
 def test_dt_validation():
     state = single_mode_state(0.1, 1)
     with pytest.raises(ValueError):
@@ -203,6 +216,16 @@ def test_probe_stable_case_flagged():
 def test_probe_config_validation(settings):
     with pytest.raises(ValueError):
         StabilityProbeConfig(**settings)
+
+
+def test_a_huge_t_max_stops_at_the_usual_window():
+    # the probe keeps one entry per step taken, so a t_max of 1e13 steps
+    # stops where t_max = 1 stops, with the same record
+    short, huge = (stability_probe(flat_solution(17.0, nx=64), StabilityProbeConfig(t_max=t)) for t in (1.0, 1e9))
+    assert short.observed and huge.observed
+    assert huge.window == short.window and huge.rate == short.rate
+    np.testing.assert_array_equal(huge.times, short.times)
+    np.testing.assert_array_equal(huge.norms, short.norms)
 
 
 def test_probe_rejects_nonlinear_wave():
@@ -326,6 +349,12 @@ def oracle_step(coeffs, length, prev, alpha, dt):
     return new, new_length, (coeffs, nonstiff, length, length_rate, dt)
 
 
+def oracle_history(state):
+    """The general-path history a state carries, as oracle_step takes it."""
+    prev = state.prev
+    return full_spectrum(prev.theta_hat), full_spectrum(prev.nonstiff_hat), prev.length, prev.length_rate, prev.dt
+
+
 def random_state(rng, nx, scale=0.05):
     """Random profile over the whole band, Nyquist mode included, with a
     spectrum that falls off smoothly towards it."""
@@ -353,15 +382,16 @@ def test_multipliers_cached_read_only_and_zeroed_at_nyquist():
         np.testing.assert_array_equal(table.rows[:, :-1], (1j * n[:-1]) ** np.array([[0], [1], [3]]))
         # the values row keeps the Nyquist mode, the derivative rows drop it
         np.testing.assert_array_equal(table.rows[:, -1], [1.0, 0.0, 0.0])
-        # gains and n4 act on the float view: one value per real and imaginary part
-        assert table.gains.shape == (2, 2 * half)
-        np.testing.assert_array_equal(table.gains[0, :-2], np.repeat(n[:-1].astype(float) ** 2, 2))
-        np.testing.assert_array_equal(table.gains[0, -2:], [0.0, 0.0])
-        np.testing.assert_array_equal(table.gains[1, :-2], 0.0)
-        np.testing.assert_array_equal(table.gains[1, -2:], [(nx // 2) ** 4] * 2)
+        # gains and n4 act on the complex half spectrum: one value per mode
+        assert table.gains.shape == (2, half) and table.n4.shape == (half,)
+        assert table.gains.dtype == float and table.n4.dtype == float
+        np.testing.assert_array_equal(table.gains[0, :-1], n[:-1].astype(float) ** 2)
+        assert table.gains[0, -1] == 0.0
+        np.testing.assert_array_equal(table.gains[1, :-1], 0.0)
+        assert table.gains[1, -1] == (nx // 2) ** 4
         assert table.inv_in[0] == 0.0 and table.inv_in[-1] == 0.0
         np.testing.assert_array_equal(table.inv_in[1:-1], 1.0 / (1j * n[1:-1]))
-        np.testing.assert_array_equal(table.n4, np.repeat(n.astype(float) ** 4, 2))
+        np.testing.assert_array_equal(table.n4, n.astype(float) ** 4)
         for array in (table.rows, table.gains, table.inv_in, table.n4):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -374,11 +404,11 @@ def test_gains_give_the_explicit_gain_exactly(rng, nx):
     # one of the two products in (a, q) @ gains is always zero, so the
     # contraction equals a*n^2 with q*n^4 set at Nyquist, bit for bit
     gains = _maps(nx).gains
-    n2 = np.repeat(np.arange(nx // 2 + 1, dtype=float) ** 2, 2)
-    n2[-2:] = 0.0
+    n2 = np.arange(nx // 2 + 1, dtype=float) ** 2
+    n2[-1] = 0.0
     for a, q in [*rng.normal(size=(5, 2)) * [[30.0, 4.0]], (-0.25, 4.0 / 1.3**4)]:
         old = a * n2
-        old[-2:] = q * float((nx // 2) ** 4)
+        old[-1] = q * float((nx // 2) ** 4)
         np.testing.assert_array_equal(np.dot((a, q), gains), old)
 
 
@@ -451,12 +481,12 @@ def assert_close(x, ref, rtol):
 
 
 def _odd_expansions(nx, rng):
-    """Random odd coordinates with their full float-view half spectrum, and
-    random even and odd half-grid values with their full-grid expansions."""
+    """Random odd coordinates with their full half spectrum, and random even
+    and odd half-grid values with their full-grid expansions."""
     half = nx // 2
     c = rng.normal(size=half - 1)
-    spectrum = np.zeros(nx + 2)
-    spectrum[3 : 2 * half : 2] = c
+    spectrum = np.zeros(half + 1, dtype=complex)
+    spectrum.imag[1:half] = c
     even = rng.normal(size=half + 1)
     odd = rng.normal(size=half + 1)
     odd[[0, half]] = 0.0
@@ -480,8 +510,8 @@ def test_odd_maps_match_their_fft_expressions(rng, nx):
         assert matrix.shape == shape and matrix.dtype == float
         assert not matrix.flags.writeable
     fft = _maps(nx)
-    np.testing.assert_array_equal(odd.gains, fft.gains[:, 3 : 2 * half : 2])
-    np.testing.assert_array_equal(odd.n4, fft.n4[3 : 2 * half : 2])
+    np.testing.assert_array_equal(odd.gains, fft.gains[:, 1:half])
+    np.testing.assert_array_equal(odd.n4, fft.n4[1:half])
     for table in (odd.gains, odd.n4):
         assert not table.flags.writeable
     for _ in range(3):
@@ -493,7 +523,7 @@ def test_odd_maps_match_their_fft_expressions(rng, nx):
         np.testing.assert_array_equal(rows[0, [0, half]], 0.0)
         neg_v, mean = fft.to_velocity(g_full)
         assert_close(np.append(*odd.to_velocity(g)), np.append(neg_v[: half + 1], mean), 1e-13)
-        assert_close(odd.to_spectrum(v), fft.to_spectrum(v_full)[3 : 2 * half : 2], 1e-13)
+        assert_close(odd.to_spectrum(v), fft.to_spectrum(v_full).imag[1:half], 1e-13)
 
 
 @pytest.mark.parametrize("nx", [8, 64, 256, _ODD_MAX_NX])
@@ -528,26 +558,33 @@ def test_criterion_5_states_step_on_the_odd_maps(k):
     assert out is seen[-1]
 
 
-def test_a_chained_run_whose_cosine_content_decays_restarts_on_the_odd_maps():
-    # 1e-12 cos 8 sigma decays like exp(-15360 t) at alpha 17, so a chained
-    # run of imex_step crosses the bound after some 15 steps.  The general
-    # history is not reused in odd coordinates: the first odd step is one
-    # IMEX Euler step, as after a change of dt.  An evolve run chooses its
-    # coordinates once, so it stays general.
+def decaying_cosine_state():
+    """1e-3 sin sigma + 1e-12 cos 8 sigma at nx 64: at alpha 17 the cosine
+    decays like exp(-15360 t), below the odd-to-rounding bound after some
+    15 steps of 1e-4."""
     sigma = grid(64)
     theta0 = 1e-3 * np.sin(sigma) + 1e-12 * np.cos(8.0 * sigma)
-    state = EvolutionState.from_theta(ThetaProfile.from_values(theta0))
+    return EvolutionState.from_theta(ThetaProfile.from_values(theta0))
+
+
+def test_a_chained_run_whose_cosine_content_decays_stays_on_the_general_maps():
+    # a run whose history is on the general maps stays on them, so chained
+    # imex_step calls step as one evolve run does; a fresh start from a
+    # state past the crossing steps on the odd maps
+    state = decaying_cosine_state()
+    assert _step_maps(state.theta) is _maps(64)
     steps = chained(state, 17.0, 1e-4, 30)
-    used = [step.prev.maps for step in steps]
-    crossing = used.index(_odd_maps(64))
-    assert crossing >= 2
-    assert all(maps is _maps(64) for maps in used[:crossing])
-    assert all(maps is _odd_maps(64) for maps in used[crossing:])
-    before = steps[crossing - 1]
-    assert before.prev.maps is _maps(64) and before.prev.dt == 1e-4
-    assert_same_state(steps[crossing], imex_step(dataclasses.replace(before, prev=None), 17.0, 1e-4))
-    assert_exactly_odd(steps[-1])
-    assert evolve(state, 17.0, 1e-4, 30).prev.maps is _maps(64)
+    assert all(step.prev.maps is _maps(64) for step in steps)
+    odd = [_step_maps(step.theta) is _odd_maps(64) for step in steps]
+    crossing = odd.index(True)
+    assert crossing >= 2 and all(odd[crossing:])
+    seen = []
+    evolve(state, 17.0, 1e-4, 30, observer=seen.append)
+    for a, b in zip(seen, steps):
+        assert_same_state(a, b)
+    restart = imex_step(dataclasses.replace(steps[-1], prev=None), 17.0, 1e-4)
+    assert restart.prev.maps is _odd_maps(64)
+    assert_exactly_odd(restart)
 
 
 # imex_step, evolve and stability_probe share one stepping loop; these
@@ -579,14 +616,23 @@ def chained(state, alpha, dt, n):
     return states
 
 
-@pytest.mark.parametrize("nx", [64, 256])
-def test_evolve_matches_chained_steps_bitwise(rng, nx):
-    state = smooth_random_state(rng, nx)
-    out = evolve(state, 17.0, 1e-5, 40)
-    steps = chained(state, 17.0, 1e-5, 40)
+@pytest.mark.parametrize(
+    "make, dt, n",
+    [
+        (lambda rng: smooth_random_state(rng, 64), 1e-5, 40),
+        (lambda rng: smooth_random_state(rng, 256), 1e-5, 40),
+        # its cosine content decays below the odd-to-rounding bound mid-run
+        (lambda rng: decaying_cosine_state(), 1e-4, 30),
+    ],
+    ids=["64", "256", "decaying-cosine"],
+)
+def test_evolve_matches_chained_steps_bitwise(rng, make, dt, n):
+    state = make(rng)
+    out = evolve(state, 17.0, dt, n)
+    steps = chained(state, 17.0, dt, n)
     assert_same_state(out, steps[-1])
     # the history each result carries gives the same further SBDF2 step
-    assert_same_state(imex_step(out, 17.0, 1e-5), imex_step(steps[-1], 17.0, 1e-5))
+    assert_same_state(imex_step(out, 17.0, dt), imex_step(steps[-1], 17.0, dt))
 
 
 def test_observer_sees_the_chained_states(rng):
@@ -655,15 +701,24 @@ def test_odd_run_keeps_every_state_exactly_odd(rng, nx):
 
 
 def test_history_in_the_other_coordinates_is_not_reused(rng):
-    # a general profile carrying an odd step's history, and an odd one
-    # carrying a general step's, each step as from a fresh start
+    # a general profile carrying an odd step's history steps as from a
+    # fresh start; an odd one carrying a general step's stays on the
+    # general maps, the history's own coordinates, and takes the SBDF2 step
     odd = evolve(odd_random_state(rng, 64), 17.0, 1e-5, 3)
     general = evolve(smooth_random_state(rng, 64), 17.0, 1e-5, 3)
-    for theta, prev in ((general.theta, odd.prev), (odd.theta, general.prev)):
-        fresh = EvolutionState(theta, odd.length, odd.time)
-        cached = EvolutionState(theta, odd.length, odd.time, prev)
-        assert_same_state(imex_step(cached, 17.0, 1e-5), imex_step(fresh, 17.0, 1e-5))
-        assert_same_state(evolve(cached, 17.0, 1e-5, 5), evolve(fresh, 17.0, 1e-5, 5))
+    cached = dataclasses.replace(odd, theta=general.theta)
+    fresh = dataclasses.replace(cached, prev=None)
+    assert imex_step(cached, 17.0, 1e-5).prev.maps is _maps(64)
+    assert_same_state(imex_step(cached, 17.0, 1e-5), imex_step(fresh, 17.0, 1e-5))
+    assert_same_state(evolve(cached, 17.0, 1e-5, 5), evolve(fresh, 17.0, 1e-5, 5))
+
+    cached = dataclasses.replace(general, theta=odd.theta)
+    out = imex_step(cached, 17.0, 1e-5)
+    assert out.prev.maps is _maps(64)
+    assert evolve(cached, 17.0, 1e-5, 5).prev.maps is _maps(64)
+    coeffs, length, _ = oracle_step(full_spectrum(odd.theta.coeffs), general.length, oracle_history(general), 17.0, 1e-5)
+    assert_close(out.theta.values, _oracle_values(coeffs), 1e-12)
+    assert out.length == pytest.approx(length, rel=1e-13)
 
 
 def test_a_replaced_theta_steps_from_its_own_values(rng):
@@ -673,15 +728,7 @@ def test_a_replaced_theta_steps_from_its_own_values(rng):
     made = evolve(smooth_random_state(rng, 64), 17.0, 1e-5, 3)
     other = smooth_random_state(rng, 64).theta
     out = imex_step(dataclasses.replace(made, theta=other), 17.0, 1e-5)
-    prev = made.prev
-    history = (
-        full_spectrum(prev.theta_hat.view(complex)),
-        full_spectrum(prev.nonstiff_hat.view(complex)),
-        prev.length,
-        prev.length_rate,
-        prev.dt,
-    )
-    coeffs, length, _ = oracle_step(full_spectrum(other.coeffs), made.length, history, 17.0, 1e-5)
+    coeffs, length, _ = oracle_step(full_spectrum(other.coeffs), made.length, oracle_history(made), 17.0, 1e-5)
     assert_close(out.theta.values, _oracle_values(coeffs), 1e-12)
     assert out.length == pytest.approx(length, rel=1e-13)
 
