@@ -107,6 +107,10 @@ __all__ = [
 
 _THETA_BLOWUP = 1e3
 
+# A sum of squares of grid values at most this bounds max|theta| by
+# _THETA_BLOWUP/2 (_check_blowup)
+_BLOWUP_SUM_SQUARES = (_THETA_BLOWUP / 2.0) ** 2
+
 # Rows of a history stack (c, c_prev, N, N_prev) that start the next one
 _SHIFT = np.array([0, 0, 2, 2])
 
@@ -265,7 +269,9 @@ class _OddMaps:
     np.dot, which gives the bits of @ at 0.1-0.3 us less per call:
     velocity is (nx/2+2, nx/2+1), spectrum (nx/2-1, nx/2+1), rows
     (3*(nx/2+1), nx/2-1).  gains and n4 are those of _Maps, restricted to
-    these modes.
+    these modes.  fold and sign expand half-grid values to the full grid,
+    values.take(fold) * sign: fold holds j = 0..nx/2, then nx/2-1..1, and
+    sign +1 for the first nx/2+1 entries and -1 for the rest.
     """
 
     velocity: np.ndarray
@@ -273,6 +279,8 @@ class _OddMaps:
     rows: np.ndarray
     gains: np.ndarray
     n4: np.ndarray
+    fold: np.ndarray
+    sign: np.ndarray
 
     def to_velocity(self, g):
         w = np.dot(self.velocity, g)
@@ -296,7 +304,8 @@ class _OddMaps:
         0, and values extended by theta_{nx-j} = -theta_j, exactly."""
         coeffs = np.zeros(c.size + 2, dtype=complex)
         coeffs.imag[1:-1] = c
-        values = np.concatenate((values, -values[-2:0:-1]))
+        # the product with -1.0 is exact, signed zeros included
+        values = values.take(self.fold) * self.sign
         return spectral.ThetaProfile(values.size, values, coeffs)
 
 
@@ -336,7 +345,8 @@ def _odd_maps(nx):
     j, -1 at nx - j for an odd one (V theta_s, differenced; columns 0 and
     nx/2 vanish).  theta is odd, so its rows at j = 0 and nx/2 are set to
     the exact 0.  Each image is built and reduced before the next one, so
-    at nx 256 the build's temporaries peak at 2.0 MiB (tracemalloc).
+    at nx 256 the build's temporaries peak at 2.0 MiB (tracemalloc).  The
+    fold and sign tables of the grid expansion come with them.
     """
     half = nx // 2
     fft = _maps(nx)
@@ -366,9 +376,11 @@ def _odd_maps(nx):
     images = {"velocity": velocity, "spectrum": spectrum, "rows": rows}
     tables = {name: np.ascontiguousarray(image().T) for name, image in images.items()}
     gains, n4 = (np.ascontiguousarray(table[..., 1:half]) for table in (fft.gains, fft.n4))
-    for table in (gains, n4, *tables.values()):
+    fold = np.concatenate((np.arange(half + 1), j[::-1]))
+    sign = np.repeat((1.0, -1.0), (half + 1, half - 1))
+    for table in (gains, n4, fold, sign, *tables.values()):
         table.setflags(write=False)
-    return _OddMaps(**tables, gains=gains, n4=n4)
+    return _OddMaps(**tables, gains=gains, n4=n4, fold=fold, sign=sign)
 
 
 # Largest cosine content, in ulps of max|theta|, of a state odd to
@@ -395,8 +407,33 @@ def _step_maps(theta):
     return _maps(theta.nx)
 
 
-def _explicit(c, rows, length, alpha, maps, out=None):
-    """Explicit half spectrum of theta_t, L_t, and q = 4*(2*pi/L)^4.
+def _stiffness(length):
+    """q = 4/s_sigma^4 = 4*(2*pi/L)^4 of a front of length L, as a Python
+    float, or None when L is not positive and finite or q is not finite and
+    nonzero: above L of about 7.3e77 s_sigma^4 overflows, and below about
+    7.7e-77 q does.  A finite s_sigma^4 makes q at least 2.2e-308, so q is
+    never 0."""
+    if not 0.0 < length < np.inf:
+        return None
+    try:
+        q = 4.0 / (length / (2.0 * np.pi)) ** 4
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return q if q < np.inf else None
+
+
+def _checked_length(state):
+    """A state's L as a Python float and its q (_stiffness), or ValueError
+    naming an L that has no q."""
+    length = float(state.length)
+    q = _stiffness(length)
+    if q is None:
+        raise ValueError(f"L must be positive and finite with 4*(2*pi/L)^4 finite and nonzero, got {state.length!r}")
+    return length, q
+
+
+def _explicit(c, rows, length, q, alpha, maps, out=None):
+    """Explicit half spectrum of theta_t and L_t, for q = 4*(2*pi/L)^4.
 
     theta_t = (u_sigma + (V - V(0))*theta_s)/s_sigma with
     u/s_sigma = -(1/s_sigma + a*theta_s + q*theta_sss), so u_sigma/s_sigma
@@ -411,7 +448,6 @@ def _explicit(c, rows, length, alpha, maps, out=None):
     its history stack.
     """
     s_sigma = length / (2.0 * np.pi)
-    q = 4.0 / s_sigma**4
     aq = np.array(((alpha - 1.0) / s_sigma**2, q))
     theta_s = rows[1]
     # the maps carry -flux/s_sigma and -V/s_sigma: dividing u by s_sigma
@@ -420,14 +456,19 @@ def _explicit(c, rows, length, alpha, maps, out=None):
     length_rate = length * float(neg_flux_mean)
     gain = np.dot(aq, maps.gains)
     nonstiff = np.subtract(gain * c, maps.to_spectrum(neg_v * theta_s), out=out)
-    return nonstiff, length_rate, q
+    return nonstiff, length_rate
 
 
 def theta_rhs(state, alpha):
-    """Right-hand sides (theta_t values, L_t) of the evolution system."""
+    """Right-hand sides (theta_t values, L_t) of the evolution system.
+
+    Raises ValueError for an L that is not positive and finite or whose
+    4*(2*pi/L)^4 is not finite and nonzero (_stiffness).
+    """
+    length, q = _checked_length(state)
     maps = _step_maps(state.theta)
     c = maps.coordinates(state.theta.coeffs)
-    nonstiff, length_rate, q = _explicit(c, maps.to_rows(c), state.length, alpha, maps)
+    nonstiff, length_rate = _explicit(c, maps.to_rows(c), length, q, alpha, maps)
     rhs = nonstiff - q * maps.n4 * c
     return maps.profile(rhs, maps.to_rows(rhs)[0]).values, length_rate
 
@@ -442,7 +483,19 @@ def _state(maps, stack, values, length, time, *cache):
 
 def _check_blowup(values, time):
     """BlowUpError when max|theta| of the grid values exceeds _THETA_BLOWUP
-    or is not finite."""
+    or is not finite.
+
+    Runs on every step, so it first tests a sufficient condition in one
+    numpy call: a sum of squares at most (_THETA_BLOWUP/2)^2 bounds
+    max|theta| by _THETA_BLOWUP/2.  The sum of at most a few hundred
+    squares rounds by about 1e-13 relative, far inside that factor-4
+    margin, so the test never passes values the exact max would refuse.
+    A sum that overflows or is NaN fails it, as does any sum above the
+    bound, and the exact max|theta| decides.  np.vdot, not np.dot: it sets
+    no numpy warning on overflow.
+    """
+    if np.vdot(values, values) <= _BLOWUP_SUM_SQUARES:
+        return
     peak = float(np.abs(values).max(initial=0.0))
     if not peak <= _THETA_BLOWUP:
         if np.isfinite(peak):
@@ -463,7 +516,9 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     coordinates, on the half grid for the odd maps.  The half spectrum, L,
     t and the SBDF2 history live in locals; states are built only for the
     observer and for the return value.  A starting state already past the blow-up
-    threshold is refused at its own time, before any step.
+    threshold is refused at its own time, before any step, and one whose L
+    has no finite nonzero q = 4*(2*pi/L)^4 (_stiffness) with ValueError;
+    an L that leaves that range during the run is a BlowUpError.
 
     The half spectra live in the history stack of the module docstring.
     Each step writes N into its row 2, then takes a fresh stack holding
@@ -476,6 +531,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
+    length, q = _checked_length(state)
     _check_blowup(state.theta.values, state.time)
     maps = _step_maps(state.theta)
     prev = state.prev
@@ -490,7 +546,6 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     n4 = maps.n4
     # Python floats throughout: no numpy scalar arithmetic in the loop
     alpha = float(alpha)
-    length = float(state.length)
     time = state.time
     c = maps.coordinates(state.theta.coeffs)
     stack = np.zeros((4, c.size), dtype=c.dtype)
@@ -508,7 +563,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     out = state
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            _, length_rate, q = _explicit(c, rows, length, alpha, maps, out=stack[2])
+            _, length_rate = _explicit(c, rows, length, q, alpha, maps, out=stack[2])
             if prev_length is None:
                 w, d0, d1 = euler
                 new_length = length + dt * length_rate
@@ -524,6 +579,12 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
             rows = maps.to_rows(c)
             values = rows[0]
             _check_blowup(values, time)
+            q = _stiffness(new_length)
+            if q is None:
+                raise BlowUpError(
+                    f"L = {new_length:.3e} left the range of a finite nonzero 4*(2*pi/L)^4 at t = {time:.6g}",
+                    time=time,
+                )
             stack, length, prev_length, prev_rate = new, new_length, length, length_rate
             out = None
             if observer is not None:
@@ -626,7 +687,7 @@ def stability_probe(wave, cfg=None):
 
     def record(values, time):
         nonlocal start, end
-        norm = float(np.abs(values - reference).max())
+        norm = float(np.maximum.reduce(np.abs(values - reference)))
         times.append(time)
         norms.append(norm)
         if start is None:

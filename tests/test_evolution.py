@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -9,11 +10,13 @@ from flamefront.errors import BlowUpError, UnsupportedModelError
 from flamefront.evolution import (
     _ODD_MAX_NX,
     _ODD_ULPS,
+    _THETA_BLOWUP,
     EvolutionState,
     StabilityProbeConfig,
     _maps,
     _odd_maps,
     _OddMaps,
+    _check_blowup,
     _probe_start,
     _step_maps,
     evolve,
@@ -135,6 +138,61 @@ def test_overflow_in_a_step_is_a_blow_up():
             stability_probe(flat_solution(1e308, nx=64), StabilityProbeConfig(dt=1e-3, t_max=0.01))
     assert info.value.time == pytest.approx(1e-3)
     assert np.geterr() == before
+
+
+@pytest.mark.parametrize(
+    "values, match",
+    [
+        (np.full(64, _THETA_BLOWUP), None),
+        # far above the sum-of-squares bound, but no entry exceeds the
+        # threshold: the exact max decides
+        (np.full(33, 999.0), None),
+        (np.append(np.zeros(63), np.nextafter(_THETA_BLOWUP, np.inf)), r"^max\|theta\| = 1\.000e\+03 exceeded 1000 at t = 0\.5$"),
+        (np.full(129, -_THETA_BLOWUP), None),
+        # the sum of squares overflows: no RuntimeWarning, a blow-up
+        (np.full(64, 1e200), r"^max\|theta\| = 1\.000e\+200 exceeded 1000 at t = 0\.5$"),
+        (np.append(np.zeros(32), np.inf), r"^theta is not finite at t = 0\.5$"),
+        (np.append(np.zeros(32), np.nan), r"^theta is not finite at t = 0\.5$"),
+    ],
+    ids=["at-threshold", "33-at-999", "next-above", "negative-threshold", "overflowing-sum", "inf", "nan"],
+)
+def test_blow_up_check_around_its_sum_of_squares_test(values, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if match is None:
+            assert _check_blowup(values, 0.5) is None
+        else:
+            with pytest.raises(BlowUpError, match=match) as info:
+                _check_blowup(values, 0.5)
+            assert info.value.time == 0.5
+
+
+@pytest.mark.parametrize("length", [1e-90, 1e100, 0.0, -1.0, float("nan"), float("inf")])
+def test_a_length_without_a_finite_stiffness_is_refused(length):
+    # 4*(2*pi/L)^4 underflows its denominator or overflows: refused before
+    # any step, as a ValueError naming L, with no Python or numpy error
+    state = EvolutionState(single_mode_state(1e-3, 1).theta, length)
+    match = rf"^L must be positive and finite .*, got {re.escape(repr(length))}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            evolve(state, 17.0, 1e-5, 3)
+        with pytest.raises(ValueError, match=match):
+            imex_step(state, 17.0, 1e-5)
+        with pytest.raises(ValueError, match=match):
+            theta_rhs(state, 17.0)
+
+
+def test_a_length_that_leaves_the_range_mid_run_is_a_blow_up():
+    # a unit step of 0.1 sin 5 sigma at alpha 1 shrinks L through zero
+    state = EvolutionState(single_mode_state(0.1, 5).theta, 2.0 * np.pi)
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match=r"^L = -\d\.\d{3}e\+01 left the range .* at t = 1$") as info:
+            evolve(state, 1.0, 1.0, 3, observer=seen.append)
+    assert info.value.time == 1.0
+    assert seen == []
 
 
 def test_dt_validation():
@@ -671,6 +729,31 @@ def assert_exactly_odd(state):
     np.testing.assert_array_equal(state.theta.coeffs.imag[[0, half]], 0.0)
     np.testing.assert_array_equal(values[[0, half]], 0.0)
     np.testing.assert_array_equal(values[half + 1 :], -values[half - 1 : 0 : -1])
+
+
+@pytest.mark.parametrize("nx", [8, 64, 256, _ODD_MAX_NX])
+def test_odd_expansion_is_exactly_odd_signed_zeros_included(nx):
+    half = nx // 2
+    maps = _odd_maps(nx)
+    for table in (maps.fold, maps.sign):
+        assert not table.flags.writeable
+    b = np.zeros(half - 1)
+    b[0] = 1e-3
+    seen = []
+    evolve(EvolutionState.from_theta(from_sine_coeffs(b, nx)), 17.0, 1e-5, 3, observer=seen.append)
+    assert all(state.prev.maps is maps for state in seen)
+    # half-grid values with signed zeros inside, expanded directly
+    signed = np.linspace(-1.0, 1.0, half + 1)
+    signed[[0, 1, 2, half]] = (0.0, -0.0, 0.0, 0.0)
+    profiles = [state.theta for state in seen] + [maps.profile(np.zeros(half - 1), signed)]
+    j = np.arange(1, half)
+    for p in profiles:
+        values = p.values
+        assert values.shape == (nx,)
+        np.testing.assert_array_equal(values[nx - j], -values[j])
+        np.testing.assert_array_equal(np.signbit(values[nx - j]), ~np.signbit(values[j]))
+        assert not p.coeffs.real.any()
+    assert np.signbit(profiles[-1].values[j]).any()
 
 
 def odd_random_state(rng, nx):
