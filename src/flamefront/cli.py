@@ -1,14 +1,20 @@
 """Command-line front end: bifurcation reports, branch runs, stability probes.
 
-Output files are deterministic: floats are serialized with 17 significant
-digits, iteration order is fixed, and the only wall-clock content is the
-timestamp inside manifest.json.  The output directory is taken from
---out, else the FLAMEFRONT_OUT environment variable, else the working
-directory; it is created only once the command's library call has
-succeeded, so a failed command leaves none behind.
+Each command calls the library, builds its files and hands them to
+_publish, the one function that creates the output directory and writes
+manifest.json; the manifest's parameters are the parsed arguments.  The
+output directory is taken from --out, else the FLAMEFRONT_OUT environment
+variable, else the working directory; it is created only once the
+command's library call has succeeded, so a failed command leaves none
+behind.  Output files are deterministic: floats are serialized with 17
+significant digits, iteration order is fixed, and the only wall-clock
+content is the timestamp inside manifest.json.
 
-Each input is checked once, by the library function that takes it, and
-exit codes map the exceptions by family: 0 success, 2 bad input (any
+Each input is checked once, by the library function that takes it: a
+wave file's entries here, with the default L from theta when the file
+states none, and its theta by the stability probe (blown up, not odd to
+rounding, no length for the probe's start).  Exit codes map
+the exceptions by family: 0 success, 2 bad input (any
 ValueError, which InvalidGridError and ContractViolationError are, and an
 output directory that cannot be created), 3 any
 other FlameFrontError (a solver, branch or time-stepping failure), 4
@@ -94,36 +100,40 @@ def _write_json(path, obj):
     path.write_text(_to_json(obj) + "\n")
 
 
-def _out_dir(args):
+def _publish(args, files):
+    """Create the output directory, write files into it, then manifest.json.
+
+    files holds (name, content) pairs: text (CSV) is written as given, a
+    JSON object through _to_json.  The manifest's parameters are the parsed
+    arguments less command, func and out, with main's defaults resolved.
+    """
     if args.out is not None:
-        base = Path(args.out)
-    elif os.environ.get("FLAMEFRONT_OUT"):
-        base = Path(os.environ["FLAMEFRONT_OUT"])
+        out = Path(args.out)
     else:
-        base = Path.cwd()
+        out = Path(os.environ.get("FLAMEFRONT_OUT") or Path.cwd())
     try:
-        base.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         # e.g. the path is an existing file, or a parent is not writable
-        raise ValueError(f"output directory {base} cannot be created: {exc.strerror or exc}") from None
-    return base
-
-
-def _write_manifest(out, command, parameters, outputs):
+        raise ValueError(f"output directory {out} cannot be created: {exc.strerror or exc}") from None
+    for name, content in files:
+        if isinstance(content, str):
+            (out / name).write_text(content)
+        else:
+            _write_json(out / name, content)
     manifest = {
-        "command": command,
-        "parameters": parameters,
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")},
         "artifact_version": __version__,
-        "outputs": outputs,
+        "outputs": [name for name, _ in files],
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     _write_json(out / "manifest.json", manifest)
 
 
 def cmd_bifurcate(args):
-    kind = ModelKind(args.model)
-    report = {"model": kind.value, "k0": args.k0}
-    if kind is ModelKind.LINEAR:
+    report = {"model": args.model, "k0": args.k0}
+    if args.model == "linear":
         alpha0 = bifurcation.linear_bifurcation_alpha(args.k0)
         report["alpha0"] = alpha0
         print(f"linear closure, k0={args.k0}: alpha0 = {alpha0}")
@@ -141,14 +151,7 @@ def cmd_bifurcate(args):
         print(f"nonlinear closure, k0={args.k0}: alpha0 = {cert.alpha0:.10g}")
         print(f"  discriminant = {cert.discriminant:.10g} (< 0: real root is unique)")
         print(f"  resultant    = {cert.resultant:.10g} (> 0: root is simple)")
-    out = _out_dir(args)
-    _write_json(out / "bifurcation.json", report)
-    _write_manifest(
-        out,
-        "bifurcate",
-        {"model": kind.value, "k0": args.k0},
-        ["bifurcation.json"],
-    )
+    _publish(args, [("bifurcation.json", report)])
     return 0
 
 
@@ -177,32 +180,12 @@ def _wave_payload(sol, alpha0):
 
 def cmd_branch(args):
     kind = ModelKind(args.model)
-    cfg = solver.SolveConfig(nx=args.nx)
-    record = solver.continue_branch(args.k0, kind, args.h_step, args.h_max, cfg)
+    record = solver.continue_branch(args.k0, kind, args.h_step, args.h_max, solver.SolveConfig(nx=args.nx))
     alpha0 = bifurcation.asymptotic_expansion(args.k0, kind).alpha0
-    out = _out_dir(args)
-
-    outputs = ["branch.csv"]
+    waves = [(f"wave_{sol.amplitude:.6f}.json", _wave_payload(sol, alpha0)) for sol in record.solutions]
     rows = [",".join(_BRANCH_COLUMNS)]
-    for sol in record.solutions:
-        payload = _wave_payload(sol, alpha0)
-        rows.append(",".join(format(payload[key], ".17g") for key in _BRANCH_COLUMNS))
-        name = f"wave_{sol.amplitude:.6f}.json"
-        _write_json(out / name, payload)
-        outputs.append(name)
-    (out / "branch.csv").write_text("\n".join(rows) + "\n")
-    _write_manifest(
-        out,
-        "branch",
-        {
-            "model": kind.value,
-            "k0": args.k0,
-            "h_step": args.h_step,
-            "h_max": args.h_max,
-            "nx": args.nx,
-        },
-        outputs,
-    )
+    rows += [",".join(format(payload[key], ".17g") for key in _BRANCH_COLUMNS) for _, payload in waves]
+    _publish(args, [("branch.csv", "\n".join(rows) + "\n"), *waves])
     print(
         f"{len(record.solutions)} wave(s) on the {kind.value} k0={args.k0} branch; "
         f"terminated: {record.termination}"
@@ -271,11 +254,8 @@ def _wave_from_file(path):
     if model not in ("linear", "nonlinear"):
         raise ValueError(f"wave file {path} has a 'model' entry that is not 'linear' or 'nonlinear': {model!r}")
     kind = ModelKind(model)
-    values = _theta_entry(path, data)
-    # refused before the residual or a step can overflow on it
-    evolution._check_blowup(values, 0.0)
     try:
-        theta = spectral.ThetaProfile.from_values(values)
+        theta = spectral.ThetaProfile.from_values(_theta_entry(path, data))
     except InvalidGridError as exc:
         raise ValueError(f"wave file {path} has a 'theta' entry that gives no grid: {exc}") from None
     if "L" in data:
@@ -294,7 +274,9 @@ def _wave_from_file(path):
     if "residual_norm" in data:
         residual_norm = _finite_entry(path, data, "residual_norm", None)
     else:
-        residual_norm = float(np.max(np.abs(residual(theta, params, kind))))
+        # nothing writes this value; a blown-up theta is the probe's to refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual_norm = float(np.max(np.abs(residual(theta, params, kind))))
     return solver.WaveSolution(
         theta=theta,
         alpha=alpha,
@@ -309,24 +291,14 @@ def _wave_from_file(path):
 
 def cmd_stability(args):
     wave = _wave_from_file(args.wave)
-    # the probe's start takes its L from theta, not from the file's "L"
-    try:
-        length_from_theta(wave.theta)
-    except DegenerateFrontError as exc:
-        raise ValueError(f"wave file {args.wave} has a theta that gives the probe no length: {exc}") from None
-    cfg = evolution.StabilityProbeConfig(
-        delta=args.delta, dt=args.dt, t_max=args.t_max
-    )
+    cfg = evolution.StabilityProbeConfig(delta=args.delta, dt=args.dt, t_max=args.t_max)
     try:
         estimate = evolution.stability_probe(wave, cfg)
-    except ValueError as exc:
-        # a wave that is not odd to rounding
+    except (ValueError, DegenerateFrontError) as exc:
+        # a wave that is not odd to rounding, or whose theta gives the
+        # probe's start no length (it takes L from theta, not the file)
         raise ValueError(f"wave file {args.wave} cannot be probed: {exc}") from None
-    out = _out_dir(args)
-    lines = ["t,d"]
-    for t, d in zip(estimate.times, estimate.norms):
-        lines.append(f"{t:.17g},{d:.17g}")
-    (out / "growth.csv").write_text("\n".join(lines) + "\n")
+    growth = "".join(f"{t:.17g},{d:.17g}\n" for t, d in zip(estimate.times, estimate.norms))
     fit = {
         "slope": estimate.rate,
         "intercept": estimate.intercept,
@@ -335,18 +307,7 @@ def cmd_stability(args):
     }
     if estimate.note:
         fit["note"] = estimate.note
-    _write_json(out / "fit.json", fit)
-    _write_manifest(
-        out,
-        "stability",
-        {
-            "wave": str(args.wave),
-            "delta": args.delta,
-            "dt": args.dt,
-            "t_max": args.t_max,
-        },
-        ["growth.csv", "fit.json"],
-    )
+    _publish(args, [("growth.csv", "t,d\n" + growth), ("fit.json", fit)])
     print(
         f"growth rate = {estimate.rate:.6g} over t in "
         f"[{estimate.window[0]:.6g}, {estimate.window[1]:.6g}]"
@@ -384,15 +345,16 @@ def _build_parser():
         f"(default {_DEFAULT_H_STEP['linear']} linear, {_DEFAULT_H_STEP['nonlinear']} nonlinear)",
     )
     p_br.add_argument("--h-max", type=float, default=10.0, dest="h_max")
-    p_br.add_argument("--nx", type=int, default=256)
+    p_br.add_argument("--nx", type=int, default=solver.SolveConfig.nx)
     add_common(p_br)
     p_br.set_defaults(func=cmd_branch)
 
     p_st = sub.add_parser("stability", help="probe a wave file for instability growth")
     p_st.add_argument("--wave", required=True, help="wave JSON file to perturb")
-    p_st.add_argument("--delta", type=float, default=1e-8)
-    p_st.add_argument("--dt", type=float, default=1e-4)
-    p_st.add_argument("--t-max", type=float, default=1.0, dest="t_max")
+    probe = evolution.StabilityProbeConfig
+    p_st.add_argument("--delta", type=float, default=probe.delta)
+    p_st.add_argument("--dt", type=float, default=probe.dt)
+    p_st.add_argument("--t-max", type=float, default=probe.t_max, dest="t_max")
     add_common(p_st)
     p_st.set_defaults(func=cmd_stability)
     return parser

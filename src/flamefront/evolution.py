@@ -627,13 +627,15 @@ def _probe_start(wave, delta):
 
     The solver's waves are odd, so the probe studies the wave's odd part:
     the imaginary parts of its half spectrum, modes 1..nx/2-1, less
-    i*delta/2 at n = 1 and 2.  Only a cosine content of rounding size is
-    dropped: a wave that is not odd to rounding (_odd_to_rounding) is
-    refused with ValueError.  The start steps in the wave's coordinates,
-    odd up to _ODD_MAX_NX.  Returns the state and its grid values in those
-    coordinates, taken from the step's own rows map: on the half grid for
-    the odd maps.
+    i*delta/2 at n = 1 and 2.  A blown-up wave is refused first, with
+    BlowUpError at t = 0, before any arithmetic on it can overflow.  Only
+    a cosine content of rounding size is dropped: a wave that is not odd
+    to rounding (_odd_to_rounding) is refused with ValueError.  The start
+    steps in the wave's coordinates, odd up to _ODD_MAX_NX.  Returns the
+    state and its grid values in those coordinates, taken from the step's
+    own rows map: on the half grid for the odd maps.
     """
+    _check_blowup(wave.theta.values, 0.0)
     theta = wave.theta
     if not _odd_to_rounding(theta):
         even, scale = (float(np.abs(x).max()) for x in (theta.coeffs.real, theta.values))
@@ -647,7 +649,7 @@ def _probe_start(wave, delta):
     coeffs.imag[1:3] -= 0.5 * delta
     c = maps.coordinates(coeffs)
     values = maps.to_rows(c)[0]
-    # refused before its length, which a blown-up theta may not have
+    # the start too, before its length: a large delta may blow it up
     _check_blowup(values, 0.0)
     return EvolutionState.from_theta(maps.profile(c, values)), values
 

@@ -11,10 +11,10 @@ import pytest
 
 import flamefront
 from flamefront import geometry, solver
-from flamefront.cli import _to_json, _wave_from_file, _write_json, main
+from flamefront.cli import _build_parser, _to_json, _wave_from_file, _write_json, main
 from flamefront.evolution import StabilityProbeConfig, _probe_start, stability_probe
 from flamefront.model import ModelKind, WaveParams, length_from_theta, residual
-from flamefront.spectral import ThetaProfile, grid
+from flamefront.spectral import ThetaProfile, from_sine_coeffs, grid
 
 
 def exit_code(argv):
@@ -373,6 +373,50 @@ def test_branch_default_h_step_in_check_run_and_manifest(tmp_path):
     assert manifest["outputs"] == ["branch.csv", "wave_0.050000.json", "wave_0.100000.json"]
 
 
+def test_each_manifest_records_the_parsed_arguments(tmp_path, monkeypatch):
+    # apart from its timestamp, a manifest is fixed: the parsed arguments
+    # less command and out, in the parser's order, with --h-step resolved,
+    # the probe's defaults filled in and the wave path as given
+    monkeypatch.chdir(tmp_path)
+    Path("flat.json").write_text(json.dumps(FLAT_WAVE))
+    runs = [
+        (["bifurcate", "--model", "nonlinear", "--k0", "2"], [("model", "nonlinear"), ("k0", 2)],
+         ["bifurcation.json"]),
+        (["branch", "--model", "linear", "--k0", "1", "--h-max", "0.1", "--nx", "64"],
+         [("model", "linear"), ("k0", 1), ("h_step", 0.05), ("h_max", 0.1), ("nx", 64)],
+         ["branch.csv", "wave_0.050000.json", "wave_0.100000.json"]),
+        (["stability", "--wave", "flat.json"],
+         [("wave", "flat.json"), ("delta", 1e-8), ("dt", 1e-4), ("t_max", 1.0)], ["growth.csv", "fit.json"]),
+    ]
+    for argv, parameters, outputs in runs:
+        command = argv[0]
+        assert main([*argv, "--out", command]) == 0
+        # pairs, so that the key order is compared too
+        manifest = json.loads(Path(command, "manifest.json").read_text(), object_pairs_hook=list)
+        assert manifest[:4] == [
+            ("command", command),
+            ("parameters", parameters),
+            ("artifact_version", flamefront.__version__),
+            ("outputs", outputs),
+        ]
+        assert len(manifest) == 5 and manifest[4][0] == "created"
+        assert sorted(p.name for p in Path(command).iterdir()) == sorted([*outputs, "manifest.json"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bifurcate", "branch", "flat.json", "stability"]
+
+
+def test_help_exits_cleanly_and_defaults_are_the_librarys(capsys):
+    for command in ("branch", "stability"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: flamefront {command}")
+    parser = _build_parser()
+    assert parser.parse_args(["branch", "--model", "linear", "--k0", "1"]).nx == solver.SolveConfig().nx
+    args = parser.parse_args(["stability", "--wave", "wave.json"])
+    probe = StabilityProbeConfig()
+    assert (args.delta, args.dt, args.t_max) == (probe.delta, probe.dt, probe.t_max)
+
+
 @pytest.mark.parametrize("nx", ["31", "4"])
 def test_branch_rejects_bad_nx(tmp_path, capsys, nx):
     code = exit_code(["branch", "--model", "linear", "--k0", "1", "--nx", nx, "--out", str(tmp_path)])
@@ -532,6 +576,10 @@ def test_branch_rejects_unresolved_k0(tmp_path, capsys, k0, nx):
     assert not (tmp_path / "out").exists()
 
 
+# b_30 = 1e306 at nx 64: the probe's start rows would overflow on it
+BIG_MODE_30 = np.append(np.zeros(29), [1e306, 0.0])
+
+
 @pytest.mark.parametrize(
     "argv, wave, code, message",
     [
@@ -548,8 +596,10 @@ def test_branch_rejects_unresolved_k0(tmp_path, capsys, k0, nx):
         (["stability"], json.dumps(FLAT_WAVE)[:40], 2, "wave file {wave} cannot be read: "),
         (["stability"], json.dumps({**FLAT_WAVE, "theta": [1.6] * 64}), 2,
          "wave file {wave} has no 'L' entry, and its theta gives no length: integral of cos(theta)"),
-        (["stability"], json.dumps({**FLAT_WAVE, "L": 7.0, "theta": [1.6] * 64}), 2,
-         "wave file {wave} has a theta that gives the probe no length: integral of cos(theta)"),
+        # odd, but mean(cos(3 sin sigma)) = J0(3) < 0: the probe's start,
+        # which takes L from theta, refuses it
+        (["stability"], json.dumps({**FLAT_WAVE, "L": 7.0, "theta": list(3.0 * np.sin(grid(64)))}), 2,
+         "wave file {wave} cannot be probed: integral of cos(theta)"),
         (["stability", "--t-max", "0.3"], json.dumps({**FLAT_WAVE, "theta": list(0.3 * np.cos(grid(64)))}), 2,
          "wave file {wave} cannot be probed: the probe takes odd waves only: the wave's cosine content "
          "max|Re c_n| = 1.500e-01 exceeds 4 ulps of max|theta| = 3.000e-01"),
@@ -557,6 +607,10 @@ def test_branch_rejects_unresolved_k0(tmp_path, capsys, k0, nx):
          "t_max 1e+300 over dt 1e-300 is too many steps to count"),
         (["stability", "--dt", "1e-3", "--t-max", "0.01"], json.dumps({**FLAT_WAVE, "alpha": 1e308}), 3,
          "theta is not finite at t = 0.001"),
+        (["stability"], json.dumps({**FLAT_WAVE, "L": 7.0, "theta": list(from_sine_coeffs(BIG_MODE_30, 64).values)}),
+         3, "max|theta| = 1.000e+306 exceeded 1000 at t = 0\n"),
+        (["stability"], json.dumps({**FLAT_WAVE, "model": "nonlinear", "theta": list(1e110 * np.sin(grid(64)))}), 4,
+         "time evolution is implemented for the linear closure only"),
         (["stability"], json.dumps({**FLAT_WAVE, "theta": [0.0] * 63}), 2,
          "wave file {wave} has a 'theta' entry that gives no grid: nx must be an even integer >= 8, got 63"),
         (["stability"], json.dumps({**FLAT_WAVE, "theta": []}), 2,
@@ -569,7 +623,7 @@ def test_branch_rejects_unresolved_k0(tmp_path, capsys, k0, nx):
     ids=["h-step-above-eps-cap", "nonlinear-h-step-above-cap", "branch-start-error", "negative-length",
          "zero-length-with-residual", "truncated-wave-file", "no-length-from-theta",
          "stated-length-but-no-length-from-theta", "cosine-wave", "step-count-overflow", "huge-alpha",
-         "odd-theta", "empty-theta", "k0-1e39", "k0-1e160"],
+         "blown-up-high-mode", "blown-up-nonlinear-wave", "odd-theta", "empty-theta", "k0-1e39", "k0-1e160"],
 )
 def test_failed_command_creates_no_output_directory(tmp_path, capsys, argv, wave, code, message):
     path = tmp_path / "wave.json"

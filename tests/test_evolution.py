@@ -127,6 +127,20 @@ def test_blow_up_of_the_starting_state():
             stability_probe(wave, StabilityProbeConfig(dt=1e-3, t_max=0.01))
 
 
+@pytest.mark.parametrize("mode", [1, 30])
+def test_probe_refuses_a_blown_up_wave_before_any_arithmetic(mode):
+    # the wave is checked before the start's rows are built: mode 30's
+    # third-derivative row overflows from this amplitude
+    b = np.zeros(31)
+    b[mode - 1] = 1e306
+    wave = dataclasses.replace(flat_solution(5.0, nx=64), theta=from_sine_coeffs(b, 64), amplitude=1e306)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match=r"^max\|theta\| = 1\.000e\+306 exceeded 1000 at t = 0$") as info:
+            stability_probe(wave)
+    assert info.value.time == 0.0
+
+
 def test_overflow_in_a_step_is_a_blow_up():
     # a finite but huge alpha overflows the first step: refused as a
     # blow-up, with no numpy warning (the suite turns warnings into errors)
