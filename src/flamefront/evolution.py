@@ -80,6 +80,18 @@ stepper's slope, this order moves it by 1.1e-7 relative, the order
 test's 1e-6.  Each step fills a fresh stack, so the arrays a state
 holds are never written again and an observed step copies nothing but
 the odd coordinates' expansion.
+
+The loop makes no np.dot, np.vdot or np.array call.  Each contraction
+and each odd map is an ndarray.dot: the same C product as np.dot, bit
+for bit, without np.dot's __array_function__ dispatch.  At nx 64 one odd
+map costs 1.16 us as M.dot(g) against 1.60 us as np.dot(M, g), and the
+blow-up test's sum of squares 0.78 us as v.dot(v) against 1.22 us as
+np.vdot(v, v) (fastest of 21 runs of 20000 calls, one BLAS thread,
+2-core Xeon VM).  The pair (a, q) and the reciprocal of the SBDF2
+denominator are work arrays made once per run and filled in place, the
+reciprocal in the operation order of 1.0 / (d0 + d1*q*n^4), and the loop
+makes the blow-up test's sum of squares itself, calling _check_blowup
+only when it fails.
 """
 
 from __future__ import annotations
@@ -266,9 +278,9 @@ class _OddMaps:
 
     c holds Im c_n, n = 1..nx/2-1, and grid values live on the half grid
     j = 0..nx/2.  Each map is one read-only real matrix applied with one
-    np.dot, which gives the bits of @ at 0.1-0.3 us less per call:
-    velocity is (nx/2+2, nx/2+1), spectrum (nx/2-1, nx/2+1), rows
-    (3*(nx/2+1), nx/2-1).  gains and n4 are those of _Maps, restricted to
+    ndarray.dot, which gives the bits of np.dot and @ without np.dot's
+    dispatch: velocity is (nx/2+2, nx/2+1), spectrum (nx/2-1, nx/2+1),
+    rows (3*(nx/2+1), nx/2-1).  gains and n4 are those of _Maps, restricted to
     these modes.  fold and sign expand half-grid values to the full grid,
     values.take(fold) * sign: fold holds j = 0..nx/2, then nx/2-1..1, and
     sign +1 for the first nx/2+1 entries and -1 for the rest.
@@ -283,14 +295,14 @@ class _OddMaps:
     sign: np.ndarray
 
     def to_velocity(self, g):
-        w = np.dot(self.velocity, g)
+        w = self.velocity.dot(g)
         return w[:-1], w[-1]
 
     def to_spectrum(self, values):
-        return np.dot(self.spectrum, values)
+        return self.spectrum.dot(values)
 
     def to_rows(self, c):
-        return np.dot(self.rows, c).reshape(3, -1)
+        return self.rows.dot(c).reshape(3, -1)
 
     def coordinates(self, coeffs):
         """A half spectrum as the vector these maps step: a copy of Im c_n,
@@ -318,18 +330,21 @@ class _OddMaps:
 # on the complex half spectrum) / odd path:
 #
 #     nx     step
-#     64     43.7 / 14.3
-#     128    44.5 / 19.1
-#     256    47.1 / 26.3
-#     320    52.1 / 35.4
-#     384    76.8 / 54.8
-#     416    79.3 / 74.1
-#     512    56.5 / 123.4
+#     64     37.4 / 12.2
+#     128    44.6 / 23.3
+#     256    46.5 / 22.9
+#     320    46.1 / 31.5
+#     384    52.3 / 49.4
+#     416    55.3 / 53.9
+#     512    58.4 / 108.2
 #
-# Single measurements move by up to 2x on this VM.  The odd path won at
-# 320 in all three measurements and in a second table of three (60.2 /
-# 39.4); at 384 it won two of three, and the second table read 52.6 /
-# 50.8, close to even, so the crossover stays at 320.
+# Single measurements move by up to 2x on that VM.  The odd path won at
+# 320 in all three measurements and in a second table of three (49.3 /
+# 30.4).  At 384 it also won all three, and the second table read 53.5 /
+# 45.9, so these numbers argue for a crossover at 384; at 416 the second
+# table read 54.4 / 55.9, close to even.  A move changes the rounding of
+# every nx-384 run, which would then step on the odd maps, so it is left
+# to a change of its own.
 _ODD_MAX_NX = 320
 
 
@@ -432,7 +447,7 @@ def _checked_length(state):
     return length, q
 
 
-def _explicit(c, rows, length, q, alpha, maps, out=None):
+def _explicit(c, rows, length, q, alpha, maps, aq, out=None):
     """Explicit half spectrum of theta_t and L_t, for q = 4*(2*pi/L)^4.
 
     theta_t = (u_sigma + (V - V(0))*theta_s)/s_sigma with
@@ -442,19 +457,20 @@ def _explicit(c, rows, length, q, alpha, maps, out=None):
     u_sigma has no content and the implicit term is balanced explicitly.
     c and the explicit part are in the coordinates of maps; rows holds
     theta, theta_s and theta_sss on the grid.  The step's two
-    coefficients enter as one pair (a, q): a*theta_s + q*theta_sss is
-    (a, q) @ rows[1:] and the gain on c is (a, q) @ gains.  The explicit
-    part is written into out when it is given: _march passes the row of
-    its history stack.
+    coefficients enter as one pair (a, q), written into the two-entry
+    work array aq: a*theta_s + q*theta_sss is (a, q) @ rows[1:] and the
+    gain on c is (a, q) @ gains.  The explicit part is written into out
+    when it is given: _march passes the row of its history stack.
     """
     s_sigma = length / (2.0 * np.pi)
-    aq = np.array(((alpha - 1.0) / s_sigma**2, q))
+    aq[0] = (alpha - 1.0) / s_sigma**2
+    aq[1] = q
     theta_s = rows[1]
     # the maps carry -flux/s_sigma and -V/s_sigma: dividing u by s_sigma
     # up front divides theta_t, and negating it is free
-    neg_v, neg_flux_mean = maps.to_velocity(theta_s * (1.0 / s_sigma + np.dot(aq, rows[1:])))
+    neg_v, neg_flux_mean = maps.to_velocity(theta_s * (1.0 / s_sigma + aq.dot(rows[1:])))
     length_rate = length * float(neg_flux_mean)
-    gain = np.dot(aq, maps.gains)
+    gain = aq.dot(maps.gains)
     nonstiff = np.subtract(gain * c, maps.to_spectrum(neg_v * theta_s), out=out)
     return nonstiff, length_rate
 
@@ -468,7 +484,7 @@ def theta_rhs(state, alpha):
     length, q = _checked_length(state)
     maps = _step_maps(state.theta)
     c = maps.coordinates(state.theta.coeffs)
-    nonstiff, length_rate = _explicit(c, maps.to_rows(c), length, q, alpha, maps)
+    nonstiff, length_rate = _explicit(c, maps.to_rows(c), length, q, alpha, maps, np.empty(2))
     rhs = nonstiff - q * maps.n4 * c
     return maps.profile(rhs, maps.to_rows(rhs)[0]).values, length_rate
 
@@ -485,14 +501,16 @@ def _check_blowup(values, time):
     """BlowUpError when max|theta| of the grid values exceeds _THETA_BLOWUP
     or is not finite.
 
-    Runs on every step, so it first tests a sufficient condition in one
-    numpy call: a sum of squares at most (_THETA_BLOWUP/2)^2 bounds
-    max|theta| by _THETA_BLOWUP/2.  The sum of at most a few hundred
-    squares rounds by about 1e-13 relative, far inside that factor-4
-    margin, so the test never passes values the exact max would refuse.
-    A sum that overflows or is NaN fails it, as does any sum above the
-    bound, and the exact max|theta| decides.  np.vdot, not np.dot: it sets
-    no numpy warning on overflow.
+    It first tests a sufficient condition in one numpy call: a sum of
+    squares at most (_THETA_BLOWUP/2)^2 bounds max|theta| by
+    _THETA_BLOWUP/2.  The sum of at most a few hundred squares rounds by
+    about 1e-13 relative, far inside that factor-4 margin, so the test
+    never passes values the exact max would refuse.  A sum that overflows
+    or is NaN fails it, as does any sum above the bound, and the exact
+    max|theta| decides.  np.vdot, not ndarray.dot: it sets no numpy
+    warning on overflow, and this check also runs outside any
+    np.errstate.  The stepping loop, which runs inside one, makes the
+    same test with values.dot(values) and calls this only when it fails.
     """
     if np.vdot(values, values) <= _BLOWUP_SUM_SQUARES:
         return
@@ -522,10 +540,12 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
 
     The half spectra live in the history stack of the module docstring.
     Each step writes N into its row 2, then takes a fresh stack holding
-    the shifted history and writes the new c into it.  The loop, observer
-    included, runs with numpy's overflow and invalid-value warnings off: a
-    step that overflows leaves a theta that is not finite, which the
-    blow-up check refuses.
+    the shifted history and writes the new c into it.  Two work arrays
+    live for the run: the pair (a, q), which _explicit fills, and the
+    reciprocal of the SBDF2 denominator.  The loop, observer included,
+    runs with numpy's overflow and invalid-value warnings off: a step that
+    overflows leaves a theta that is not finite, which the blow-up check
+    refuses.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -560,10 +580,12 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     # d0 + d1*q*n^4
     euler = (np.array((1.0, 0.0, dt, 0.0)), 1.0, dt)
     sbdf2 = (np.array((4.0, -1.0, 4.0 * dt, -2.0 * dt)), 3.0, 2.0 * dt)
+    aq = np.empty(2)
+    inv_denominator = np.empty(n4.shape)
     out = state
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            _, length_rate = _explicit(c, rows, length, q, alpha, maps, out=stack[2])
+            _, length_rate = _explicit(c, rows, length, q, alpha, maps, aq, out=stack[2])
             if prev_length is None:
                 w, d0, d1 = euler
                 new_length = length + dt * length_rate
@@ -573,12 +595,17 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
             # (c, c, N, N): rows 1 and 3 are the next step's history; the
             # new c overwrites row 0 below and the next N row 2
             new = stack.take(_SHIFT, axis=0)
-            # a product with the reciprocal, not a division (module docstring)
-            c = np.multiply(np.dot(w, stack), 1.0 / (d0 + d1 * q * n4), out=new[0])
+            # a product with the reciprocal, not a division (module
+            # docstring), of 1.0 / (d0 + d1*q*n4) in that operation order
+            np.multiply(n4, d1 * q, out=inv_denominator)
+            np.add(inv_denominator, d0, out=inv_denominator)
+            np.divide(1.0, inv_denominator, out=inv_denominator)
+            c = np.multiply(w.dot(stack), inv_denominator, out=new[0])
             time += dt
             rows = maps.to_rows(c)
             values = rows[0]
-            _check_blowup(values, time)
+            if not values.dot(values) <= _BLOWUP_SUM_SQUARES:
+                _check_blowup(values, time)
             q = _stiffness(new_length)
             if q is None:
                 raise BlowUpError(
@@ -648,8 +675,10 @@ def _probe_start(wave, delta):
     coeffs.imag[1:-1] = theta.coeffs.imag[1:-1]
     coeffs.imag[1:3] -= 0.5 * delta
     c = maps.coordinates(coeffs)
-    values = maps.to_rows(c)[0]
-    # the start too, before its length: a large delta may blow it up
+    # the start too, before its length: a large delta may blow it up, and
+    # its rows may overflow on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = maps.to_rows(c)[0]
     _check_blowup(values, 0.0)
     return EvolutionState.from_theta(maps.profile(c, values)), values
 

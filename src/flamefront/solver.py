@@ -254,27 +254,33 @@ def _lu_solve(jac, rhs):
 
 
 def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
-    """Solve for the traveling wave with max(theta) pinned to target_h.
+    """Solve for the traveling wave with theta pinned to target_h at one grid index.
 
-    guess is a (ThetaProfile, WaveParams) pair; its profile is projected
-    onto odd parity, and the amplitude is pinned at the grid index where
-    the guess attains its maximum (frozen for the whole solve).  k0 is the
-    mode number of the branch, recorded on the WaveSolution.  Every
+    guess is a (ThetaProfile, WaveParams) pair on the cfg.nx grid; its
+    profile is projected onto odd parity, and theta is pinned to target_h
+    at the grid index where the guess attains its maximum (frozen for the
+    whole solve).  That index is the converged wave's argmax only when the
+    guess peaks where the wave does; otherwise the wave's max, its
+    amplitude, lies above target_h.  k0 is the mode number of the branch,
+    recorded on the WaveSolution.  Every
     iteration assembles the exact Jacobian at the current iterate and
     solves the dense LU-factored update system.
 
-    Raises ConvergenceError with reason "stalled" once none of the last 3
-    residuals is below half the best one before them, "max-iters" after
-    cfg.max_iters without meeting cfg.tol_residual, or "non-finite" once an
-    iterate's residual overflows; SingularSystemError on a negligible
-    pivot.
+    Raises ValueError for a negative target_h or a guess on another grid
+    than cfg.nx; ConvergenceError with reason "stalled" once none of the
+    last 3 residuals is below half the best one before them, "max-iters"
+    after cfg.max_iters without meeting cfg.tol_residual, or "non-finite"
+    once an iterate's residual overflows; SingularSystemError on a
+    negligible pivot.
     """
     if cfg is None:
         cfg = SolveConfig()
     if target_h < 0.0:
         raise ValueError(f"target_h must be nonnegative, got {target_h!r}")
     p0, params0 = guess
-    nx = p0.nx
+    nx = cfg.nx
+    if p0.nx != nx:
+        raise ValueError(f"the guess is on an nx = {p0.nx} grid, but cfg.nx is {nx}")
     p0 = spectral.project_odd(p0)
     x = np.concatenate(
         [spectral.sine_coeffs(p0), [params0.beta, params0.alpha]]

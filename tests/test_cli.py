@@ -609,6 +609,9 @@ BIG_MODE_30 = np.append(np.zeros(29), [1e306, 0.0])
          "theta is not finite at t = 0.001"),
         (["stability"], json.dumps({**FLAT_WAVE, "L": 7.0, "theta": list(from_sine_coeffs(BIG_MODE_30, 64).values)}),
          3, "max|theta| = 1.000e+306 exceeded 1000 at t = 0\n"),
+        # the start's rows overflow on the way to this refusal
+        (["stability", "--delta", "1e308", "--dt", "1e-3", "--t-max", "0.01"], json.dumps(FLAT_WAVE), 3,
+         "max|theta| = 1.755e+308 exceeded 1000 at t = 0\n"),
         (["stability"], json.dumps({**FLAT_WAVE, "model": "nonlinear", "theta": list(1e110 * np.sin(grid(64)))}), 4,
          "time evolution is implemented for the linear closure only"),
         (["stability"], json.dumps({**FLAT_WAVE, "theta": [0.0] * 63}), 2,
@@ -623,7 +626,7 @@ BIG_MODE_30 = np.append(np.zeros(29), [1e306, 0.0])
     ids=["h-step-above-eps-cap", "nonlinear-h-step-above-cap", "branch-start-error", "negative-length",
          "zero-length-with-residual", "truncated-wave-file", "no-length-from-theta",
          "stated-length-but-no-length-from-theta", "cosine-wave", "step-count-overflow", "huge-alpha",
-         "blown-up-high-mode", "blown-up-nonlinear-wave", "odd-theta", "empty-theta", "k0-1e39", "k0-1e160"],
+         "blown-up-high-mode", "huge-delta", "blown-up-nonlinear-wave", "odd-theta", "empty-theta", "k0-1e39", "k0-1e160"],
 )
 def test_failed_command_creates_no_output_directory(tmp_path, capsys, argv, wave, code, message):
     path = tmp_path / "wave.json"

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import re
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from flamefront import evolution
 from flamefront.bifurcation import asymptotic_guess
 from flamefront.errors import BlowUpError, UnsupportedModelError
 from flamefront.evolution import (
@@ -138,6 +140,16 @@ def test_probe_refuses_a_blown_up_wave_before_any_arithmetic(mode):
         warnings.simplefilter("error")
         with pytest.raises(BlowUpError, match=r"^max\|theta\| = 1\.000e\+306 exceeded 1000 at t = 0$") as info:
             stability_probe(wave)
+    assert info.value.time == 0.0
+
+
+def test_a_huge_delta_is_a_blow_up_of_the_start():
+    # the start's rows overflow on the way to its blow-up check, which
+    # must refuse it with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match=r"^max\|theta\| = 1\.755e\+308 exceeded 1000 at t = 0$") as info:
+            stability_probe(flat_solution(5.0, nx=64), StabilityProbeConfig(delta=1e308, dt=1e-3, t_max=0.01))
     assert info.value.time == 0.0
 
 
@@ -911,3 +923,53 @@ def test_near_neutral_probe_of_linear_wave(linear_wave_small):
     assert len(est.times) == 10000
     assert est.window == (0.0001, 0.9999999999999062)
     assert est.rate == pytest.approx(0.20487315876089993, rel=1e-6)
+
+
+class CountingNumpy:
+    """numpy, with a count of the calls made through it to dot, vdot and array."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("dot", "vdot", "array"):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["evolve-nx64-observed", "probe-nx256"])
+def test_the_stepping_loop_calls_no_counted_numpy_function(monkeypatch, rng, linear_wave_small, probe):
+    # np.dot, np.vdot and np.array pay numpy's dispatch on every call; the
+    # loop uses ndarray methods and work arrays made once per run instead
+    if probe:
+
+        def run(n):
+            est = stability_probe(linear_wave_small, StabilityProbeConfig(dt=1e-4, t_max=n * 1e-4))
+            assert len(est.times) == n
+
+    else:
+        state = odd_random_state(rng, 64)
+
+        def run(n):
+            seen = []
+            evolve(state, 17.0, 1e-5, n, observer=seen.append)
+            assert len(seen) == n
+
+    run(1)  # the maps' tables are built and cached outside the count
+    counts = {}
+    for n in (10, 100):
+        numpy_proxy = CountingNumpy()
+        monkeypatch.setattr(evolution, "np", numpy_proxy)
+        run(n)
+        monkeypatch.undo()
+        counts[n] = numpy_proxy.calls
+    assert counts[10] == counts[100]
+    # the proxy sees the run's set-up, and no counted function on every step
+    assert counts[10].total() > 0
+    assert max(counts[10].values()) < 10

@@ -212,7 +212,7 @@ def test_one_closure_evaluation_per_newton_iterate(monkeypatch, kind):
         return deriv(p, order)
 
     monkeypatch.setattr(spectral, "deriv", counting_deriv)
-    sol = quasi_newton_solve(asymptotic_guess(1, 0.1, kind, nx=64), 0.1, kind, k0=1)
+    sol = quasi_newton_solve(asymptotic_guess(1, 0.1, kind, nx=64), 0.1, kind, SolveConfig(nx=64), k0=1)
     assert sol.iterations >= 2
     # theta_s and theta_sss once at the guess and once at each iterate;
     # the Jacobian reuses the iterate's closure evaluation
@@ -227,7 +227,7 @@ def test_overflowing_residual_is_a_typed_convergence_error():
         # no RuntimeWarning may reach the caller either
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError) as info:
-            quasi_newton_solve(guess, 0.1, ModelKind.NONLINEAR, k0=1)
+            quasi_newton_solve(guess, 0.1, ModelKind.NONLINEAR, SolveConfig(nx=64), k0=1)
     assert info.value.reason == "non-finite"
     assert info.value.residual_history == [np.inf]
 
@@ -242,7 +242,7 @@ def test_rebuild_rejects_non_finite_coefficients():
 
 
 def test_solve_flat_target_zero_is_immediate():
-    sol = quasi_newton_solve(flat_guess(), 0.0, ModelKind.LINEAR, k0=1)
+    sol = quasi_newton_solve(flat_guess(), 0.0, ModelKind.LINEAR, SolveConfig(nx=64), k0=1)
     assert sol.iterations == 0
     assert sol.residual_norm <= 1e-14
     assert sol.amplitude == 0.0
@@ -289,7 +289,7 @@ def test_branch_consistency_log_fit(fast_config):
     betas = []
     for h in hs:
         sol = quasi_newton_solve(
-            asymptotic_guess(1, h, ModelKind.LINEAR),
+            asymptotic_guess(1, h, ModelKind.LINEAR, nx=fast_config.nx),
             h,
             ModelKind.LINEAR,
             k0=1,
@@ -319,9 +319,16 @@ def test_solve_small_nonlinear_wave(nonlinear_wave_small):
     assert sol.alpha < -3.0
 
 
+def test_solve_rejects_a_guess_on_another_grid():
+    with pytest.raises(ValueError, match=r"^the guess is on an nx = 64 grid, but cfg\.nx is 256$"):
+        quasi_newton_solve(flat_guess(), 0.1, ModelKind.LINEAR, k0=1)
+    with pytest.raises(ValueError, match=r"^the guess is on an nx = 256 grid, but cfg\.nx is 64$"):
+        quasi_newton_solve(asymptotic_guess(1, 0.1, ModelKind.LINEAR), 0.1, ModelKind.LINEAR, SolveConfig(nx=64), k0=1)
+
+
 def test_solve_rejects_negative_target():
     with pytest.raises(ValueError):
-        quasi_newton_solve(flat_guess(), -0.1, ModelKind.LINEAR, k0=1)
+        quasi_newton_solve(flat_guess(), -0.1, ModelKind.LINEAR, SolveConfig(nx=64), k0=1)
 
 
 def test_convergence_error_carries_history():
@@ -355,7 +362,7 @@ def test_singular_system_from_flat_guess():
     # at theta = 0 the equations do not depend on alpha, so the Jacobian
     # has an identically zero column
     with pytest.raises(SingularSystemError):
-        quasi_newton_solve(flat_guess(), 0.3, ModelKind.LINEAR, k0=1)
+        quasi_newton_solve(flat_guess(), 0.3, ModelKind.LINEAR, SolveConfig(nx=64), k0=1)
 
 
 def test_flat_solution_fields():
