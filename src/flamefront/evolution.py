@@ -77,21 +77,35 @@ rounding, which the near-neutral probe
 (test_near_neutral_probe_of_linear_wave) resolves: against the 5-FFT
 stepper's slope, this order moves it by 1.1e-7 relative, the order
 (c, N, c_prev, N_prev) by 5.0e-7 and np.divide by 2.2e-6, beyond the
-test's 1e-6.  Each step fills a fresh stack, so the arrays a state
-holds are never written again and an observed step copies nothing but
-the odd coordinates' expansion.
+test's 1e-6.  Each step fills a fresh stack, and a state holds its own c
+from it and, as history, the c and N of the stack its step started
+from, so the arrays a state holds are never written again.
 
-The loop makes no np.dot, np.vdot or np.array call.  Each contraction
-and each odd map is an ndarray.dot: the same C product as np.dot, bit
-for bit, without np.dot's __array_function__ dispatch.  At nx 64 one odd
-map costs 1.16 us as M.dot(g) against 1.60 us as np.dot(M, g), and the
-blow-up test's sum of squares 0.78 us as v.dot(v) against 1.22 us as
-np.vdot(v, v) (fastest of 21 runs of 20000 calls, one BLAS thread,
-2-core Xeon VM).  The pair (a, q) and the reciprocal of the SBDF2
-denominator are work arrays made once per run and filled in place, the
-reciprocal in the operation order of 1.0 / (d0 + d1*q*n^4), and the loop
-makes the blow-up test's sum of squares itself, calling _check_blowup
-only when it fails.
+The loop makes no np.dot, np.vdot or np.array call and no method call on
+the maps: _bind binds their three products once per run, with the run's
+work arrays.  An odd map is its matrix's ndarray.dot, the C product of
+np.dot, bit for bit, without np.dot's __array_function__ dispatch.  The
+rows product writes theta, theta_s and theta_sss into one flat work
+array, whose fixed views the step reads, with no reshape or row index.
+The pair (a, q) and the reciprocal of the SBDF2 denominator are work
+arrays too, filled in place, the reciprocal in the operation order of
+1.0 / (d0 + d1*q*n^4), and the loop makes the blow-up test's sum of
+squares itself, calling _check_blowup only when it fails.  An observed
+step builds its state from the loop's locals (_state): on the odd maps
+the full half spectrum and the full-grid values, on the general maps a
+copy of the grid values out of the work array, and the two frozen
+dataclasses without their __init__ (_built).  One step in us, the
+fastest of 25 interleaved runs of 2000 steps, one BLAS thread, 2-core
+Xeon VM (single runs move by some 10%):
+
+    step                          nx 64   nx 256
+    bare (evolve)                   9.4     20.0
+    observed (no-op observer)      13.0     24.4
+    probed (stability_probe)       11.9     22.9
+
+Building the observed state is most of the 3.6 us an observer costs at
+nx 64; the probe's d(t) record, three numpy calls on the half grid, costs
+2.5 to 2.9 us.
 """
 
 from __future__ import annotations
@@ -145,9 +159,9 @@ class _StepCache(NamedTuple):
     a front that is not odd is dropped.  Nothing of the state
     itself is kept: a state whose theta is replaced (dataclasses.replace)
     keeps this history, and the next step takes its explicit part from the
-    new theta.  theta_hat and nonstiff_hat are rows 1 and 3 of the history
-    stack of the step that made the state, which no later step writes, so
-    they are kept without a copy.
+    new theta.  theta_hat and nonstiff_hat are rows 0 and 2, c and N, of
+    the history stack that the step which made the state started from; no
+    later step writes them, so they are kept without a copy.
     """
 
     theta_hat: np.ndarray
@@ -246,14 +260,32 @@ class _Maps:
     def to_rows(self, c):
         return np.fft.irfft(self.rows * c[..., None, :], n=2 * (c.shape[-1] - 1), norm="forward")
 
+    def products(self):
+        """The three maps as a run binds them (_bind), and the grid size.
+
+        rows(c, out) writes theta, theta_s and theta_sss, in that order,
+        into the flat work array out; velocity(g, out) writes
+        -(V - V(0))/s_sigma and then the mean of g into out; spectrum(values)
+        returns the half spectrum.  Here the two work arrays take copies of
+        the FFTs' results.
+        """
+        return self._rows_into, self._velocity_into, self.to_spectrum, 2 * (self.n4.size - 1)
+
+    def _rows_into(self, c, out):
+        out[:] = self.to_rows(c).reshape(-1)
+
+    def _velocity_into(self, g, out):
+        out[:-1], out[-1] = self.to_velocity(g)
+
     def coordinates(self, coeffs):
         """A half spectrum as the vector these maps step: the coefficients
         themselves."""
         return coeffs
 
     def profile(self, c, values):
-        """The ThetaProfile of c and its grid values, wrapped as they are."""
-        return spectral.ThetaProfile(values.size, values, c)
+        """The ThetaProfile of c and a copy of its grid values: the stepping
+        loop's values live in a work array that the next step writes."""
+        return spectral.ThetaProfile(values.size, values.copy(), c)
 
 
 @functools.cache
@@ -294,15 +326,13 @@ class _OddMaps:
     fold: np.ndarray
     sign: np.ndarray
 
-    def to_velocity(self, g):
-        w = self.velocity.dot(g)
-        return w[:-1], w[-1]
-
-    def to_spectrum(self, values):
-        return self.spectrum.dot(values)
-
     def to_rows(self, c):
         return self.rows.dot(c).reshape(3, -1)
+
+    def products(self):
+        """As _Maps.products: each map is its matrix's bound ndarray.dot,
+        which writes into out when it is given one."""
+        return self.rows.dot, self.velocity.dot, self.spectrum.dot, self.velocity.shape[1]
 
     def coordinates(self, coeffs):
         """A half spectrum as the vector these maps step: a copy of Im c_n,
@@ -313,12 +343,14 @@ class _OddMaps:
 
     def profile(self, c, values):
         """The ThetaProfile of c and its half-grid values: real parts exactly
-        0, and values extended by theta_{nx-j} = -theta_j, exactly."""
+        0, and values extended by theta_{nx-j} = -theta_j, exactly.  Both
+        arrays are new."""
         coeffs = np.zeros(c.size + 2, dtype=complex)
         coeffs.imag[1:-1] = c
+        values = values.take(self.fold)
         # the product with -1.0 is exact, signed zeros included
-        values = values.take(self.fold) * self.sign
-        return spectral.ThetaProfile(values.size, values, coeffs)
+        values *= self.sign
+        return _built(spectral.ThetaProfile, {"nx": values.size, "values": values, "coeffs": coeffs})
 
 
 # Largest grid on which a state odd to rounding steps in odd coordinates;
@@ -330,21 +362,21 @@ class _OddMaps:
 # on the complex half spectrum) / odd path:
 #
 #     nx     step
-#     64     37.4 / 12.2
-#     128    44.6 / 23.3
-#     256    46.5 / 22.9
-#     320    46.1 / 31.5
-#     384    52.3 / 49.4
-#     416    55.3 / 53.9
-#     512    58.4 / 108.2
+#     64     35.1 / 9.5
+#     128    38.3 / 11.9
+#     256    42.2 / 20.0
+#     320    46.6 / 28.5
+#     384    46.9 / 36.6
+#     416    50.1 / 43.9
+#     512    51.1 / 89.4
 #
 # Single measurements move by up to 2x on that VM.  The odd path won at
-# 320 in all three measurements and in a second table of three (49.3 /
-# 30.4).  At 384 it also won all three, and the second table read 53.5 /
-# 45.9, so these numbers argue for a crossover at 384; at 416 the second
-# table read 54.4 / 55.9, close to even.  A move changes the rounding of
-# every nx-384 run, which would then step on the odd maps, so it is left
-# to a change of its own.
+# 320 in all three measurements and in a second table of three (43.0 /
+# 25.8).  At 384 and 416 it also won all three, and the second table read
+# 44.5 / 34.8 and 47.4 / 40.2, so these numbers argue for a crossover at
+# 384 or above.  A move changes the rounding of every run on the grids it
+# adds, which would then step on the odd maps, so it is left to a change
+# of its own.
 _ODD_MAX_NX = 320
 
 
@@ -447,7 +479,36 @@ def _checked_length(state):
     return length, q
 
 
-def _explicit(c, rows, length, q, alpha, maps, aq, out=None):
+def _built(cls, fields):
+    """An instance of the frozen dataclass cls holding fields, a dict of all
+    its fields, made without cls.__init__, which sets each field through
+    object.__setattr__: at nx 64 that makes an EvolutionState cost about
+    twice as much.  The instance stays frozen."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _bind(maps):
+    """maps' three products bound for one run, with that run's work arrays.
+
+    Returns (rows, flat, values, bound).  rows(c, flat) writes theta,
+    theta_s and theta_sss of c on the grid into the flat work array flat,
+    and values is the view of its theta; each call overwrites them.  bound
+    holds what _explicit takes for the run: fixed views of theta_s and of
+    (theta_s, theta_sss) in flat, the pair (a, q), the velocity product
+    with its work array w and the view of -(V - V(0))/s_sigma in w, the
+    spectrum product, and the gains table.  So a step makes no method call
+    on the maps, no reshape and no row index.
+    """
+    rows, velocity, spectrum, size = maps.products()
+    flat = np.empty(3 * size)
+    w = np.empty(size + 1)
+    derivs = flat[size:].reshape(2, size)
+    return rows, flat, flat[:size], (derivs[0], derivs, np.empty(2), velocity, w, w[:-1], spectrum, maps.gains)
+
+
+def _explicit(c, length, q, alpha, bound, out=None):
     """Explicit half spectrum of theta_t and L_t, for q = 4*(2*pi/L)^4.
 
     theta_t = (u_sigma + (V - V(0))*theta_s)/s_sigma with
@@ -455,23 +516,23 @@ def _explicit(c, rows, length, q, alpha, maps, aq, out=None):
     carries -q*n^4*c, the term the step treats implicitly.  It is left out
     here rather than added and subtracted, except at Nyquist, where
     u_sigma has no content and the implicit term is balanced explicitly.
-    c and the explicit part are in the coordinates of maps; rows holds
-    theta, theta_s and theta_sss on the grid.  The step's two
-    coefficients enter as one pair (a, q), written into the two-entry
-    work array aq: a*theta_s + q*theta_sss is (a, q) @ rows[1:] and the
-    gain on c is (a, q) @ gains.  The explicit part is written into out
-    when it is given: _march passes the row of its history stack.
+    c and the explicit part are in the coordinates of the maps that bound
+    (_bind) comes from, and bound's rows work array holds c's theta,
+    theta_s and theta_sss on the grid.  The step's two coefficients enter
+    as one pair (a, q), written into bound's two-entry work array: a*theta_s
+    + q*theta_sss is (a, q) @ (theta_s, theta_sss) and the gain on c is
+    (a, q) @ gains.  The explicit part is written into out when it is
+    given: _march passes the row of its history stack.
     """
+    theta_s, derivs, aq, velocity, w, neg_v, spectrum, gains = bound
     s_sigma = length / (2.0 * np.pi)
     aq[0] = (alpha - 1.0) / s_sigma**2
     aq[1] = q
-    theta_s = rows[1]
     # the maps carry -flux/s_sigma and -V/s_sigma: dividing u by s_sigma
     # up front divides theta_t, and negating it is free
-    neg_v, neg_flux_mean = maps.to_velocity(theta_s * (1.0 / s_sigma + aq.dot(rows[1:])))
-    length_rate = length * float(neg_flux_mean)
-    gain = aq.dot(maps.gains)
-    nonstiff = np.subtract(gain * c, maps.to_spectrum(neg_v * theta_s), out=out)
+    velocity(theta_s * (1.0 / s_sigma + aq.dot(derivs)), w)
+    length_rate = length * w.item(-1)
+    nonstiff = np.subtract(aq.dot(gains) * c, spectrum(neg_v * theta_s), out)
     return nonstiff, length_rate
 
 
@@ -483,18 +544,22 @@ def theta_rhs(state, alpha):
     """
     length, q = _checked_length(state)
     maps = _step_maps(state.theta)
+    rows, flat, values, bound = _bind(maps)
     c = maps.coordinates(state.theta.coeffs)
-    nonstiff, length_rate = _explicit(c, maps.to_rows(c), length, q, alpha, maps, np.empty(2))
+    rows(c, flat)
+    nonstiff, length_rate = _explicit(c, length, q, alpha, bound)
     rhs = nonstiff - q * maps.n4 * c
-    return maps.profile(rhs, maps.to_rows(rhs)[0]).values, length_rate
+    rows(rhs, flat)
+    return maps.profile(rhs, values).values, length_rate
 
 
-def _state(maps, stack, values, length, time, *cache):
-    # positional arguments: an observed step builds three of these objects;
-    # in general coordinates they hold rows of a stack that no later step
-    # writes, so nothing is copied
-    theta = maps.profile(stack[0], values)
-    return EvolutionState(theta, length, time, _StepCache(stack[1], stack[3], *cache, maps))
+def _state(maps, c, values, length, time, c_prev, nonstiff, prev_length, prev_rate, dt):
+    # no argument packing: an observed step builds three of these objects.
+    # c_prev and nonstiff are rows of the previous step's history stack,
+    # which no later step writes, so they are kept without a copy
+    prev = _StepCache(c_prev, nonstiff, prev_length, prev_rate, dt, maps)
+    theta = maps.profile(c, values)
+    return _built(EvolutionState, {"theta": theta, "length": length, "time": time, "prev": prev})
 
 
 def _check_blowup(values, time):
@@ -531,21 +596,24 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     after the last step taken.  The state's data pick the maps, odd or
     general, once (_step_maps), unless its history is on the general maps,
     which then carry the run; until sees grid values in their
-    coordinates, on the half grid for the odd maps.  The half spectrum, L,
-    t and the SBDF2 history live in locals; states are built only for the
-    observer and for the return value.  A starting state already past the blow-up
-    threshold is refused at its own time, before any step, and one whose L
-    has no finite nonzero q = 4*(2*pi/L)^4 (_stiffness) with ValueError;
-    an L that leaves that range during the run is a BlowUpError.
+    coordinates, on the half grid for the odd maps, in a work array that
+    the next step overwrites.  The half spectrum, L, t and the SBDF2
+    history live in locals; states are built from them (_state) only for
+    the observer and for the return value.  A starting state already past
+    the blow-up threshold is refused at its own time, before any step, and
+    one whose L has no finite nonzero q = 4*(2*pi/L)^4 (_stiffness) with
+    ValueError; an L that leaves that range during the run is a
+    BlowUpError.
 
     The half spectra live in the history stack of the module docstring.
     Each step writes N into its row 2, then takes a fresh stack holding
-    the shifted history and writes the new c into it.  Two work arrays
-    live for the run: the pair (a, q), which _explicit fills, and the
-    reciprocal of the SBDF2 denominator.  The loop, observer included,
-    runs with numpy's overflow and invalid-value warnings off: a step that
-    overflows leaves a theta that is not finite, which the blow-up check
-    refuses.
+    the shifted history and writes the new c into it.  The maps' three
+    products and their work arrays are bound once for the run (_bind), as
+    is the reciprocal of the SBDF2 denominator; each step then calls the
+    products directly and reads fixed views of the work arrays.  The loop,
+    observer included, runs with numpy's overflow and invalid-value
+    warnings off: a step that overflows leaves a theta that is not finite,
+    which the blow-up check refuses.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -564,13 +632,15 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
             # odd history handed a front that is not odd: start afresh
             prev = None
     n4 = maps.n4
+    rows, flat, values, bound = _bind(maps)
     # Python floats throughout: no numpy scalar arithmetic in the loop
     alpha = float(alpha)
     time = state.time
-    c = maps.coordinates(state.theta.coeffs)
-    stack = np.zeros((4, c.size), dtype=c.dtype)
-    stack[0] = c
-    rows = maps.to_rows(c)
+    coordinates = maps.coordinates(state.theta.coeffs)
+    stack = np.zeros((4, coordinates.size), dtype=coordinates.dtype)
+    stack[0] = coordinates
+    c = stack[0]
+    rows(c, flat)
     # SBDF2 needs the previous step at the same dt; otherwise IMEX Euler
     prev_length = prev_rate = None
     if prev is not None and prev.dt == dt:
@@ -580,12 +650,11 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     # d0 + d1*q*n^4
     euler = (np.array((1.0, 0.0, dt, 0.0)), 1.0, dt)
     sbdf2 = (np.array((4.0, -1.0, 4.0 * dt, -2.0 * dt)), 3.0, 2.0 * dt)
-    aq = np.empty(2)
     inv_denominator = np.empty(n4.shape)
     out = state
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            _, length_rate = _explicit(c, rows, length, q, alpha, maps, aq, out=stack[2])
+            nonstiff, length_rate = _explicit(c, length, q, alpha, bound, stack[2])
             if prev_length is None:
                 w, d0, d1 = euler
                 new_length = length + dt * length_rate
@@ -594,16 +663,15 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
                 new_length = (4.0 * length - prev_length + 2.0 * dt * (2.0 * length_rate - prev_rate)) / 3.0
             # (c, c, N, N): rows 1 and 3 are the next step's history; the
             # new c overwrites row 0 below and the next N row 2
-            new = stack.take(_SHIFT, axis=0)
+            new = stack.take(_SHIFT, 0)
             # a product with the reciprocal, not a division (module
             # docstring), of 1.0 / (d0 + d1*q*n4) in that operation order
-            np.multiply(n4, d1 * q, out=inv_denominator)
-            np.add(inv_denominator, d0, out=inv_denominator)
-            np.divide(1.0, inv_denominator, out=inv_denominator)
-            c = np.multiply(w.dot(stack), inv_denominator, out=new[0])
+            np.multiply(n4, d1 * q, inv_denominator)
+            np.add(inv_denominator, d0, inv_denominator)
+            np.divide(1.0, inv_denominator, inv_denominator)
+            c_prev, c = c, np.multiply(w.dot(stack), inv_denominator, new[0])
             time += dt
-            rows = maps.to_rows(c)
-            values = rows[0]
+            rows(c, flat)
             if not values.dot(values) <= _BLOWUP_SUM_SQUARES:
                 _check_blowup(values, time)
             q = _stiffness(new_length)
@@ -615,12 +683,12 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
             stack, length, prev_length, prev_rate = new, new_length, length, length_rate
             out = None
             if observer is not None:
-                out = _state(maps, stack, values, length, time, prev_length, prev_rate, dt)
+                out = _state(maps, c, values, length, time, c_prev, nonstiff, prev_length, prev_rate, dt)
                 observer(out)
             if until is not None and until(values, time):
                 break
     if out is None:
-        out = _state(maps, stack, rows[0], length, time, prev_length, prev_rate, dt)
+        out = _state(maps, c, values, length, time, c_prev, nonstiff, prev_length, prev_rate, dt)
     return out
 
 
@@ -638,7 +706,14 @@ def imex_step(state, alpha, dt):
 
 
 def evolve(state, alpha, dt, n_steps, observer=None):
-    """Run n_steps IMEX steps, invoking observer(state) after each one."""
+    """Run n_steps IMEX steps, invoking observer(state) after each one.
+
+    Each observed state is built for the observer, and no later step
+    writes its arrays, so an observer may keep it.  On the odd maps that
+    means the full half spectrum and the full-grid values: at nx 64 an
+    observed step costs about 13.0 us against 9.4 us for a bare one
+    (module docstring).
+    """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps!r}")
     return _march(state, alpha, dt, n_steps, observer)

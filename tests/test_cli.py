@@ -186,6 +186,16 @@ def test_probe_of_a_wave_file_matches_the_solved_wave(linear_wave_small, branch_
     assert from_file.rate == pytest.approx(est.rate, rel=1e-6)
 
 
+def test_growth_csv_holds_the_per_row_format(tmp_path, branch_wave_file):
+    # growth.csv comes from one %-format call over the interleaved (t, d)
+    # values; its bytes are those of one f"{t:.17g},{d:.17g}" line per row
+    assert main(["stability", "--wave", str(branch_wave_file), "--out", str(tmp_path)]) == 0
+    est = stability_probe(_wave_from_file(branch_wave_file))
+    assert not est.observed and len(est.times) == 10000
+    rows = "".join(f"{t:.17g},{d:.17g}\n" for t, d in zip(est.times, est.norms))
+    assert (tmp_path / "growth.csv").read_bytes() == ("t,d\n" + rows).encode()
+
+
 def test_probe_of_a_wave_file_makes_no_fft_call_per_step(branch_wave_file, monkeypatch):
     # the start is exactly odd, so the probe steps on the dense odd maps
     wave = _wave_from_file(branch_wave_file)

@@ -598,16 +598,22 @@ def test_odd_maps_match_their_fft_expressions(rng, nx):
     np.testing.assert_array_equal(odd.n4, fft.n4[1:half])
     for table in (odd.gains, odd.n4):
         assert not table.flags.writeable
+    # the products as the stepping loop binds them, writing into work arrays
+    to_rows, to_velocity, to_spectrum, size = odd.products()
+    assert size == half + 1
+    flat, w = np.empty(3 * size), np.empty(size + 1)
     for _ in range(3):
         (c, spectrum), (g, g_full), (v, v_full) = _odd_expansions(nx, rng)
-        rows = odd.to_rows(c)
-        assert rows.shape == (3, half + 1)
+        to_rows(c, flat)
+        rows = flat.reshape(3, -1)
+        np.testing.assert_array_equal(odd.to_rows(c), rows)
         assert_close(rows, fft.to_rows(spectrum)[:, : half + 1], 1e-13)
         # theta is odd: exactly 0 at sigma = 0 and pi
         np.testing.assert_array_equal(rows[0, [0, half]], 0.0)
         neg_v, mean = fft.to_velocity(g_full)
-        assert_close(np.append(*odd.to_velocity(g)), np.append(neg_v[: half + 1], mean), 1e-13)
-        assert_close(odd.to_spectrum(v), fft.to_spectrum(v_full).imag[1:half], 1e-13)
+        to_velocity(g, w)
+        assert_close(w, np.append(neg_v[: half + 1], mean), 1e-13)
+        assert_close(to_spectrum(v), fft.to_spectrum(v_full).imag[1:half], 1e-13)
 
 
 @pytest.mark.parametrize("nx", [8, 64, 256, _ODD_MAX_NX])
@@ -804,6 +810,11 @@ def test_odd_run_keeps_every_state_exactly_odd(rng, nx):
         assert_same_state(observed, step)
         # no later step wrote into what the state holds
         np.testing.assert_array_equal(observed.theta.values, values)
+    # observed states are built without their dataclasses' __init__, and
+    # stay frozen
+    for frozen in (out, out.theta):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frozen.nx = 0
     assert_exactly_odd(imex_step(state, 17.0, 1e-5))
     rhs, _ = theta_rhs(out, 17.0)
     np.testing.assert_array_equal(rhs[nx // 2 + 1 :], -rhs[nx // 2 - 1 : 0 : -1])
@@ -973,3 +984,72 @@ def test_the_stepping_loop_calls_no_counted_numpy_function(monkeypatch, rng, lin
     # the proxy sees the run's set-up, and no counted function on every step
     assert counts[10].total() > 0
     assert max(counts[10].values()) < 10
+
+
+def transcribed_odd_run(c, length, time, alpha, dt, n):
+    """n steps of the odd IMEX step from the odd coordinates c, written out
+    with plain numpy calls on the _odd_maps tables in the documented
+    operation order (module docstring): an Euler step, then SBDF2, on a
+    fresh (c, c_prev, N, N_prev) stack each step, times the reciprocal of
+    d0 + d1*q*n^4.  Yields c, its half-grid values, L and t after each
+    step, and the c and N the step started from."""
+    maps = _odd_maps(2 * (c.size + 1))
+    stack = np.zeros((4, c.size))
+    stack[0] = c
+    prev_length = prev_rate = None
+    for _ in range(n):
+        rows = np.dot(maps.rows, c).reshape(3, -1)
+        theta_s = rows[1]
+        s_sigma = length / (2.0 * np.pi)
+        q = 4.0 / s_sigma**4
+        aq = np.array([(alpha - 1.0) / s_sigma**2, q])
+        w = np.dot(maps.velocity, theta_s * (1.0 / s_sigma + np.dot(aq, rows[1:])))
+        length_rate = length * float(w[-1])
+        stack[2] = np.dot(aq, maps.gains) * c - np.dot(maps.spectrum, w[:-1] * theta_s)
+        if prev_length is None:
+            weights, d0, d1 = np.array([1.0, 0.0, dt, 0.0]), 1.0, dt
+            new_length = length + dt * length_rate
+        else:
+            weights, d0, d1 = np.array([4.0, -1.0, 4.0 * dt, -2.0 * dt]), 3.0, 2.0 * dt
+            new_length = (4.0 * length - prev_length + 2.0 * dt * (2.0 * length_rate - prev_rate)) / 3.0
+        c_prev, nonstiff = stack[0], stack[2]
+        c = np.dot(weights, stack) * (1.0 / (maps.n4 * (d1 * q) + d0))
+        stack = np.array([c, c_prev, nonstiff, nonstiff])
+        length, prev_length, prev_rate = new_length, length, length_rate
+        time += dt
+        yield c, np.dot(maps.rows, c).reshape(3, -1)[0], length, time, c_prev, nonstiff
+
+
+def assert_transcribed_state(state, c, values, length, time):
+    coeffs = np.zeros(c.size + 2, dtype=complex)
+    coeffs.imag[1:-1] = c
+    assert np.array_equal(state.theta.coeffs, coeffs)
+    assert np.array_equal(state.theta.values, np.concatenate((values, -values[-2:0:-1])))
+    assert (state.length, state.time) == (length, time)
+
+
+def test_odd_steps_are_bit_identical_to_their_transcription(rng, linear_wave_small):
+    # the stepping loop binds the maps' products and work arrays once per
+    # run and builds observed states without dataclass __init__; none of
+    # that may move a bit.  Compared in one process, not against stored
+    # hashes: BLAS kernels, and so the last bits, differ across CPUs
+    state = odd_random_state(rng, 64)
+    ref = list(transcribed_odd_run(state.theta.coeffs.imag[1:-1].copy(), state.length, state.time, 17.0, 1e-5, 200))
+    seen = []
+    evolve(state, 17.0, 1e-5, 200, observer=seen.append)
+    assert len(seen) == 200
+    for observed, (c, values, length, time, c_prev, nonstiff) in zip(seen, ref):
+        assert_transcribed_state(observed, c, values, length, time)
+        assert np.array_equal(observed.prev.theta_hat, c_prev)
+        assert np.array_equal(observed.prev.nonstiff_hat, nonstiff)
+    assert_transcribed_state(evolve(state, 17.0, 1e-5, 200), *ref[-1][:4])
+
+    cfg = StabilityProbeConfig(dt=1e-4, t_max=0.02)
+    est = stability_probe(linear_wave_small, cfg)
+    start, reference = _probe_start(linear_wave_small, cfg.delta)
+    assert start.theta.nx == 256
+    c = start.theta.coeffs.imag[1:-1].copy()
+    ref = list(transcribed_odd_run(c, start.length, 0.0, float(linear_wave_small.alpha), cfg.dt, 200))
+    assert len(est.times) == 200
+    assert np.array_equal(est.times, [step[3] for step in ref])
+    assert np.array_equal(est.norms, [np.max(np.abs(step[1] - reference)) for step in ref])
