@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -65,12 +66,18 @@ def _format_value(value):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+class _JsonText(str):
+    """JSON text that _to_json writes as it is."""
+
+
 def _to_json(obj, indent=0):
     """Deterministic JSON with 17-significant-digit floats.
 
     As with json's allow_nan=False, a NaN or infinite float raises
     ValueError: JSON has no literal for it.
     """
+    if isinstance(obj, _JsonText):
+        return obj
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -106,7 +113,13 @@ def _publish(args, files):
     files holds (name, content) pairs: text (CSV) is written as given, a
     JSON object through _to_json.  The manifest's parameters are the parsed
     arguments less command, func and out, with main's defaults resolved.
+    Two files of one name raise ValueError before the directory is made:
+    the second would overwrite the first.
     """
+    names = [name for name, _ in files]
+    if len(set(names)) < len(names):
+        twice = sorted({name for name in names if names.count(name) > 1})
+        raise ValueError(f"output files would overwrite each other: {', '.join(twice)}")
     if args.out is not None:
         out = Path(args.out)
     else:
@@ -125,7 +138,7 @@ def _publish(args, files):
         "command": args.command,
         "parameters": {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")},
         "artifact_version": __version__,
-        "outputs": [name for name, _ in files],
+        "outputs": names,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     _write_json(out / "manifest.json", manifest)
@@ -159,6 +172,29 @@ def cmd_bifurcate(args):
 _BRANCH_COLUMNS = ("h", "alpha", "beta", "L", "delta_alpha", "delta_beta", "delta_L", "residual_norm")
 
 
+@functools.cache
+def _grid_json(nx):
+    """The JSON text of spectral.grid(nx), formatted once per nx: every
+    wave file of a branch holds the same grid."""
+    return _JsonText(_to_json(spectral.grid(nx)))
+
+
+def _wave_names(amplitudes):
+    """wave_<h>.json names with h to the fewest decimals, at least 6, that
+    keep the names of distinct amplitudes distinct.
+
+    Amplitudes are told apart by repr, as their names are (-0.0 is not
+    0.0); equal ones keep one name, which _publish refuses.
+    """
+    distinct = len(set(map(repr, amplitudes)))
+    decimals = 6
+    while True:
+        names = [f"wave_{h:.{decimals}f}.json" for h in amplitudes]
+        if len(set(names)) == distinct:
+            return names
+        decimals += 1
+
+
 def _wave_payload(sol, alpha0):
     return {
         "model": sol.kind.value,
@@ -171,7 +207,7 @@ def _wave_payload(sol, alpha0):
         "delta_beta": sol.beta - 1.0,
         "delta_L": sol.length - 2.0 * np.pi,
         "residual_norm": sol.residual_norm,
-        "sigma": spectral.grid(sol.theta.nx),
+        "sigma": _grid_json(sol.theta.nx),
         "theta": sol.theta.values,
         "x": sol.curve.x,
         "y": sol.curve.y,
@@ -182,7 +218,8 @@ def cmd_branch(args):
     kind = ModelKind(args.model)
     record = solver.continue_branch(args.k0, kind, args.h_step, args.h_max, solver.SolveConfig(nx=args.nx))
     alpha0 = bifurcation.asymptotic_expansion(args.k0, kind).alpha0
-    waves = [(f"wave_{sol.amplitude:.6f}.json", _wave_payload(sol, alpha0)) for sol in record.solutions]
+    names = _wave_names([sol.amplitude for sol in record.solutions])
+    waves = [(name, _wave_payload(sol, alpha0)) for name, sol in zip(names, record.solutions)]
     rows = [",".join(_BRANCH_COLUMNS)]
     rows += [",".join(format(payload[key], ".17g") for key in _BRANCH_COLUMNS) for _, payload in waves]
     _publish(args, [("branch.csv", "\n".join(rows) + "\n"), *waves])

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import flamefront
 from flamefront import geometry, solver
-from flamefront.cli import _build_parser, _to_json, _wave_from_file, _write_json, main
+from flamefront.cli import _build_parser, _publish, _to_json, _wave_from_file, _write_json, main
 from flamefront.evolution import StabilityProbeConfig, _probe_start, stability_probe
 from flamefront.model import ModelKind, WaveParams, length_from_theta, residual
 from flamefront.spectral import ThetaProfile, from_sine_coeffs, grid
@@ -265,6 +266,39 @@ def test_branch_determinism(tmp_path):
     ma.pop("created")
     mb.pop("created")
     assert ma == mb
+
+
+def test_waves_of_close_amplitudes_get_files_of_their_own(tmp_path):
+    # six decimals name all four waves wave_0.000000.json
+    argv = ["branch", "--model", "linear", "--k0", "1", "--h-step", "1e-7", "--h-max", "4e-7", "--nx", "64"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "branch.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    names = [f"wave_{h}.json" for h in ("0.0000001", "0.0000002", "0.0000003", "0.0000004")]
+    assert sorted(path.name for path in tmp_path.glob("wave_*.json")) == names
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["outputs"] == ["branch.csv", *names]
+    for name, row in zip(names, rows):
+        data = json.loads((tmp_path / name).read_text())
+        assert data["h"] == float(row["h"])
+        assert data["alpha"] == float(row["alpha"])
+
+
+def test_publish_refuses_two_files_of_one_name(tmp_path):
+    args = argparse.Namespace(command="branch", out=str(tmp_path / "out"))
+    files = [("branch.csv", "h\n"), ("wave_0.000000.json", {"h": 1e-7}), ("wave_0.000000.json", {"h": 2e-7})]
+    with pytest.raises(ValueError, match="output files would overwrite each other: wave_0.000000.json"):
+        _publish(args, files)
+    assert not (tmp_path / "out").exists()
+
+
+def test_branches_on_two_grids_each_write_their_own_grid(tmp_path):
+    for nx in (64, 32, 64):
+        out = tmp_path / f"nx{nx}"
+        assert run_branch(out, nx=nx, h_max=0.05) == 0
+        text = (out / "wave_0.050000.json").read_text()
+        assert '"sigma": ' + _to_json(grid(nx)) + "," in text
+        assert json.loads(text)["sigma"] == grid(nx).tolist()
 
 
 def test_branch_writes_the_converged_curves(tmp_path):

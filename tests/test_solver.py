@@ -202,6 +202,72 @@ def test_newton_jacobian_matches_grid_transform(name, nx):
     assert np.all(np.max(np.abs(jac - reference), axis=0) <= 1e-14 * column_scale)
 
 
+def transcribed_newton_jacobian(p, params, lin, amp_index):
+    """A plain transcription of the Toeplitz-plus-Hankel assembly in
+    _newton_jacobian's operation order: sliding windows of the stacked
+    extended vectors, and the six block updates made in place on the
+    strided sine-mode block of the matrix.  _newton_jacobian must equal it
+    bit for bit."""
+    nx = p.nx
+    half = nx // 2
+    k = np.arange(1, half)
+    w1, w3, r_q, r_alpha = lin
+    funcs = np.stack([w1, r_q, np.sin(p.values), -np.cos(p.values), r_alpha])
+    spec = np.fft.rfft(funcs, axis=1) / nx
+    sin_coeffs = -spec[2].imag
+    n = np.arange(1 - half, nx - 1)
+    fold = np.minimum(np.abs(n), nx - n)
+    extended = np.stack(
+        [
+            spec[0].real[fold],
+            (params.beta * np.sign(n) * np.sign(half - n)) * sin_coeffs[fold],
+        ]
+    )
+    windows = np.lib.stride_tricks.sliding_window_view(extended, half - 1, axis=1)
+    w_toeplitz, z_toeplitz = windows[:, :half, ::-1]
+    w_hankel, z_hankel = windows[:, half:]
+    dq = -sin_coeffs[1:half]
+    jac = np.empty((half + 1, half + 1))
+    block = jac[:-1, :-2]
+    np.multiply(2.0 * spec[1, :half, None].real, dq / k, out=block)
+    block += w_toeplitz
+    block += w_hankel
+    block *= k
+    block += z_hankel
+    block -= z_toeplitz
+    jac[k, k - 1] -= k**3 * w3
+    jac[:-1, -2:] = 2.0 * spec[3:, :half].real.T
+    jac[0] *= 0.5
+    jac[-1, :-2] = np.sin((2.0 * np.pi / nx) * (k * amp_index % nx))
+    jac[-1, -2:] = 0.0
+    return jac
+
+
+@pytest.mark.parametrize("nx", [8, 64, 256, 512])
+@pytest.mark.parametrize(
+    "name", ["guess-linear", "guess-nonlinear", "linear-h1", "nonlinear-wall"]
+)
+def test_newton_system_is_bit_identical_to_its_transcription(name, nx):
+    """The Jacobian equals transcribed_newton_jacobian, and the equations
+    the cosine modes of the residual's profile plus the pin, both exactly,
+    for pins at several indices."""
+    if nx < 64 and not name.startswith("guess"):
+        # no branch starts at nx 8: the nx-64 wave, resampled
+        p, params, target_h, kind = jacobian_case(name, 64)
+        p = project_odd(spectral.resample(p, nx))
+    else:
+        p, params, target_h, kind = jacobian_case(name, nx)
+    x = np.concatenate([sine_coeffs(p), [params.beta, params.alpha]])
+    pins = {int(np.argmax(p.values)), 0, 1, nx // 3, nx // 2, nx - 1}
+    for pin in sorted(pins):
+        eqs, _, p_x, params_x, lin = _square_equations(x, nx, target_h, kind, pin)
+        jac = _newton_jacobian(p_x, params_x, lin, pin)
+        assert np.array_equal(jac, transcribed_newton_jacobian(p_x, params_x, lin, pin))
+        r = residual_linearization(p_x, params_x, kind)[0]
+        modes = cosine_coeffs(ThetaProfile.from_values(r))
+        assert np.array_equal(eqs, np.append(modes[: nx // 2], p_x.values[pin] - target_h))
+
+
 @pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.NONLINEAR])
 def test_one_closure_evaluation_per_newton_iterate(monkeypatch, kind):
     orders = []
