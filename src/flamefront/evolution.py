@@ -13,8 +13,8 @@ and the tangent angle on the normalized-arclength grid obeys
 where V is the tangential velocity that keeps the parameterization
 uniform.  Time stepping is IMEX: the fourth-derivative part
 -4*(2*pi/L)^4 * theta_ssss is implicit (diagonal in Fourier space, L
-frozen over the step), everything else explicit; the first step is IMEX
-Euler and subsequent steps are SBDF2.
+frozen over the step), everything else explicit; the first step of each
+run is IMEX Euler and subsequent steps are SBDF2.
 
 A step works on the rfft half spectrum c of theta, n = 0..nx/2, the
 spectrum a ThetaProfile holds, with multiplier tables cached per nx,
@@ -50,12 +50,10 @@ several times its arithmetic, so each odd map is one dense matrix about
 a quarter the size of a general one, tabulated from the general FFT
 expressions (_odd_maps), up to the one crossover (_ODD_MAX_NX, with its
 timings): at nx 64 and 256 such a step makes no FFT call.  The data
-choose the coordinates at the start of a run (_step_maps), except that a
-run whose history is on the general maps stays on them: chained imex_step
-calls whose cosine content decays below the bound step as one evolve run
-does.  Odd history handed a front that is not odd (dataclasses.replace)
-is dropped, and the front starts afresh with one Euler step, as after a
-change of dt.  States are expanded to the full half spectrum, real parts
+choose the coordinates at the start of each run (_step_maps), and the
+run keeps them: one whose cosine content decays below the bound stays on
+the general maps, and a run started from its end steps on the odd ones.
+States are expanded to the full half spectrum, real parts
 exactly 0, and to the full grid, theta_{nx-j} = -theta_j exactly, only
 for an observer, for the state returned and for theta_rhs.  A stability
 probe starts from the wave's sine content (_probe_start) and refuses a
@@ -77,9 +75,12 @@ rounding, which the near-neutral probe
 (test_near_neutral_probe_of_linear_wave) resolves: against the 5-FFT
 stepper's slope, this order moves it by 1.1e-7 relative, the order
 (c, N, c_prev, N_prev) by 5.0e-7 and np.divide by 2.2e-6, beyond the
-test's 1e-6.  Each step fills a fresh stack, and a state holds its own c
-from it and, as history, the c and N of the stack its step started
-from, so the arrays a state holds are never written again.
+test's 1e-6.  The stack and the previous L and L_t are the run's locals:
+a state is theta, L and t, so every run, imex_step's one step included,
+starts afresh with an Euler step, and SBDF2 steps follow only within one
+run.  Each step fills a fresh stack, and a state on the general maps
+holds its own c from it, so the arrays a state holds are never written
+again.
 
 The loop makes no np.dot, np.vdot or np.array call and no method call on
 the maps: _bind binds their three products once per run, with the run's
@@ -112,8 +113,7 @@ from __future__ import annotations
 
 import functools
 from array import array
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,38 +148,17 @@ _GROWTH_WINDOW_DECADES = 2.0
 _NO_GROWTH_NOTE = "no instability observed at threshold 1e-3"
 
 
-class _StepCache(NamedTuple):
-    """What the step that made a state leaves for the next one.
-
-    The previous half spectrum and explicit part, in the coordinates of
-    maps, length and L_t are the history an SBDF2 step needs;
-    dt is recorded so a changed step size falls back to the self-starting
-    Euler step, and maps, the coordinates the arrays are in: a run whose
-    history is on the general maps stays on them, and odd history handed
-    a front that is not odd is dropped.  Nothing of the state
-    itself is kept: a state whose theta is replaced (dataclasses.replace)
-    keeps this history, and the next step takes its explicit part from the
-    new theta.  theta_hat and nonstiff_hat are rows 0 and 2, c and N, of
-    the history stack that the step which made the state started from; no
-    later step writes them, so they are kept without a copy.
-    """
-
-    theta_hat: np.ndarray
-    nonstiff_hat: np.ndarray
-    length: float
-    length_rate: float
-    dt: float
-    maps: _Maps | _OddMaps
-
-
 @dataclass(frozen=True, eq=False)
 class EvolutionState:
-    """Tangent angle, front length, and clock time of an evolving front."""
+    """Tangent angle, front length, and clock time of an evolving front.
+
+    A state carries no step history: every run starts from its state
+    alone, with one IMEX Euler step (_march).
+    """
 
     theta: spectral.ThetaProfile
     length: float
     time: float = 0.0
-    prev: _StepCache | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_theta(cls, p):
@@ -469,14 +448,17 @@ def _stiffness(length):
     return q if q < np.inf else None
 
 
-def _checked_length(state):
-    """A state's L as a Python float and its q (_stiffness), or ValueError
-    naming an L that has no q."""
+def _checked(state, alpha):
+    """alpha and a state's L as Python floats and L's q (_stiffness), or
+    ValueError naming an alpha that is not finite or an L that has no q:
+    the checks theta_rhs and every run make before any arithmetic."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     length = float(state.length)
     q = _stiffness(length)
     if q is None:
         raise ValueError(f"L must be positive and finite with 4*(2*pi/L)^4 finite and nonzero, got {state.length!r}")
-    return length, q
+    return float(alpha), length, q
 
 
 def _built(cls, fields):
@@ -539,10 +521,11 @@ def _explicit(c, length, q, alpha, bound, out=None):
 def theta_rhs(state, alpha):
     """Right-hand sides (theta_t values, L_t) of the evolution system.
 
-    Raises ValueError for an L that is not positive and finite or whose
-    4*(2*pi/L)^4 is not finite and nonzero (_stiffness).
+    Raises ValueError for an alpha that is not finite, and for an L that
+    is not positive and finite or whose 4*(2*pi/L)^4 is not finite and
+    nonzero (_stiffness).
     """
-    length, q = _checked_length(state)
+    alpha, length, q = _checked(state, alpha)
     maps = _step_maps(state.theta)
     rows, flat, values, bound = _bind(maps)
     c = maps.coordinates(state.theta.coeffs)
@@ -553,13 +536,8 @@ def theta_rhs(state, alpha):
     return maps.profile(rhs, values).values, length_rate
 
 
-def _state(maps, c, values, length, time, c_prev, nonstiff, prev_length, prev_rate, dt):
-    # no argument packing: an observed step builds three of these objects.
-    # c_prev and nonstiff are rows of the previous step's history stack,
-    # which no later step writes, so they are kept without a copy
-    prev = _StepCache(c_prev, nonstiff, prev_length, prev_rate, dt, maps)
-    theta = maps.profile(c, values)
-    return _built(EvolutionState, {"theta": theta, "length": length, "time": time, "prev": prev})
+def _state(maps, c, values, length, time):
+    return _built(EvolutionState, {"theta": maps.profile(c, values), "length": length, "time": time})
 
 
 def _check_blowup(values, time):
@@ -594,16 +572,16 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     Takes n_steps steps, or fewer if until(values, time) returns True
     after one, calls observer(state) after each, and returns the state
     after the last step taken.  The state's data pick the maps, odd or
-    general, once (_step_maps), unless its history is on the general maps,
-    which then carry the run; until sees grid values in their
-    coordinates, on the half grid for the odd maps, in a work array that
-    the next step overwrites.  The half spectrum, L, t and the SBDF2
-    history live in locals; states are built from them (_state) only for
-    the observer and for the return value.  A starting state already past
-    the blow-up threshold is refused at its own time, before any step, and
-    one whose L has no finite nonzero q = 4*(2*pi/L)^4 (_stiffness) with
-    ValueError; an L that leaves that range during the run is a
-    BlowUpError.
+    general, once (_step_maps), and the run keeps them; until sees grid
+    values in their coordinates, on the half grid for the odd maps, in a
+    work array that the next step overwrites.  The first step is IMEX
+    Euler, the rest SBDF2.  The half spectrum, L, t and the SBDF2 history
+    live in locals and end with the run; states are built from them
+    (_state) only for the observer and for the return value.  A starting
+    state already past the blow-up threshold is refused at its own time,
+    before any step, and one whose L has no finite nonzero
+    q = 4*(2*pi/L)^4 (_stiffness) with ValueError; an L that leaves that
+    range during the run is a BlowUpError.
 
     The half spectra live in the history stack of the module docstring.
     Each step writes N into its row 2, then takes a fresh stack holding
@@ -617,35 +595,19 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
-    length, q = _checked_length(state)
+    # Python floats throughout: no numpy scalar arithmetic in the loop
+    alpha, length, q = _checked(state, alpha)
     _check_blowup(state.theta.values, state.time)
     maps = _step_maps(state.theta)
-    prev = state.prev
-    if prev is not None and prev.maps is not maps:
-        if prev.maps is _maps(state.theta.nx):
-            # a run on the general maps stays on them, even once its
-            # cosine content decays below the bound
-            maps = prev.maps
-        else:
-            # odd history handed a front that is not odd: start afresh
-            prev = None
     n4 = maps.n4
     rows, flat, values, bound = _bind(maps)
-    # Python floats throughout: no numpy scalar arithmetic in the loop
-    alpha = float(alpha)
     time = state.time
-    coordinates = maps.coordinates(state.theta.coeffs)
-    stack = np.zeros((4, coordinates.size), dtype=coordinates.dtype)
-    stack[0] = coordinates
-    c = stack[0]
+    c = maps.coordinates(state.theta.coeffs)
+    stack = np.zeros((4, c.size), dtype=c.dtype)
+    stack[0] = c
     rows(c, flat)
-    # SBDF2 needs the previous step at the same dt; otherwise IMEX Euler
+    # no history before the first step: it is IMEX Euler
     prev_length = prev_rate = None
-    if prev is not None and prev.dt == dt:
-        stack[1], stack[3] = prev.theta_hat, prev.nonstiff_hat
-        prev_length, prev_rate = prev.length, prev.length_rate
     # numerator weights on the stack, then d0 and d1 of the denominator
     # d0 + d1*q*n^4
     euler = (np.array((1.0, 0.0, dt, 0.0)), 1.0, dt)
@@ -654,7 +616,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     out = state
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            nonstiff, length_rate = _explicit(c, length, q, alpha, bound, stack[2])
+            length_rate = _explicit(c, length, q, alpha, bound, stack[2])[1]
             if prev_length is None:
                 w, d0, d1 = euler
                 new_length = length + dt * length_rate
@@ -669,7 +631,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
             np.multiply(n4, d1 * q, inv_denominator)
             np.add(inv_denominator, d0, inv_denominator)
             np.divide(1.0, inv_denominator, inv_denominator)
-            c_prev, c = c, np.multiply(w.dot(stack), inv_denominator, new[0])
+            c = np.multiply(w.dot(stack), inv_denominator, new[0])
             time += dt
             rows(c, flat)
             if not values.dot(values) <= _BLOWUP_SUM_SQUARES:
@@ -683,24 +645,24 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
             stack, length, prev_length, prev_rate = new, new_length, length, length_rate
             out = None
             if observer is not None:
-                out = _state(maps, c, values, length, time, c_prev, nonstiff, prev_length, prev_rate, dt)
+                out = _state(maps, c, values, length, time)
                 observer(out)
             if until is not None and until(values, time):
                 break
     if out is None:
-        out = _state(maps, c, values, length, time, c_prev, nonstiff, prev_length, prev_rate, dt)
+        out = _state(maps, c, values, length, time)
     return out
 
 
 def imex_step(state, alpha, dt):
-    """Advance one step of size dt.
+    """Advance one step of size dt: evolve(state, alpha, dt, 1).
 
     The stiff term -4*(2*pi/L)^4*theta_ssss is treated implicitly with L
     frozen at the current value; the remainder and the length equation are
-    explicit.  Without usable history (first step, or dt changed) the
-    scheme is first-order IMEX Euler, afterwards SBDF2.  Raises ValueError
-    for a dt that is not positive and finite or an alpha that is not
-    finite, and BlowUpError once max|theta| exceeds 1e3.
+    explicit.  A state carries no history, so the step is first-order IMEX
+    Euler; SBDF2 steps follow only within one evolve run.  Raises
+    ValueError for a dt that is not positive and finite or an alpha that
+    is not finite, and BlowUpError once max|theta| exceeds 1e3.
     """
     return _march(state, alpha, dt, 1)
 
@@ -708,6 +670,9 @@ def imex_step(state, alpha, dt):
 def evolve(state, alpha, dt, n_steps, observer=None):
     """Run n_steps IMEX steps, invoking observer(state) after each one.
 
+    The run starts afresh from state: one IMEX Euler step, then SBDF2, so
+    a run of n steps is not n chained runs of one; a caller that wants the
+    intermediate states of one SBDF2 run takes them from the observer.
     Each observed state is built for the observer, and no later step
     writes its arrays, so an observer may keep it.  On the odd maps that
     means the full half spectrum and the full-grid values: at nx 64 an

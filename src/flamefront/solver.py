@@ -301,17 +301,17 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
     iteration assembles the exact Jacobian at the current iterate and
     solves the dense LU-factored update system.
 
-    Raises ValueError for a negative target_h or a guess on another grid
-    than cfg.nx; ConvergenceError with reason "stalled" once none of the
-    last 3 residuals is below half the best one before them, "max-iters"
-    after cfg.max_iters without meeting cfg.tol_residual, or "non-finite"
-    once an iterate's residual overflows; SingularSystemError on a
-    negligible pivot.
+    Raises ValueError for a target_h that is negative or not finite, or a
+    guess on another grid than cfg.nx; ConvergenceError with reason
+    "stalled" once none of the last 3 residuals is below half the best one
+    before them, "max-iters" after cfg.max_iters without meeting
+    cfg.tol_residual, or "non-finite" once an iterate's residual
+    overflows; SingularSystemError on a negligible pivot.
     """
     if cfg is None:
         cfg = SolveConfig()
-    if target_h < 0.0:
-        raise ValueError(f"target_h must be nonnegative, got {target_h!r}")
+    if not 0.0 <= target_h < np.inf:
+        raise ValueError(f"target_h must be nonnegative and finite, got {target_h!r}")
     p0, params0 = guess
     nx = cfg.nx
     if p0.nx != nx:

@@ -21,7 +21,6 @@ from flamefront.bifurcation import (
 from flamefront.evolution import (
     EvolutionState,
     evolve,
-    imex_step,
     stability_probe,
 )
 from flamefront.geometry import min_nonadjacent_gap, reconstruct_curve
@@ -30,7 +29,6 @@ from flamefront.model import (
     WaveParams,
     dispersion_linear,
     kinematics,
-    residual,
     unstable_modes,
 )
 from flamefront.solver import (

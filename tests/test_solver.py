@@ -392,9 +392,11 @@ def test_solve_rejects_a_guess_on_another_grid():
         quasi_newton_solve(asymptotic_guess(1, 0.1, ModelKind.LINEAR), 0.1, ModelKind.LINEAR, SolveConfig(nx=64), k0=1)
 
 
-def test_solve_rejects_negative_target():
-    with pytest.raises(ValueError):
-        quasi_newton_solve(flat_guess(), -0.1, ModelKind.LINEAR, SolveConfig(nx=64), k0=1)
+@pytest.mark.parametrize("target_h", [-0.1, float("nan"), float("inf")])
+def test_solve_rejects_negative_target(target_h):
+    # refused before any arithmetic on the front, not as a degenerate one
+    with pytest.raises(ValueError, match=r"^target_h must be nonnegative and finite, got"):
+        quasi_newton_solve(flat_guess(), target_h, ModelKind.LINEAR, SolveConfig(nx=64), k0=1)
 
 
 def test_convergence_error_carries_history():
