@@ -88,25 +88,39 @@ work arrays.  An odd map is its matrix's ndarray.dot, the C product of
 np.dot, bit for bit, without np.dot's __array_function__ dispatch.  The
 rows product writes theta, theta_s and theta_sss into one flat work
 array, whose fixed views the step reads, with no reshape or row index.
-The pair (a, q) and the reciprocal of the SBDF2 denominator are work
-arrays too, filled in place, the reciprocal in the operation order of
-1.0 / (d0 + d1*q*n^4), and the loop makes the blow-up test's sum of
-squares itself, calling _check_blowup only when it fails.  An observed
-step builds its state from the loop's locals (_state): on the odd maps
-the full half spectrum and the full-grid values, on the general maps a
-copy of the grid values out of the work array, and the two frozen
-dataclasses without their __init__ (_built).  One step in us, the
-fastest of 25 interleaved runs of 2000 steps, one BLAS thread, 2-core
-Xeon VM (single runs move by some 10%):
+The values that depend on L alone, the pair (a, q), 1/s_sigma, the
+gain (a, q) @ gains and the reciprocal of the SBDF2 denominator, are
+work arrays too, filled in place, the reciprocal in the operation order
+of 1.0 / (d0 + d1*q*n^4).  The loop fills them, and computes q, only
+when a step changes L's bits and when SBDF2 takes over from the Euler
+step.  How often L keeps its bits depends on the run: on every step of
+the criterion-5 run from 1e-6 sin 2 sigma, on none of the k0 = 2 wave's
+probe.  1/s_sigma, d1*q, d0 and 1.0 are 0-d arrays, which give their
+ufuncs the same bits as the Python floats they replace at half to two
+thirds of the call's cost (on 31 values, an add took 0.39 against 0.85
+us and a multiply 0.38 against 0.57 us).  The loop makes the blow-up test's sum of squares
+itself, calling _check_blowup only when it fails.  An observed step
+builds its state from the loop's locals (_state): on the odd maps the
+full half spectrum and the full-grid values, on the general maps a copy
+of the grid values out of the work array, and the two frozen
+dataclasses without their __init__ (_built).  The probe copies each
+step's grid values into a block and takes d(t) a block at a time
+(stability_probe).  One step in us, the fastest of 25 interleaved runs
+of 2000 steps, one BLAS thread, 2-core Xeon VM (single runs move by
+some 10%):
 
-    step                          nx 64   nx 256
-    bare (evolve)                   9.4     20.0
-    observed (no-op observer)      13.0     24.4
-    probed (stability_probe)       11.9     22.9
+    step                                 nx 64   nx 256
+    bare (evolve), L changing each step    8.8     19.7
+    bare (evolve), L keeping its bits      6.4
+    observed (no-op observer)             11.9     23.4
+    probed (stability_probe)               7.8     21.1
 
-Building the observed state is most of the 3.6 us an observer costs at
-nx 64; the probe's d(t) record, three numpy calls on the half grid, costs
-2.5 to 2.9 us.
+At nx 64 the bare and observed rows are of odd random content in modes
+1..4 at alpha 17, dt 1e-5, and the probed row is the flat front's probe
+at alpha 17, dt 1e-4, whose L keeps its bits over these steps; at nx 256
+all three are of the k0 = 2 wave's probe at h = 0.05.  Building the
+observed state is most of the 3.1 us an observer costs at nx 64; the
+probe's record costs about 1.4 us a step.
 """
 
 from __future__ import annotations
@@ -142,6 +156,15 @@ _SHIFT = np.array([0, 0, 2, 2])
 
 # The probe fits log d(t) over this many decades of growth.
 _GROWTH_WINDOW_DECADES = 2.0
+
+# Steps whose grid values the probe holds before it takes their d(t) in
+# three numpy calls (stability_probe).  A probed step in us, the fastest of
+# 25 runs of 2000 steps, one BLAS thread, 2-core Xeon VM, for blocks of
+# 8 / 16 / 32 / 64 rows: 8.1 / 7.9 / 7.8 / 7.6 on the flat front at nx 64
+# and 21.8 / 21.5 / 21.1 / 21.3 on the k0 = 2 wave at nx 256, against
+# 11.9 and 23.0 with d(t) taken on every step.  At nx 256 the block holds
+# 33 KB, and the run goes at most 31 steps past the window's end.
+_PROBE_BLOCK = 32
 
 # Growth slower than exp(1e-3 t) is indistinguishable from neutral over
 # the default probe horizon.
@@ -478,20 +501,35 @@ def _bind(maps):
     theta_s and theta_sss of c on the grid into the flat work array flat,
     and values is the view of its theta; each call overwrites them.  bound
     holds what _explicit takes for the run: fixed views of theta_s and of
-    (theta_s, theta_sss) in flat, the pair (a, q), the velocity product
-    with its work array w and the view of -(V - V(0))/s_sigma in w, the
-    spectrum product, and the gains table.  So a step makes no method call
-    on the maps, no reshape and no row index.
+    (theta_s, theta_sss) in flat, the work arrays of the values that
+    depend on L alone (_set_length), the velocity product with its work
+    array w and the view of -(V - V(0))/s_sigma in w, and the spectrum
+    product.  So a step makes no method call on the maps, no reshape and
+    no row index.
     """
     rows, velocity, spectrum, size = maps.products()
     flat = np.empty(3 * size)
     w = np.empty(size + 1)
     derivs = flat[size:].reshape(2, size)
-    return rows, flat, flat[:size], (derivs[0], derivs, np.empty(2), velocity, w, w[:-1], spectrum, maps.gains)
+    # (a, q), 1/s_sigma as a 0-d array, and the gain (a, q) @ gains
+    per_length = (np.empty(2), np.empty(()), np.empty(maps.gains.shape[1]))
+    return rows, flat, flat[:size], (derivs[0], derivs, *per_length, velocity, w, w[:-1], spectrum)
 
 
-def _explicit(c, length, q, alpha, bound, out=None):
-    """Explicit half spectrum of theta_t and L_t, for q = 4*(2*pi/L)^4.
+def _set_length(bound, gains, length, q, alpha):
+    """Fill bound's work arrays (_bind) of the values that depend on L alone,
+    for q = 4*(2*pi/L)^4: the pair (a, q), a = (alpha-1)/s_sigma^2; the
+    0-d 1/s_sigma; and the explicit gain on c, (a, q) @ gains."""
+    aq, inv_s_sigma, gain = bound[2:5]
+    s_sigma = length / (2.0 * np.pi)
+    aq[0] = (alpha - 1.0) / s_sigma**2
+    aq[1] = q
+    inv_s_sigma[()] = 1.0 / s_sigma
+    aq.dot(gains, gain)
+
+
+def _explicit(c, length, bound, out=None):
+    """Explicit half spectrum of theta_t and L_t.
 
     theta_t = (u_sigma + (V - V(0))*theta_s)/s_sigma with
     u/s_sigma = -(1/s_sigma + a*theta_s + q*theta_sss), so u_sigma/s_sigma
@@ -500,21 +538,19 @@ def _explicit(c, length, q, alpha, bound, out=None):
     u_sigma has no content and the implicit term is balanced explicitly.
     c and the explicit part are in the coordinates of the maps that bound
     (_bind) comes from, and bound's rows work array holds c's theta,
-    theta_s and theta_sss on the grid.  The step's two coefficients enter
-    as one pair (a, q), written into bound's two-entry work array: a*theta_s
-    + q*theta_sss is (a, q) @ (theta_s, theta_sss) and the gain on c is
+    theta_s and theta_sss on the grid.  The values that depend on L alone
+    are read from bound's work arrays, which _set_length filled for this
+    L: the step's two coefficients enter as one pair (a, q), so a*theta_s
+    + q*theta_sss is (a, q) @ (theta_s, theta_sss), and the gain on c is
     (a, q) @ gains.  The explicit part is written into out when it is
     given: _march passes the row of its history stack.
     """
-    theta_s, derivs, aq, velocity, w, neg_v, spectrum, gains = bound
-    s_sigma = length / (2.0 * np.pi)
-    aq[0] = (alpha - 1.0) / s_sigma**2
-    aq[1] = q
+    theta_s, derivs, aq, inv_s_sigma, gain, velocity, w, neg_v, spectrum = bound
     # the maps carry -flux/s_sigma and -V/s_sigma: dividing u by s_sigma
     # up front divides theta_t, and negating it is free
-    velocity(theta_s * (1.0 / s_sigma + aq.dot(derivs)), w)
+    velocity(theta_s * (inv_s_sigma + aq.dot(derivs)), w)
     length_rate = length * w.item(-1)
-    nonstiff = np.subtract(aq.dot(gains) * c, spectrum(neg_v * theta_s), out)
+    nonstiff = np.subtract(gain * c, spectrum(neg_v * theta_s), out)
     return nonstiff, length_rate
 
 
@@ -530,7 +566,8 @@ def theta_rhs(state, alpha):
     rows, flat, values, bound = _bind(maps)
     c = maps.coordinates(state.theta.coeffs)
     rows(c, flat)
-    nonstiff, length_rate = _explicit(c, length, q, alpha, bound)
+    _set_length(bound, maps.gains, length, q, alpha)
+    nonstiff, length_rate = _explicit(c, length, bound)
     rhs = nonstiff - q * maps.n4 * c
     rows(rhs, flat)
     return maps.profile(rhs, values).values, length_rate
@@ -587,8 +624,13 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     Each step writes N into its row 2, then takes a fresh stack holding
     the shifted history and writes the new c into it.  The maps' three
     products and their work arrays are bound once for the run (_bind), as
-    is the reciprocal of the SBDF2 denominator; each step then calls the
-    products directly and reads fixed views of the work arrays.  The loop,
+    are the work arrays of the reciprocal of the SBDF2 denominator and of
+    its scalar operands; each step then calls the products directly and
+    reads fixed views of the work arrays.  The values that depend on L
+    alone (_set_length) and that reciprocal are computed before the first
+    step, and again only before a step whose L differs, bit for bit, from
+    the previous step's, or which is the first SBDF2 step; q is computed
+    alongside, from the L the previous step left.  The loop,
     observer included, runs with numpy's overflow and invalid-value
     warnings off: a step that overflows leaves a theta that is not finite,
     which the blow-up check refuses.
@@ -609,39 +651,50 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     # no history before the first step: it is IMEX Euler
     prev_length = prev_rate = None
     # numerator weights on the stack, then d0 and d1 of the denominator
-    # d0 + d1*q*n^4
-    euler = (np.array((1.0, 0.0, dt, 0.0)), 1.0, dt)
+    # d0 + d1*q*n^4: IMEX Euler for the first step, SBDF2 after it
+    w, d0, d1 = np.array((1.0, 0.0, dt, 0.0)), 1.0, dt
     sbdf2 = (np.array((4.0, -1.0, 4.0 * dt, -2.0 * dt)), 3.0, 2.0 * dt)
+    # the reciprocal of the denominator, and its three scalar operands
+    # d1*q, d0 and 1.0 as 0-d work arrays
     inv_denominator = np.empty(n4.shape)
+    d1_q, d0_array, one = np.empty(()), np.empty(()), np.ones(())
+    new_tables = True
     out = state
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            length_rate = _explicit(c, length, q, alpha, bound, stack[2])[1]
+            if new_tables:
+                _set_length(bound, maps.gains, length, q, alpha)
+                # a product with the reciprocal, not a division (module
+                # docstring), of 1.0 / (d0 + d1*q*n4) in that operation order
+                d1_q[()] = d1 * q
+                d0_array[()] = d0
+                np.multiply(n4, d1_q, inv_denominator)
+                np.add(inv_denominator, d0_array, inv_denominator)
+                np.divide(one, inv_denominator, inv_denominator)
+            length_rate = _explicit(c, length, bound, stack[2])[1]
             if prev_length is None:
-                w, d0, d1 = euler
                 new_length = length + dt * length_rate
             else:
-                w, d0, d1 = sbdf2
                 new_length = (4.0 * length - prev_length + 2.0 * dt * (2.0 * length_rate - prev_rate)) / 3.0
             # (c, c, N, N): rows 1 and 3 are the next step's history; the
             # new c overwrites row 0 below and the next N row 2
             new = stack.take(_SHIFT, 0)
-            # a product with the reciprocal, not a division (module
-            # docstring), of 1.0 / (d0 + d1*q*n4) in that operation order
-            np.multiply(n4, d1 * q, inv_denominator)
-            np.add(inv_denominator, d0, inv_denominator)
-            np.divide(1.0, inv_denominator, inv_denominator)
             c = np.multiply(w.dot(stack), inv_denominator, new[0])
             time += dt
             rows(c, flat)
             if not values.dot(values) <= _BLOWUP_SUM_SQUARES:
                 _check_blowup(values, time)
-            q = _stiffness(new_length)
-            if q is None:
-                raise BlowUpError(
-                    f"L = {new_length:.3e} left the range of a finite nonzero 4*(2*pi/L)^4 at t = {time:.6g}",
-                    time=time,
-                )
+            # the tables depend on L alone, and on the scheme: they are
+            # rebuilt when L changes its bits and when SBDF2 takes over
+            new_tables = prev_length is None or new_length != length
+            if new_length != length:
+                q = _stiffness(new_length)
+                if q is None:
+                    raise BlowUpError(
+                        f"L = {new_length:.3e} left the range of a finite nonzero 4*(2*pi/L)^4 at t = {time:.6g}",
+                        time=time,
+                    )
+            w, d0, d1 = sbdf2
             stack, length, prev_length, prev_rate = new, new_length, length, length_rate
             out = None
             if observer is not None:
@@ -676,7 +729,7 @@ def evolve(state, alpha, dt, n_steps, observer=None):
     Each observed state is built for the observer, and no later step
     writes its arrays, so an observer may keep it.  On the odd maps that
     means the full half spectrum and the full-grid values: at nx 64 an
-    observed step costs about 13.0 us against 9.4 us for a bare one
+    observed step costs about 11.9 us against 8.8 us for a bare one
     (module docstring).
     """
     if n_steps < 0:
@@ -733,11 +786,15 @@ def stability_probe(wave, cfg=None):
     in the step's coordinates, on the half grid for the odd maps, which
     has the same max.  The rate is the least-squares slope
     of log d over the window that starts one decade above delta and ends
-    where d has grown by two more decades; integration stops as soon as
-    that window completes, well before the perturbed front leaves the
-    exponential regime.  If the window never completes
-    by t_max, the largest slope over trailing subwindows is reported and
-    the estimate is flagged as not observed.
+    where d has grown by two more decades.  Each step's grid values are
+    copied into a block of _PROBE_BLOCK rows, whose d(t) is taken in three
+    numpy calls once it is full, so integration stops at the end of the
+    block in which that window completes, up to _PROBE_BLOCK - 1 steps
+    past it and still well before the perturbed front leaves the
+    exponential regime.  times and norms end at the window's end, and a
+    blow-up in the steps past it leaves the estimate standing.  If the
+    window never completes by t_max, the largest slope over trailing
+    subwindows is reported and the estimate is flagged as not observed.
     """
     if cfg is None:
         cfg = StabilityProbeConfig()
@@ -753,23 +810,45 @@ def stability_probe(wave, cfg=None):
     # n_steps, which may be far too many to hold
     times = array("d")
     norms = array("d")
+    # the values of the steps whose d(t) is not yet taken, one row each
+    block = np.empty((_PROBE_BLOCK, reference.size))
     start = None
     end = None
 
-    def record(values, time):
+    def flush():
+        """Take d(t) of the pending rows, and look for the window in it:
+        True once the window completes."""
         nonlocal start, end
-        norm = float(np.maximum.reduce(np.abs(values - reference)))
-        times.append(time)
-        norms.append(norm)
-        if start is None:
-            if norm >= 10.0 * cfg.delta:
-                start = len(norms) - 1
-        elif norm >= factor * norms[start]:
-            end = len(norms) - 1
-            return True
+        pending = block[: len(times) - len(norms)]
+        np.subtract(pending, reference, pending)
+        np.absolute(pending, pending)
+        for norm in np.maximum.reduce(pending, axis=1).tolist():
+            norms.append(norm)
+            if start is None:
+                if norm >= 10.0 * cfg.delta:
+                    start = len(norms) - 1
+            elif norm >= factor * norms[start]:
+                end = len(norms) - 1
+                return True
         return False
 
-    _march(state, wave.alpha, cfg.dt, n_steps, until=record)
+    def record(values, time):
+        row = len(times) - len(norms)
+        block[row] = values
+        times.append(time)
+        return row == _PROBE_BLOCK - 1 and flush()
+
+    try:
+        _march(state, wave.alpha, cfg.dt, n_steps, until=record)
+    except BlowUpError:
+        # the run may have gone past the window's end before it blew up:
+        # the estimate stands if the window completes in the pending rows
+        if not flush():
+            raise
+    if end is None:
+        flush()
+    # the steps past the window's end are dropped
+    del times[len(norms) :]
     times = np.array(times)
     norms = np.array(norms)
 

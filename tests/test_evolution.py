@@ -690,7 +690,7 @@ def runs(state, alpha, dt, n):
     ],
     ids=["64", "256", "decaying-cosine"],
 )
-def test_evolve_matches_chained_steps_bitwise(rng, make, dt, n):
+def test_observed_states_match_runs_of_each_length_bitwise(rng, make, dt, n):
     # the run keeps the maps its start picked, even once its cosine
     # content is rounding, so every prefix of it steps the same way
     state = make(rng)
@@ -701,7 +701,7 @@ def test_evolve_matches_chained_steps_bitwise(rng, make, dt, n):
     assert out is seen[-1]
 
 
-def test_observer_sees_the_chained_states(rng):
+def test_observer_sees_each_step_as_a_run_of_that_length(rng):
     state = smooth_random_state(rng, 64)
     seen = []
     out = evolve(state, 17.0, 1e-5, 25, observer=seen.append)
@@ -838,10 +838,62 @@ def test_cosine_content_does_not_change_the_probe(rng, linear_wave_small):
         stability_probe(even, cfg)
 
 
-def test_probe_matches_a_loop_over_imex_step():
+def looped_probe(wave, cfg):
+    """stability_probe written as a loop over the observed states of one
+    evolve run, with d(t) taken step by step and the loop's last step the
+    window's end: the estimate's fields as a dict, or the BlowUpError the
+    run raised before the window completed."""
+    state, theta0 = _probe_start(wave, cfg.delta)
+    half = wave.theta.nx // 2
+    n_steps = int(round(cfg.t_max / cfg.dt))
+    seen = []
+    blow_up = None
+    try:
+        evolve(state, wave.alpha, cfg.dt, n_steps, observer=seen.append)
+    except BlowUpError as error:
+        blow_up = error
+    times, norms = [], []
+    start = None
+    for i, state in enumerate(seen):
+        times.append(state.time)
+        norms.append(np.max(np.abs(state.theta.values[: half + 1] - theta0)))
+        if start is None:
+            if norms[i] >= 10.0 * cfg.delta:
+                start = i
+        elif norms[i] >= 100.0 * norms[start]:
+            rate = np.polyfit(times[start:], np.log(norms[start:]), 1)[0]
+            return {"times": times, "norms": norms, "window": (times[start], times[i]), "rate": rate,
+                    "observed": True, "note": ""}
+    if blow_up is not None:
+        return blow_up
+    # no window: the steepest fit over the trailing subwindows
+    assert min(norms) > 0.0
+    los = [int(fraction * n_steps) for fraction in (0.0, 0.25, 0.5, 0.75)]
+    fits = [(np.polyfit(times[lo:], np.log(norms[lo:]), 1)[0], (times[lo], times[-1])) for lo in los]
+    rate, window = max(fits, key=lambda fit: fit[0])
+    return {"times": times, "norms": norms, "window": window, "rate": rate, "observed": False,
+            "note": evolution._NO_GROWTH_NOTE}
+
+
+# The probe takes d(t) a block of _PROBE_BLOCK = 32 steps at a time, so
+# its run may go up to 31 steps past the window's end.  On the flat front
+# at alpha 17, nx 64, the window ends at step 720 for dt 8e-4, the 16th
+# row of a block, and at step 576, a block's last row, for dt 1e-3.
+@pytest.mark.parametrize(
+    "dt, t_max, blow_up_at, steps",
+    [
+        (8e-4, 1.0, None, 720),
+        (1e-3, 1.0, None, 576),
+        (1e-3, 0.1, None, 100),
+        (8e-4, 1.0, 722, 720),
+        (8e-4, 1.0, 100, None),
+    ],
+    ids=["mid-block", "block-last-row", "no-window-partial-block", "blow-up-after-window", "blow-up-before-window"],
+)
+def test_probe_matches_a_loop_over_observed_states(monkeypatch, dt, t_max, blow_up_at, steps):
+    assert evolution._PROBE_BLOCK == 32
     wave = flat_solution(17.0, nx=64)
-    cfg = StabilityProbeConfig(dt=1e-3, t_max=1.0)
-    est = stability_probe(wave, cfg)
+    cfg = StabilityProbeConfig(dt=dt, t_max=t_max)
 
     # the start is exactly odd, and its values are those of the odd step,
     # on the half grid
@@ -850,29 +902,33 @@ def test_probe_matches_a_loop_over_imex_step():
     assert not wave.theta.coeffs.any()
     half = wave.theta.nx // 2
     np.testing.assert_array_equal(theta0, state.theta.values[: half + 1])
-    # the loop runs over the observed states of one evolve run: a state
-    # carries no SBDF2 history, so chained imex_step calls would each be
-    # an Euler step
-    seen = []
-    evolve(state, wave.alpha, cfg.dt, 1000, observer=seen.append)
-    times, norms = [], []
-    start = end = None
-    for i, state in enumerate(seen):
-        times.append(state.time)
-        norms.append(np.max(np.abs(state.theta.values[: half + 1] - theta0)))
-        if start is None:
-            if norms[i] >= 10.0 * cfg.delta:
-                start = i
-        elif norms[i] >= 100.0 * norms[start]:
-            end = i
-            break
-    slope = np.polyfit(times[start:], np.log(norms[start:]), 1)[0]
+    if blow_up_at is not None:
+        # a blow-up bound that step blow_up_at is the first to cross
+        seen = []
+        evolve(state, wave.alpha, dt, blow_up_at, observer=seen.append)
+        peaks = [np.abs(s.theta.values).max() for s in [state, *seen]]
+        bound = 0.5 * (peaks[-2] + peaks[-1])
+        assert max(peaks[:-1]) < bound < peaks[-1]
+        crossing = seen[-1].time
+        monkeypatch.setattr(evolution, "_THETA_BLOWUP", bound)
+        monkeypatch.setattr(evolution, "_BLOWUP_SUM_SQUARES", (bound / 2.0) ** 2)
 
-    assert est.observed
-    np.testing.assert_array_equal(est.times, times)
-    np.testing.assert_array_equal(est.norms, norms)
-    assert est.window == (times[start], times[end])
-    assert est.rate == slope
+    expected = looped_probe(wave, cfg)
+    if steps is None:
+        assert isinstance(expected, BlowUpError)
+        with pytest.raises(BlowUpError) as info:
+            stability_probe(wave, cfg)
+        assert info.value.time == expected.time == crossing
+        assert str(info.value) == str(expected)
+        return
+    est = stability_probe(wave, cfg)
+    assert len(est.times) == steps
+    assert np.array_equal(est.times, expected["times"])
+    assert np.array_equal(est.norms, expected["norms"])
+    assert est.window == expected["window"]
+    assert est.rate == expected["rate"]
+    assert est.observed == expected["observed"]
+    assert est.note == expected["note"]
 
 
 def test_blow_up_mid_run_stops_the_observer():
@@ -1009,6 +1065,18 @@ def test_odd_steps_are_bit_identical_to_their_transcription(rng, linear_wave_sma
     for observed, step in zip(seen, ref):
         assert_transcribed_state(observed, *step)
     assert_transcribed_state(evolve(state, 17.0, 1e-5, 200), *ref[-1])
+
+    # the loop rebuilds its tables of L only when L changes its bits, and
+    # the transcription on every step: on the criterion-5 start
+    # 1e-6 sin 2 sigma, SBDF2 steps keep L's bits
+    state = single_mode_state(1e-6, 2)
+    ref = list(transcribed_odd_run(state.theta.coeffs.imag[1:-1].copy(), state.length, state.time, 17.0, 1e-5, 2000))
+    lengths = [step[2] for step in ref]
+    assert any(a == b for a, b in zip(lengths, lengths[1:]))
+    seen = []
+    evolve(state, 17.0, 1e-5, 2000, observer=seen.append)
+    for observed, step in zip(seen, ref, strict=True):
+        assert_transcribed_state(observed, *step)
 
     cfg = StabilityProbeConfig(dt=1e-4, t_max=0.02)
     est = stability_probe(linear_wave_small, cfg)
