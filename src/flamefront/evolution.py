@@ -72,9 +72,9 @@ SBDF2 numerator are the same contraction w @ stack with w = (1, 0, dt,
 3 + 2 dt*q*n^4; the Euler step's zero weights meet zeroed rows.  The
 row order and the product with the reciprocal are fixed by their
 rounding, which the near-neutral probe
-(test_near_neutral_probe_of_linear_wave) resolves: against the 5-FFT
-stepper's slope, this order moves it by 1.1e-7 relative, the order
-(c, N, c_prev, N_prev) by 5.0e-7 and np.divide by 2.2e-6, beyond the
+(test_near_neutral_probe_of_linear_wave) resolves: its slope lies 1.1e-7
+relative from the test's reference with this order, 5.0e-7 with the
+order (c, N, c_prev, N_prev) and 2.2e-6 with np.divide, beyond the
 test's 1e-6.  The stack and the previous L and L_t are the run's locals:
 a state is theta, L and t, so every run, imex_step's one step included,
 starts afresh with an Euler step, and SBDF2 steps follow only within one
@@ -85,7 +85,8 @@ again.
 The loop makes no np.dot, np.vdot or np.array call and no method call on
 the maps: _bind binds their three products once per run, with the run's
 work arrays.  An odd map is its matrix's ndarray.dot, the C product of
-np.dot, bit for bit, without np.dot's __array_function__ dispatch.  The
+np.dot, bit for bit, without np.dot's __array_function__ dispatch (at
+nx 64, 1.16 against 1.60 us per map).  The
 rows product writes theta, theta_s and theta_sss into one flat work
 array, whose fixed views the step reads, with no reshape or row index.
 The values that depend on L alone, the pair (a, q), 1/s_sigma, the
@@ -148,7 +149,11 @@ __all__ = [
 _THETA_BLOWUP = 1e3
 
 # A sum of squares of grid values at most this bounds max|theta| by
-# _THETA_BLOWUP/2 (_check_blowup)
+# _THETA_BLOWUP/2, so the stepping loop (_march) calls _check_blowup only
+# for a larger sum.  The sum of at most a few hundred squares rounds by
+# about 1e-13 relative, far inside that factor-4 margin, so this test never
+# passes values the exact max would refuse; a sum that overflows or is NaN
+# fails it, and the exact max decides.
 _BLOWUP_SUM_SQUARES = (_THETA_BLOWUP / 2.0) ** 2
 
 # Rows of a history stack (c, c_prev, N, N_prev) that start the next one
@@ -210,7 +215,12 @@ class StabilityProbeConfig:
 
 @dataclass(frozen=True, eq=False)
 class GrowthEstimate:
-    """Fitted exponential growth rate of the perturbation norm d(t)."""
+    """Fitted exponential growth rate of the perturbation norm d(t).
+
+    observed says whether d(t) grew through the probe's two-decade window;
+    when it did not, rate is the steepest trailing fit (stability_probe)
+    and note says so.
+    """
 
     rate: float
     intercept: float
@@ -218,7 +228,11 @@ class GrowthEstimate:
     observed: bool
     times: np.ndarray
     norms: np.ndarray
-    note: str = ""
+
+    @property
+    def note(self):
+        """"" for an observed growth, else _NO_GROWTH_NOTE."""
+        return "" if self.observed else _NO_GROWTH_NOTE
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +392,10 @@ class _OddMaps:
 # 44.5 / 34.8 and 47.4 / 40.2, so these numbers argue for a crossover at
 # 384 or above.  A move changes the rounding of every run on the grids it
 # adds, which would then step on the odd maps, so it is left to a change
-# of its own.
+# of its own.  This table predates the loop's bound products, 0-d operands
+# and per-L tables: the module docstring's table, measured after them,
+# gives a bare odd step at nx 64 as 8.8 us against the 9.5 here, and the
+# general path and the crossover have not been measured again since.
 _ODD_MAX_NX = 320
 
 
@@ -581,19 +598,10 @@ def _check_blowup(values, time):
     """BlowUpError when max|theta| of the grid values exceeds _THETA_BLOWUP
     or is not finite.
 
-    It first tests a sufficient condition in one numpy call: a sum of
-    squares at most (_THETA_BLOWUP/2)^2 bounds max|theta| by
-    _THETA_BLOWUP/2.  The sum of at most a few hundred squares rounds by
-    about 1e-13 relative, far inside that factor-4 margin, so the test
-    never passes values the exact max would refuse.  A sum that overflows
-    or is NaN fails it, as does any sum above the bound, and the exact
-    max|theta| decides.  np.vdot, not ndarray.dot: it sets no numpy
-    warning on overflow, and this check also runs outside any
-    np.errstate.  The stepping loop, which runs inside one, makes the
-    same test with values.dot(values) and calls this only when it fails.
+    The exact test: a run's starting state and the probe's start are
+    checked directly, and the stepping loop calls this only when its
+    sum-of-squares pre-test (_BLOWUP_SUM_SQUARES) fails.
     """
-    if np.vdot(values, values) <= _BLOWUP_SUM_SQUARES:
-        return
     peak = float(np.abs(values).max(initial=0.0))
     if not peak <= _THETA_BLOWUP:
         if np.isfinite(peak):
@@ -784,17 +792,23 @@ def stability_probe(wave, cfg=None):
     to rounding raises ValueError), evolves with the linear
     closure at the wave's alpha, and records d(t) = max|theta(t) - theta(0)|
     in the step's coordinates, on the half grid for the odd maps, which
-    has the same max.  The rate is the least-squares slope
-    of log d over the window that starts one decade above delta and ends
-    where d has grown by two more decades.  Each step's grid values are
-    copied into a block of _PROBE_BLOCK rows, whose d(t) is taken in three
-    numpy calls once it is full, so integration stops at the end of the
-    block in which that window completes, up to _PROBE_BLOCK - 1 steps
-    past it and still well before the perturbed front leaves the
-    exponential regime.  times and norms end at the window's end, and a
-    blow-up in the steps past it leaves the estimate standing.  If the
-    window never completes by t_max, the largest slope over trailing
-    subwindows is reported and the estimate is flagged as not observed.
+    has the same max.  The growth window starts at the first d of at least
+    10*delta and ends at the first later d of at least 100 times that one.
+    Each step's grid values are copied into a block of _PROBE_BLOCK rows,
+    whose d(t) is taken in three numpy calls once it is full, so
+    integration stops at the end of the block in which that window
+    completes, up to _PROBE_BLOCK - 1 steps past it and still well before
+    the perturbed front leaves the exponential regime.  times and norms
+    end at the window's end, and a blow-up in the steps past it leaves the
+    estimate standing.
+
+    The rate is the steepest least-squares slope of log d, the first one
+    on a tie, over the candidates: the window when it completes, else the
+    positive d from 0, 25, 50 and 75% of n_steps on, each set that holds
+    at least two.  Each fit's window runs from its first time to the last
+    one recorded.  With no candidate the rate and intercept are 0
+    over (0, t_max).  observed says whether the window completed, and the
+    note follows from it (GrowthEstimate.note).
     """
     if cfg is None:
         cfg = StabilityProbeConfig()
@@ -812,24 +826,21 @@ def stability_probe(wave, cfg=None):
     norms = array("d")
     # the values of the steps whose d(t) is not yet taken, one row each
     block = np.empty((_PROBE_BLOCK, reference.size))
-    start = None
-    end = None
+    # indices of the window's first and last norms, as they are found
+    window = []
 
     def flush():
         """Take d(t) of the pending rows, and look for the window in it:
         True once the window completes."""
-        nonlocal start, end
         pending = block[: len(times) - len(norms)]
         np.subtract(pending, reference, pending)
         np.absolute(pending, pending)
         for norm in np.maximum.reduce(pending, axis=1).tolist():
             norms.append(norm)
-            if start is None:
-                if norm >= 10.0 * cfg.delta:
-                    start = len(norms) - 1
-            elif norm >= factor * norms[start]:
-                end = len(norms) - 1
-                return True
+            if norm >= (factor * norms[window[0]] if window else 10.0 * cfg.delta):
+                window.append(len(norms) - 1)
+                if len(window) == 2:
+                    return True
         return False
 
     def record(values, time):
@@ -845,46 +856,27 @@ def stability_probe(wave, cfg=None):
         # the estimate stands if the window completes in the pending rows
         if not flush():
             raise
-    if end is None:
+    observed = len(window) == 2
+    if not observed:
         flush()
     # the steps past the window's end are dropped
     del times[len(norms) :]
     times = np.array(times)
     norms = np.array(norms)
 
-    positive = norms > 0.0
-    if start is not None and end is not None:
-        sel = slice(start, end + 1)
-        rate, intercept = _fit_loglinear(times[sel], norms[sel])
-        return GrowthEstimate(
-            rate=rate,
-            intercept=intercept,
-            window=(float(times[start]), float(times[end])),
-            observed=True,
-            times=times,
-            norms=norms,
-        )
-
-    # no two-decade growth: report the steepest trailing fit and flag it
-    best = None
-    for fraction in (0.0, 0.25, 0.5, 0.75):
-        lo = int(fraction * n_steps)
-        mask = positive.copy()
-        mask[:lo] = False
-        if np.count_nonzero(mask) < 2:
-            continue
-        rate, intercept = _fit_loglinear(times[mask], norms[mask])
-        window = (float(times[mask][0]), float(times[-1]))
-        if best is None or rate > best[0]:
-            best = (rate, intercept, window)
-    if best is None:
-        best = (0.0, 0.0, (0.0, float(cfg.t_max)))
-    return GrowthEstimate(
-        rate=best[0],
-        intercept=best[1],
-        window=best[2],
-        observed=False,
-        times=times,
-        norms=norms,
-        note=_NO_GROWTH_NOTE,
-    )
+    if observed:
+        candidates = [slice(window[0], None)]
+    else:
+        candidates = []
+        for fraction in (0.0, 0.25, 0.5, 0.75):
+            mask = norms > 0.0
+            mask[: int(fraction * n_steps)] = False
+            if np.count_nonzero(mask) >= 2:
+                candidates.append(mask)
+    # max keeps the first of equal rates
+    fits = [
+        (*_fit_loglinear(times[sel], norms[sel]), (float(times[sel][0]), float(times[-1])))
+        for sel in candidates
+    ]
+    rate, intercept, span = max(fits, key=lambda fit: fit[0], default=(0.0, 0.0, (0.0, float(cfg.t_max))))
+    return GrowthEstimate(rate, intercept, span, observed, times, norms)

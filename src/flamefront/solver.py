@@ -59,7 +59,9 @@ _PIVOT_FLOOR = 1e-14
 _MAX_STEP_HALVINGS = 4
 _ALPHA_WELL_POSED = -3.0
 # A solve has stalled when none of its last _STALL_WINDOW residuals is
-# below _STALL_FACTOR times the best residual before them.
+# below _STALL_FACTOR times the best residual before them and after the
+# guess's own: a converged wave reused as a guess has a grid residual of
+# rounding size, which its new target's iterates need not reach again.
 _STALL_WINDOW = 3
 _STALL_FACTOR = 0.5
 
@@ -81,8 +83,8 @@ class SolveConfig:
 
     def __post_init__(self):
         spectral.grid(self.nx)
-        if self.tol_residual <= 0.0:
-            raise ValueError(f"tol_residual must be positive, got {self.tol_residual!r}")
+        if not (np.isfinite(self.tol_residual) and self.tol_residual > 0.0):
+            raise ValueError(f"tol_residual must be positive and finite, got {self.tol_residual!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
 
@@ -297,16 +299,20 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
     whole solve).  That index is the converged wave's argmax only when the
     guess peaks where the wave does; otherwise the wave's max, its
     amplitude, lies above target_h.  k0 is the mode number of the branch,
-    recorded on the WaveSolution.  Every
-    iteration assembles the exact Jacobian at the current iterate and
-    solves the dense LU-factored update system.
+    recorded on the WaveSolution.
+
+    Each pass evaluates the equations at the current iterate, the guess
+    first, and then leaves by the first of four exits that applies:
+    "non-finite" once the residual overflows; converged, returning the
+    WaveSolution, once the grid residual and the pin both meet
+    cfg.tol_residual; "max-iters" after cfg.max_iters Newton steps; and
+    "stalled" once none of the last 3 grid residuals is below half the
+    best one before them, the guess's own left out.  Otherwise it takes a
+    Newton step: the exact Jacobian at the iterate, solved by dense LU.
 
     Raises ValueError for a target_h that is negative or not finite, or a
-    guess on another grid than cfg.nx; ConvergenceError with reason
-    "stalled" once none of the last 3 residuals is below half the best one
-    before them, "max-iters" after cfg.max_iters without meeting
-    cfg.tol_residual, or "non-finite" once an iterate's residual
-    overflows; SingularSystemError on a negligible pivot.
+    guess on another grid than cfg.nx; ConvergenceError with the exit's
+    reason; SingularSystemError on a negligible pivot.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -321,44 +327,41 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
         [spectral.sine_coeffs(p0), [params0.beta, params0.alpha]]
     )
     amp_index = int(np.argmax(p0.values))
-    eqs, grid_norm, p, params, lin = _square_equations(x, nx, target_h, kind, amp_index)
-    history = [grid_norm]
     tol = cfg.tol_residual
-    iterations = 0
-    reason = "max-iters"
-    for it in range(1, cfg.max_iters + 1):
-        if eqs is None or (grid_norm <= tol and abs(eqs[-1]) <= tol):
+    history = []
+    for iterations in range(cfg.max_iters + 1):
+        eqs, grid_norm, p, params, lin = _square_equations(x, nx, target_h, kind, amp_index)
+        history.append(grid_norm)
+        if eqs is None:
+            reason = "non-finite"
             break
-        if len(history) > _STALL_WINDOW and min(history[-_STALL_WINDOW:]) > (
-            _STALL_FACTOR * min(history[:-_STALL_WINDOW])
+        if grid_norm <= tol and abs(eqs[-1]) <= tol:
+            return WaveSolution(
+                theta=p,
+                alpha=params.alpha,
+                beta=params.beta,
+                length=params.length,
+                amplitude=float(np.max(p.values)),
+                residual_norm=grid_norm,
+                k0=int(k0),
+                kind=kind,
+                iterations=iterations,
+            )
+        if iterations == cfg.max_iters:
+            reason = "max-iters"
+            break
+        if len(history) > _STALL_WINDOW + 1 and min(history[-_STALL_WINDOW:]) > (
+            _STALL_FACTOR * min(history[1:-_STALL_WINDOW])
         ):
             reason = "stalled"
             break
         x = x + _lu_solve(_newton_jacobian(p, params, lin, amp_index), -eqs)
-        eqs, grid_norm, p, params, lin = _square_equations(x, nx, target_h, kind, amp_index)
-        iterations = it
-        history.append(grid_norm)
-    if eqs is None:
-        reason = "non-finite"
-    if grid_norm > tol or abs(eqs[-1]) > tol:
-        raise ConvergenceError(
-            f"no convergence ({reason}) after {iterations} iterations: "
-            f"residual floor {min(history):.3e}, target_h {target_h}",
-            last_iterate=x,
-            residual_history=history,
-            reason=reason,
-        )
-
-    return WaveSolution(
-        theta=p,
-        alpha=params.alpha,
-        beta=params.beta,
-        length=params.length,
-        amplitude=float(np.max(p.values)),
-        residual_norm=grid_norm,
-        k0=int(k0),
-        kind=kind,
-        iterations=iterations,
+    raise ConvergenceError(
+        f"no convergence ({reason}) after {iterations} iterations: "
+        f"residual floor {min(history):.3e}, target_h {target_h}",
+        last_iterate=x,
+        residual_history=history,
+        reason=reason,
     )
 
 

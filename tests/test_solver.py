@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flamefront import spectral
+from flamefront import geometry, solver, spectral
 from flamefront.bifurcation import asymptotic_guess, nonlinear_bifurcation_alpha
 from flamefront.errors import (
     BranchStartError,
@@ -21,6 +21,7 @@ from flamefront.model import (
 )
 from flamefront.solver import (
     BranchRecord,
+    FailedSolve,
     SolveConfig,
     _newton_jacobian,
     _rebuild,
@@ -47,6 +48,11 @@ def flat_guess(nx=64, beta=1.0, alpha=5.0):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(nx=100, tol_residual=-1.0)
+    # an infinite tolerance would pass the guess as converged, and a NaN
+    # one a solve that stalled or ran out of iterations
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^tol_residual must be positive and finite"):
+            SolveConfig(tol_residual=tol)
     with pytest.raises(ValueError):
         SolveConfig(max_iters=0)
     from flamefront.errors import InvalidGridError
@@ -426,6 +432,19 @@ def test_solve_below_rounding_floor_stalls():
     assert "stalled" in str(err) and "target_h 0.05" in str(err)
 
 
+def test_converged_wave_as_guess_is_not_stalled():
+    # the guess's own grid residual is of rounding size; the stall rule
+    # leaves it out, so a solve that converges quadratically from it to a
+    # new target is not stopped after its third step
+    cfg = SolveConfig(nx=64)
+    wave = quasi_newton_solve(asymptotic_guess(1, 0.05, ModelKind.LINEAR, nx=64), 0.05, ModelKind.LINEAR, cfg, k0=1)
+    assert wave.residual_norm < 1e-15
+    sol = quasi_newton_solve((wave.theta, wave), 0.4, ModelKind.LINEAR, cfg, k0=1)
+    assert sol.iterations == 4
+    assert sol.residual_norm <= cfg.tol_residual
+    assert sol.amplitude == pytest.approx(0.4, abs=1e-10)
+
+
 def test_singular_system_from_flat_guess():
     # at theta = 0 the equations do not depend on alpha, so the Jacobian
     # has an identically zero column
@@ -510,3 +529,50 @@ def test_nonlinear_branch_logs_stalled_attempts():
         assert 1e-10 < failure.residual_floor < 1e-9
         assert failure.target_h == pytest.approx(0.44, abs=1e-12)
 
+
+def test_nonlinear_branch_stops_at_the_well_posedness_threshold(monkeypatch):
+    # the nx-64 branch's third wave has alpha -3.3705: with the threshold
+    # just below it, that wave ends the branch and is not kept
+    monkeypatch.setattr(solver, "_ALPHA_WELL_POSED", -3.371)
+    rec = continue_branch(1, ModelKind.NONLINEAR, 0.02, 0.1, cfg=SolveConfig(nx=64))
+    assert rec.termination == "alpha-threshold"
+    assert len(rec.solutions) == 2
+    assert all(s.alpha < -3.371 for s in rec.solutions)
+    assert rec.failures == ()
+
+
+@pytest.mark.parametrize("gap_fraction, waves", [(2.5, 1), (1.99998, 2)], ids=["first-wave", "converged-wave"])
+def test_branch_ends_at_a_self_intersecting_wave(monkeypatch, gap_fraction, waves):
+    # the nearest non-adjacent points of the nx-64 waves at h = 0.05 and
+    # 0.1 lie 1.999992 and 1.999968 grid spacings apart: a gap fraction of
+    # 2.5 flags the first wave, and one between the two the second, whose
+    # predicted guess is the first wave; a flagged wave is kept
+    monkeypatch.setattr(geometry, "_GAP_FRACTION", gap_fraction)
+    rec = continue_branch(1, ModelKind.LINEAR, 0.05, 0.2, cfg=SolveConfig(nx=64))
+    assert rec.termination == "self-intersection"
+    np.testing.assert_allclose(rec.amplitudes, [0.05, 0.1][:waves], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "error, reason",
+    [(SingularSystemError, "singular-system"), (DegenerateFrontError, "degenerate-front")],
+)
+def test_branch_logs_failed_solves_without_history(monkeypatch, error, reason):
+    # every solve after the first wave raises: each attempt halves the
+    # step, and the fifth failure ends the branch
+    solve = solver.quasi_newton_solve
+    calls = []
+
+    def failing_after_first(guess, target_h, kind, cfg=None, *, k0):
+        calls.append(target_h)
+        if len(calls) == 1:
+            return solve(guess, target_h, kind, cfg, k0=k0)
+        raise error("stand-in failure")
+
+    monkeypatch.setattr(solver, "quasi_newton_solve", failing_after_first)
+    rec = continue_branch(1, ModelKind.LINEAR, 0.05, 1.0, cfg=SolveConfig(nx=64))
+    assert rec.termination == "iteration-failure"
+    assert len(rec.solutions) == 1
+    targets = [0.05 + 0.05 * 0.5**i for i in range(5)]
+    assert calls[1:] == targets
+    assert rec.failures == tuple(FailedSolve(h, reason, None) for h in targets)
