@@ -837,10 +837,12 @@ def stability_probe(wave, cfg=None):
         np.absolute(pending, pending)
         for norm in np.maximum.reduce(pending, axis=1).tolist():
             norms.append(norm)
-            if norm >= (factor * norms[window[0]] if window else 10.0 * cfg.delta):
+            if not window:
+                if norm >= 10.0 * cfg.delta:
+                    window.append(len(norms) - 1)
+            elif norm >= factor * norms[window[0]]:
                 window.append(len(norms) - 1)
-                if len(window) == 2:
-                    return True
+                return True
         return False
 
     def record(values, time):
@@ -856,9 +858,8 @@ def stability_probe(wave, cfg=None):
         # the estimate stands if the window completes in the pending rows
         if not flush():
             raise
-    observed = len(window) == 2
-    if not observed:
-        flush()
+    # the last block may be partly filled: its flush can complete the window
+    observed = len(window) == 2 or flush()
     # the steps past the window's end are dropped
     del times[len(norms) :]
     times = np.array(times)
@@ -873,10 +874,11 @@ def stability_probe(wave, cfg=None):
             mask[: int(fraction * n_steps)] = False
             if np.count_nonzero(mask) >= 2:
                 candidates.append(mask)
-    # max keeps the first of equal rates
-    fits = [
-        (*_fit_loglinear(times[sel], norms[sel]), (float(times[sel][0]), float(times[-1])))
-        for sel in candidates
-    ]
-    rate, intercept, span = max(fits, key=lambda fit: fit[0], default=(0.0, 0.0, (0.0, float(cfg.t_max))))
+    # the first steepest fit is kept
+    rate, intercept, span = 0.0, 0.0, (0.0, float(cfg.t_max))
+    for i, sel in enumerate(candidates):
+        fit_rate, fit_intercept = _fit_loglinear(times[sel], norms[sel])
+        if i == 0 or fit_rate > rate:
+            rate, intercept = fit_rate, fit_intercept
+            span = (float(times[sel][0]), float(times[-1]))
     return GrowthEstimate(rate, intercept, span, observed, times, norms)

@@ -878,17 +878,27 @@ def looped_probe(wave, cfg):
 # The probe takes d(t) a block of _PROBE_BLOCK = 32 steps at a time, so
 # its run may go up to 31 steps past the window's end.  On the flat front
 # at alpha 17, nx 64, the window ends at step 720 for dt 8e-4, the 16th
-# row of a block, and at step 576, a block's last row, for dt 1e-3.
+# row of a block, and at step 576, a block's last row, for dt 1e-3.  With
+# t_max 0.576 at dt 8e-4 the run has 720 steps, so the window ends in the
+# last, partly filled block, and only the final flush finds it.
 @pytest.mark.parametrize(
     "dt, t_max, blow_up_at, steps",
     [
         (8e-4, 1.0, None, 720),
         (1e-3, 1.0, None, 576),
+        (8e-4, 0.576, None, 720),
         (1e-3, 0.1, None, 100),
         (8e-4, 1.0, 722, 720),
         (8e-4, 1.0, 100, None),
     ],
-    ids=["mid-block", "block-last-row", "no-window-partial-block", "blow-up-after-window", "blow-up-before-window"],
+    ids=[
+        "mid-block",
+        "block-last-row",
+        "window-in-last-partial-block",
+        "no-window-partial-block",
+        "blow-up-after-window",
+        "blow-up-before-window",
+    ],
 )
 def test_probe_matches_a_loop_over_observed_states(monkeypatch, dt, t_max, blow_up_at, steps):
     assert evolution._PROBE_BLOCK == 32
