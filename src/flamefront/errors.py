@@ -44,10 +44,13 @@ class InternalConsistencyError(FlameFrontError):
 class ConvergenceError(FlameFrontError):
     """Newton iteration stopped without meeting tolerance.
 
-    reason is "stalled" when the residual stopped decreasing before the
-    budget ran out, "max-iters" when the budget was exhausted, or
-    "non-finite" when an iterate's residual overflowed.  Carries
-    the last iterate, the residual-norm history and its minimum
+    reason is "unresolved" when the solved equations met the tolerance
+    but the residual's unsolved Nyquist coefficient did not (it bounds the
+    grid residual from below, |c_{nx/2}| <= max|r|, so the grid does not
+    resolve the wave), "stalled" when the residual stopped decreasing
+    before the budget ran out, "max-iters" when the budget was exhausted,
+    or "non-finite" when an iterate's residual overflowed.  Carries the
+    last iterate, the residual-norm history and its minimum
     (residual_floor) for diagnosis.
     """
 

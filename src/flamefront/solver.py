@@ -6,8 +6,13 @@ included) with the sine coefficients of theta plus the two scalars (beta,
 alpha).  The sine mode at the Nyquist frequency vanishes identically on
 the collocation grid and is therefore not an unknown; the corresponding
 cosine equation is dropped from the square solve and monitored through
-the max-norm of the grid residual instead.  Amplitude is pinned by
-theta at the frozen argmax index of the current guess.
+the max-norm of the grid residual instead.  The residual's Nyquist
+coefficient c_{nx/2} = (1/nx)*sum_j r_j*(-1)^j obeys |c_{nx/2}| <= max|r|,
+so once the solved equations meet the tolerance while that coefficient
+does not, the grid test cannot pass: a wave that the grid does not
+resolve, such as the nonlinear branch near its corner, ends the solve as
+"unresolved".  Amplitude is pinned by theta at the frozen argmax index of
+the current guess.
 
 Each Newton iteration assembles the exact Jacobian of that system: the
 pointwise linearisation of the residual acting on the sine modes, a
@@ -85,6 +90,9 @@ class SolveConfig:
         spectral.grid(self.nx)
         if not (np.isfinite(self.tol_residual) and self.tol_residual > 0.0):
             raise ValueError(f"tol_residual must be positive and finite, got {self.tol_residual!r}")
+        # a bool is an int, but True as a budget of one is a slip
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
 
@@ -113,10 +121,12 @@ class WaveSolution:
 class FailedSolve(NamedTuple):
     """One continuation attempt that did not converge.
 
-    reason is the ConvergenceError reason ("stalled", "max-iters" or
-    "non-finite"), "singular-system" or "degenerate-front"; residual_floor
-    is the smallest grid residual of the attempt, None when no Newton
-    history exists.
+    reason is the ConvergenceError reason ("unresolved", "stalled",
+    "max-iters" or "non-finite"), "singular-system" or "degenerate-front";
+    residual_floor is the smallest grid residual of the attempt, None when
+    no Newton history exists.  An "unresolved" floor lies above the
+    tolerance by at least the residual's Nyquist coefficient, since
+    |c_{nx/2}| <= max|r|.
     """
 
     target_h: float
@@ -158,24 +168,27 @@ def _square_equations(x, nx, target_h, kind, amp_index):
 
     Also reports the grid max-norm of the residual, which the convergence
     test uses so that the monitored-but-unsolved Nyquist mode cannot hide
-    an unresolved wave, and the linearisation's coefficient functions
-    (w1, w3, r_q, r_alpha) for _newton_jacobian.  A residual that is not
-    finite (a closure term overflowed) has norm inf and no equations.
+    an unresolved wave, the magnitude of that mode's coefficient
+    |Re c_{nx/2}| from the same real FFT, and the linearisation's
+    coefficient functions (w1, w3, r_q, r_alpha) for _newton_jacobian.  A
+    residual that is not finite (a closure term overflowed) has norms inf
+    and no equations.
     """
     p, params = _rebuild(x, nx)
     with np.errstate(over="ignore", invalid="ignore"):
         r, *lin = residual_linearization(p, params, kind)
     grid_norm = float(np.max(np.abs(r)))
     if not np.isfinite(grid_norm):
-        return None, np.inf, p, params, lin
+        return None, np.inf, np.inf, p, params, lin
     # the cosine coefficients of r straight from its half spectrum: r is
     # finite (grid_norm is), and modes 1..nx/2-1 count twice
     half = nx // 2
+    spec = np.fft.rfft(r, norm="forward")
     eqs = np.empty(half + 1)
-    eqs[:half] = np.fft.rfft(r, norm="forward")[:half].real
+    eqs[:half] = spec[:half].real
     eqs[1:half] *= 2.0
     eqs[half] = p.values[amp_index] - target_h
-    return eqs, grid_norm, p, params, lin
+    return eqs, grid_norm, float(abs(spec[half].real)), p, params, lin
 
 
 @functools.cache
@@ -302,13 +315,17 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
     recorded on the WaveSolution.
 
     Each pass evaluates the equations at the current iterate, the guess
-    first, and then leaves by the first of four exits that applies:
+    first, and then leaves by the first of five exits that applies:
     "non-finite" once the residual overflows; converged, returning the
     WaveSolution, once the grid residual and the pin both meet
-    cfg.tol_residual; "max-iters" after cfg.max_iters Newton steps; and
-    "stalled" once none of the last 3 grid residuals is below half the
-    best one before them, the guess's own left out.  Otherwise it takes a
-    Newton step: the exact Jacobian at the iterate, solved by dense LU.
+    cfg.tol_residual; "unresolved" once every square equation meets
+    cfg.tol_residual but the residual's unsolved Nyquist coefficient does
+    not, which no Newton step can mend, as |c_{nx/2}| <= max|r| bounds the
+    grid residual from below; "max-iters" after cfg.max_iters Newton
+    steps; and "stalled" once none of the last 3 grid residuals is below
+    half the best one before them, the guess's own left out.  Otherwise it
+    takes a Newton step: the exact Jacobian at the iterate, solved by
+    dense LU.
 
     Raises ValueError for a target_h that is negative or not finite, or a
     guess on another grid than cfg.nx; ConvergenceError with the exit's
@@ -330,7 +347,7 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
     tol = cfg.tol_residual
     history = []
     for iterations in range(cfg.max_iters + 1):
-        eqs, grid_norm, p, params, lin = _square_equations(x, nx, target_h, kind, amp_index)
+        eqs, grid_norm, nyquist, p, params, lin = _square_equations(x, nx, target_h, kind, amp_index)
         history.append(grid_norm)
         if eqs is None:
             reason = "non-finite"
@@ -347,6 +364,9 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
                 kind=kind,
                 iterations=iterations,
             )
+        if nyquist > tol and np.max(np.abs(eqs)) <= tol:
+            reason = "unresolved"
+            break
         if iterations == cfg.max_iters:
             reason = "max-iters"
             break

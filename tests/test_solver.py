@@ -55,6 +55,10 @@ def test_config_validation():
             SolveConfig(tol_residual=tol)
     with pytest.raises(ValueError):
         SolveConfig(max_iters=0)
+    # a fractional budget would fail inside the solve, and True is no count
+    for max_iters in (2.5, True):
+        with pytest.raises(ValueError, match="^max_iters must be an integer"):
+            SolveConfig(max_iters=max_iters)
     from flamefront.errors import InvalidGridError
 
     with pytest.raises(InvalidGridError):
@@ -144,7 +148,7 @@ def test_newton_jacobian_matches_finite_differences(name, nx):
         assert -3.02 < params.alpha < -3.0
     x = np.concatenate([sine_coeffs(p), [params.beta, params.alpha]])
     amp_index = int(np.argmax(p.values))
-    _, _, p_x, params_x, lin = _square_equations(x, nx, target_h, kind, amp_index)
+    _, _, _, p_x, params_x, lin = _square_equations(x, nx, target_h, kind, amp_index)
     jac = _newton_jacobian(p_x, params_x, lin, amp_index)
     oracle = fd_jacobian(x, nx, target_h, kind, amp_index)
     assert jac.shape == oracle.shape == (nx // 2 + 1, nx // 2 + 1)
@@ -254,9 +258,10 @@ def transcribed_newton_jacobian(p, params, lin, amp_index):
     "name", ["guess-linear", "guess-nonlinear", "linear-h1", "nonlinear-wall"]
 )
 def test_newton_system_is_bit_identical_to_its_transcription(name, nx):
-    """The Jacobian equals transcribed_newton_jacobian, and the equations
-    the cosine modes of the residual's profile plus the pin, both exactly,
-    for pins at several indices."""
+    """The Jacobian equals transcribed_newton_jacobian, the equations the
+    cosine modes of the residual's profile plus the pin, and the monitored
+    Nyquist coefficient that mode's magnitude, all exactly, for pins at
+    several indices."""
     if nx < 64 and not name.startswith("guess"):
         # no branch starts at nx 8: the nx-64 wave, resampled
         p, params, target_h, kind = jacobian_case(name, 64)
@@ -266,12 +271,13 @@ def test_newton_system_is_bit_identical_to_its_transcription(name, nx):
     x = np.concatenate([sine_coeffs(p), [params.beta, params.alpha]])
     pins = {int(np.argmax(p.values)), 0, 1, nx // 3, nx // 2, nx - 1}
     for pin in sorted(pins):
-        eqs, _, p_x, params_x, lin = _square_equations(x, nx, target_h, kind, pin)
+        eqs, _, nyquist, p_x, params_x, lin = _square_equations(x, nx, target_h, kind, pin)
         jac = _newton_jacobian(p_x, params_x, lin, pin)
         assert np.array_equal(jac, transcribed_newton_jacobian(p_x, params_x, lin, pin))
         r = residual_linearization(p_x, params_x, kind)[0]
         modes = cosine_coeffs(ThetaProfile.from_values(r))
         assert np.array_equal(eqs, np.append(modes[: nx // 2], p_x.values[pin] - target_h))
+        assert nyquist == abs(modes[nx // 2])
 
 
 @pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.NONLINEAR])
@@ -516,18 +522,57 @@ def test_linear_branch_newton_iterations():
     assert rec.failures == ()
 
 
-def test_nonlinear_branch_logs_stalled_attempts():
-    # near alpha = -3 the grid residual levels off just above tol_residual;
-    # each retry stalls there and the branch ends after 4 step halvings
+def test_nonlinear_branch_logs_unresolved_attempts(monkeypatch):
+    # near alpha = -3 the grid residual levels off just above tol_residual,
+    # held there by the unsolved Nyquist mode; each retry ends as
+    # unresolved once the solved modes are within tolerance, and the
+    # branch ends after 4 step halvings
+    failed_iterations = []
+
+    def logging_solve(*args, **kwargs):
+        try:
+            return quasi_newton_solve(*args, **kwargs)
+        except ConvergenceError as exc:
+            failed_iterations.append(len(exc.residual_history) - 1)
+            raise
+
+    monkeypatch.setattr(solver, "quasi_newton_solve", logging_solve)
     rec = continue_branch(1, ModelKind.NONLINEAR, 0.02, 10.0, cfg=SolveConfig(nx=256))
     assert len(rec.solutions) == 25
     assert rec.termination == "iteration-failure"
     assert sum(s.iterations for s in rec.solutions) == 78
     assert len(rec.failures) == 5
     for failure in rec.failures:
-        assert failure.reason == "stalled"
+        assert failure.reason == "unresolved"
         assert 1e-10 < failure.residual_floor < 1e-9
         assert failure.target_h == pytest.approx(0.44, abs=1e-12)
+    # each attempt stops at its first iterate whose solved equations meet
+    # the tolerance; the stall rule alone would take 9, 7, 6, 6 and 6
+    assert failed_iterations == [6, 4, 3, 3, 2]
+
+
+def test_wall_solve_ends_as_unresolved_without_further_iterations():
+    # the branch's fifth attempt: the secant from its last two waves, at
+    # h = 0.4375 and 0.43875, toward h = 0.44
+    cfg = SolveConfig(nx=256)
+    rec = continue_branch(1, ModelKind.NONLINEAR, 0.02, 10.0, cfg=cfg)
+    x_prev2, x_prev = (solver._pack(s) for s in rec.solutions[-2:])
+    h_prev2, h_prev = (s.amplitude for s in rec.solutions[-2:])
+    guess = _rebuild(x_prev + (x_prev - x_prev2) * ((0.44 - h_prev) / (h_prev - h_prev2)), 256)
+    with pytest.raises(ConvergenceError) as info:
+        quasi_newton_solve(guess, 0.44, ModelKind.NONLINEAR, cfg, k0=1)
+    err = info.value
+    assert err.reason == "unresolved"
+    assert "unresolved" in str(err) and "target_h 0.44" in str(err)
+    # two Newton steps, where the stall rule alone would take 6
+    assert len(err.residual_history) - 1 == 2
+    assert cfg.tol_residual < err.residual_floor == err.residual_history[-1] < 1e-9
+    # at the last iterate every solved equation meets the tolerance, and
+    # the Nyquist coefficient, a lower bound of the grid residual, does not
+    amp_index = int(np.argmax(guess[0].values))
+    eqs, grid_norm, nyquist, *_ = _square_equations(err.last_iterate, 256, 0.44, ModelKind.NONLINEAR, amp_index)
+    assert np.max(np.abs(eqs)) <= cfg.tol_residual < nyquist <= grid_norm
+    assert grid_norm == err.residual_history[-1]
 
 
 def test_nonlinear_branch_stops_at_the_well_posedness_threshold(monkeypatch):
