@@ -50,8 +50,12 @@ class ConvergenceError(FlameFrontError):
     resolve the wave), "stalled" when the residual stopped decreasing
     before the budget ran out, "max-iters" when the budget was exhausted,
     or "non-finite" when an iterate's residual overflowed.  Carries the
-    last iterate, the residual-norm history and its minimum
-    (residual_floor) for diagnosis.
+    last iterate and the residual-norm history for diagnosis, with
+    residual_floor the smallest residual after the guess's own, as the
+    stall rule counts it: a converged wave reused as a guess has a
+    residual of rounding size that says nothing of the solve.  The
+    guess's residual is the floor only when it is the history's one
+    entry.
     """
 
     def __init__(self, message, last_iterate=None, residual_history=None, reason="max-iters"):
@@ -59,7 +63,8 @@ class ConvergenceError(FlameFrontError):
         self.last_iterate = last_iterate
         self.residual_history = list(residual_history or [])
         self.reason = reason
-        self.residual_floor = min(self.residual_history) if self.residual_history else None
+        history = self.residual_history
+        self.residual_floor = min(history[1:] or history) if history else None
 
 
 class SingularSystemError(FlameFrontError):

@@ -11,7 +11,9 @@ bounds it from above, so a sweep over x sorted once visits only the
 pairs with |dx| <= r and returns the same float as a scan of all pairs.
 On a resolved front that is a few pairs per point; a curve that stacks
 its points in x still costs all O(nx^2) pairs, expanded a bounded number
-at a time.
+at a time.  A front that is a graph over x with points spread evenly
+enough, every wave of the nonlinear branch and the flatter waves of the
+linear one, needs no sweep: only its (i, i+2) pairs can lie within r.
 """
 
 from __future__ import annotations
@@ -116,18 +118,40 @@ def min_nonadjacent_gap(curve):
     float returned is the minimum of the distances over all pairs, bit
     for bit.
 
-    A resolved front has a few points per window, so the scan costs about
-    O(nx log nx).  A curve that stacks its points in x within r of each
-    other (a vertical zig-zag) puts them all in one window, and the scan
-    visits all O(nx^2) pairs.  They are expanded in chunks of about
+    The sweep is skipped when x does not decrease around the period
+    (x_0 .. x_{nx-1}, x_0 + 2*pi, x_1 + 2*pi, ..) and every three-point
+    advance x_{i+3} - x_i along it exceeds r*(1 + 1e-9).  Then any pair
+    at chain distance 3 or more is at least one such advance apart in x,
+    so its distance, as the sweep rounds it, exceeds r and so the
+    smallest chord: r's own widening covers the rounding of
+    x_i - x_j - 2*pi against the advance.  The gap is then the smallest
+    chord at chain distance 2: the (i, i+2) chords that give r, and the
+    two across the seam, (nx-2, 0) and (nx-1, 1) against the translate,
+    taken with the sweep's formula, so the float is the same.  That
+    costs O(nx).
+
+    Otherwise a resolved front has a few points per window, so the scan
+    costs about O(nx log nx).  A curve that stacks its points in x within
+    r of each other (a vertical zig-zag) puts them all in one window, and
+    the scan visits all O(nx^2) pairs.  They are expanded in chunks of about
     _PAIR_BUDGET pairs, so memory stays O(nx + _PAIR_BUDGET).
     """
     nx = curve.nx
     x, y = curve.x[:nx], curve.y[:nx]
     chord = np.inf
     if nx >= 4:
-        chord = np.sqrt(np.min((x[2:] - x[:-2]) ** 2 + (y[2:] - y[:-2]) ** 2))
+        chords = (x[2:] - x[:-2]) ** 2 + (y[2:] - y[:-2]) ** 2
+        chord = np.sqrt(np.min(chords))
     r = chord * (1.0 + 1e-12) + 4.0 * np.spacing(np.max(np.abs(x)) + 2.0 * np.pi)
+    # x around the period, on into the next one: x_0 .. x_{nx-1}, x_0 + 2*pi, ..
+    xe = np.concatenate((x, x[:3] + 2.0 * np.pi))
+    if nx >= 4 and np.all(xe[1:] >= xe[:-1]) and np.all(xe[3:] - xe[:-3] > r * (1.0 + 1e-9)):
+        # only the (i, i+2) pairs can lie within r: the gap is the
+        # smallest of their chords, the two across the seam included
+        seam = np.array([nx - 2, nx - 1])
+        dy = y[seam] - y[:2]
+        best = min(np.min(chords), np.min(((x[seam] - x[:2]) - 2.0 * np.pi) ** 2 + dy * dy))
+        return float(np.sqrt(best))
     order = np.argsort(x)
     xs = x[order]
     xt = xs + 2.0 * np.pi

@@ -11,8 +11,9 @@ coefficient c_{nx/2} = (1/nx)*sum_j r_j*(-1)^j obeys |c_{nx/2}| <= max|r|,
 so once the solved equations meet the tolerance while that coefficient
 does not, the grid test cannot pass: a wave that the grid does not
 resolve, such as the nonlinear branch near its corner, ends the solve as
-"unresolved".  Amplitude is pinned by theta at the frozen argmax index of
-the current guess.
+"unresolved".  Amplitude is pinned by theta at the argmax index of the
+guess, moved once to the wave's own argmax if the converged wave peaks
+above its target at another index.
 
 Each Newton iteration assembles the exact Jacobian of that system: the
 pointwise linearisation of the residual acting on the sine modes, a
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -63,6 +65,13 @@ __all__ = [
 _PIVOT_FLOOR = 1e-14
 _MAX_STEP_HALVINGS = 4
 _ALPHA_WELL_POSED = -3.0
+# The latest converged waves that the branch predictor extrapolates
+# through.  Their converged solves on the default k0 = 1 branches (linear,
+# nonlinear) take 97 and 80 Newton iterations with 2 (the secant), 82 and
+# 63 with 3, 81 and 58 with 4, and 74 and 56 with 5.  Each further wave
+# about doubles the sum of |weights| at one equal step (15 with 4, 31
+# with 5), and so the amplification of the waves' own solve errors.
+_PREDICTOR_WAVES = 4
 # A solve has stalled when none of its last _STALL_WINDOW residuals is
 # below _STALL_FACTOR times the best residual before them and after the
 # guess's own: a converged wave reused as a guess has a grid residual of
@@ -123,10 +132,10 @@ class FailedSolve(NamedTuple):
 
     reason is the ConvergenceError reason ("unresolved", "stalled",
     "max-iters" or "non-finite"), "singular-system" or "degenerate-front";
-    residual_floor is the smallest grid residual of the attempt, None when
-    no Newton history exists.  An "unresolved" floor lies above the
-    tolerance by at least the residual's Nyquist coefficient, since
-    |c_{nx/2}| <= max|r|.
+    residual_floor is the ConvergenceError's, the smallest grid residual
+    the attempt reached after its guess, None when no Newton history
+    exists.  An "unresolved" floor lies above the tolerance, held there
+    by the residual's Nyquist coefficient, since |c_{nx/2}| <= max|r|.
     """
 
     target_h: float
@@ -308,17 +317,21 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
 
     guess is a (ThetaProfile, WaveParams) pair on the cfg.nx grid; its
     profile is projected onto odd parity, and theta is pinned to target_h
-    at the grid index where the guess attains its maximum (frozen for the
-    whole solve).  That index is the converged wave's argmax only when the
-    guess peaks where the wave does; otherwise the wave's max, its
-    amplitude, lies above target_h.  k0 is the mode number of the branch,
-    recorded on the WaveSolution.
+    at the grid index where the guess attains its maximum.  A guess that
+    peaks one index away from the wave (two near-equal grid values at the
+    crest) gives a wave whose max, its amplitude, lies above target_h:
+    such a converged wave is pinned again, once, at its own argmax, and
+    the solve goes on from it within the same budget.  So the amplitude
+    meets target_h to cfg.tol_residual unless the second wave also peaks
+    elsewhere.  k0 is the mode number of the branch, recorded on the
+    WaveSolution.
 
     Each pass evaluates the equations at the current iterate, the guess
     first, and then leaves by the first of five exits that applies:
     "non-finite" once the residual overflows; converged, returning the
     WaveSolution, once the grid residual and the pin both meet
-    cfg.tol_residual; "unresolved" once every square equation meets
+    cfg.tol_residual and the wave peaks at its pin or has been pinned
+    again; "unresolved" once every square equation meets
     cfg.tol_residual but the residual's unsolved Nyquist coefficient does
     not, which no Newton step can mend, as |c_{nx/2}| <= max|r| bounds the
     grid residual from below; "max-iters" after cfg.max_iters Newton
@@ -344,6 +357,7 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
         [spectral.sine_coeffs(p0), [params0.beta, params0.alpha]]
     )
     amp_index = int(np.argmax(p0.values))
+    repinned = False
     tol = cfg.tol_residual
     history = []
     for iterations in range(cfg.max_iters + 1):
@@ -353,17 +367,22 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
             reason = "non-finite"
             break
         if grid_norm <= tol and abs(eqs[-1]) <= tol:
-            return WaveSolution(
-                theta=p,
-                alpha=params.alpha,
-                beta=params.beta,
-                length=params.length,
-                amplitude=float(np.max(p.values)),
-                residual_norm=grid_norm,
-                k0=int(k0),
-                kind=kind,
-                iterations=iterations,
-            )
+            peak = int(np.argmax(p.values))
+            if repinned or p.values[peak] - target_h <= tol:
+                return WaveSolution(
+                    theta=p,
+                    alpha=params.alpha,
+                    beta=params.beta,
+                    length=params.length,
+                    amplitude=float(p.values[peak]),
+                    residual_norm=grid_norm,
+                    k0=int(k0),
+                    kind=kind,
+                    iterations=iterations,
+                )
+            # the wave peaks above target_h at another index: pin it there
+            amp_index, repinned = peak, True
+            eqs[-1] = p.values[peak] - target_h
         if nyquist > tol and np.max(np.abs(eqs)) <= tol:
             reason = "unresolved"
             break
@@ -378,7 +397,7 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
         x = x + _lu_solve(_newton_jacobian(p, params, lin, amp_index), -eqs)
     raise ConvergenceError(
         f"no convergence ({reason}) after {iterations} iterations: "
-        f"residual floor {min(history):.3e}, target_h {target_h}",
+        f"residual floor {min(history[1:] or history):.3e}, target_h {target_h}",
         last_iterate=x,
         residual_history=history,
         reason=reason,
@@ -420,13 +439,29 @@ def _failed_solve(target_h, exc):
     return FailedSolve(target_h, "degenerate-front", None)
 
 
+def _predict(waves, h_next):
+    """The guess for target h_next: the Lagrange polynomial in h through
+    the packed unknowns [b_k, beta, alpha] of waves, (h, x) pairs at
+    distinct h, evaluated at h_next.  The weights take the unequal h
+    spacing that step halvings leave; one wave is its own guess."""
+    guess = np.zeros_like(waves[0][1])
+    for h_j, x_j in waves:
+        weight = 1.0
+        for h_m, _ in waves:
+            if h_m != h_j:
+                weight *= (h_next - h_m) / (h_j - h_m)
+        guess += weight * x_j
+    return guess
+
+
 def continue_branch(k0, kind, h_step, h_max, cfg=None):
     """March the branch of mode k0 in the wave amplitude h = max(theta).
 
     Starts from the asymptotic guess at eps = h_step, so h_step must lie
     in (0, 0.3], the guess's range; then increments the amplitude target
-    by the current step, predicting each new iterate by
-    secant extrapolation of the previous two solutions.  A failed solve
+    by the current step, predicting each new iterate by Lagrange
+    extrapolation in h through the last four converged waves (_predict),
+    or all of them while fewer exist.  A failed solve
     halves the step (at most 4 halvings over the whole run) and is logged
     in BranchRecord.failures.  Stops on
     near-self-intersection of the predicted or converged curve (the
@@ -460,18 +495,14 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
     failures = []
     step = float(h_step)
     halvings = 0
-    x_prev, h_prev = _pack(sol), float(h_step)
-    x_prev2, h_prev2 = None, None
+    waves = deque([(float(h_step), _pack(sol))], maxlen=_PREDICTOR_WAVES)
     termination = None
     while termination is None:
-        h_next = h_prev + step
+        h_next = waves[-1][0] + step
         if h_next > h_max * (1.0 + 1e-12):
             termination = "max-amplitude-reached"
             break
-        if x_prev2 is None:
-            x_guess = x_prev.copy()
-        else:
-            x_guess = x_prev + (x_prev - x_prev2) * ((h_next - h_prev) / (h_prev - h_prev2))
+        x_guess = _predict(waves, h_next)
         try:
             p_guess, params_guess = _rebuild(x_guess, cfg.nx)
             if geometry.is_near_self_intersecting(geometry.reconstruct_curve(p_guess)):
@@ -495,7 +526,6 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
         if geometry.is_near_self_intersecting(sol_new.curve):
             termination = "self-intersection"
             break
-        x_prev2, h_prev2 = x_prev, h_prev
-        x_prev, h_prev = _pack(sol_new), h_next
+        waves.append((h_next, _pack(sol_new)))
 
     return BranchRecord(kind, int(k0), tuple(solutions), termination, tuple(failures))

@@ -10,7 +10,8 @@ from flamefront.geometry import (
     min_nonadjacent_gap,
     reconstruct_curve,
 )
-from flamefront.model import length_from_theta
+from flamefront.model import ModelKind, length_from_theta
+from flamefront.solver import continue_branch
 from flamefront.spectral import ThetaProfile, antiderivative, grid, resample
 
 
@@ -250,6 +251,125 @@ def test_resolved_front_takes_one_chunk(monkeypatch):
     for nx in (256, 512):
         min_nonadjacent_gap(reconstruct_curve(wave_profile(eps=2.0, nx=nx)))
     assert chunks == [1, 1, 1, 1]
+
+def sweeps(monkeypatch):
+    """Count the scans that expand candidate pairs, the sweep's only path
+    to them; a scan that returns early expands none."""
+    calls = []
+    expand = geometry._pairs
+
+    def counted(lo, hi):
+        calls.append(lo.size)
+        return expand(lo, hi)
+
+    monkeypatch.setattr(geometry, "_pairs", counted)
+    return calls
+
+
+def sweep_bound(curve):
+    """The sweep's window half-width r, as min_nonadjacent_gap computes it."""
+    nx = curve.nx
+    x, y = curve.x[:nx], curve.y[:nx]
+    chord = np.sqrt(np.min((x[2:] - x[:-2]) ** 2 + (y[2:] - y[:-2]) ** 2))
+    return chord * (1.0 + 1e-12) + 4.0 * np.spacing(np.max(np.abs(x)) + 2.0 * np.pi)
+
+
+def three_point_advances(curve):
+    nx = curve.nx
+    xe = np.concatenate((curve.x[:nx], curve.x[:3] + 2.0 * np.pi))
+    return xe[3:] - xe[:-3]
+
+
+def graph_curves(rng, nx):
+    """Curves whose x advances around the period faster than their
+    smallest (i, i+2) chord every three points."""
+    h = 2.0 * np.pi / nx
+    k = np.arange(nx)
+    curves = [closed_curve(k * h, 0.3 * h * rng.standard_normal(nx))]
+    for _ in range(3):
+        x = np.sort((k + 0.3 * rng.uniform(-1.0, 1.0, nx)) * h)
+        curves.append(closed_curve(x, 0.5 * h * rng.standard_normal(nx)))
+    # the closest pair, (nx-1, 1), straddles the seam at chain distance 2
+    x = k * h
+    x[0], x[-1] = 0.4 * h, 2.0 * np.pi - 0.4 * h
+    curves.append(closed_curve(x, 1e-3 * h * rng.standard_normal(nx)))
+    curves.append(reconstruct_curve(wave_profile(eps=0.5, nx=nx)))
+    return curves
+
+
+@pytest.mark.parametrize("nx", [8, 64, 256, 512])
+def test_gap_of_a_graph_like_curve_returns_early(rng, monkeypatch, nx):
+    calls = sweeps(monkeypatch)
+    for curve in graph_curves(rng, nx):
+        assert np.all(np.diff(np.append(curve.x, curve.x[1:3] + 2.0 * np.pi)) >= 0.0)
+        assert np.all(three_point_advances(curve) > sweep_bound(curve) * (1.0 + 1e-9))
+        assert min_nonadjacent_gap(curve) == reference_gap(curve)
+    assert calls == []
+
+
+def curves_just_outside(nx):
+    """Curves that miss one condition of the early return, each named by
+    what it misses; in the last the early return would be wrong."""
+    h = 2.0 * np.pi / nx
+    k = np.arange(nx)
+    # x_{m+3} - x_m equals the sweep's bound: points m+1 and m+2 are
+    # raised so that their chords stay longer than the smallest, 2h
+    m = nx // 2
+    x, y = k * h, np.zeros(nx)
+    y[m + 1 : m + 3] = 3.0 * h
+    r = 2.0 * h * (1.0 + 1e-12) + 4.0 * np.spacing(np.max(x) + 2.0 * np.pi)
+    x[m + 3 :] -= 3.0 * h - r
+    equal = closed_curve(x, y)
+    # one backward step in x, between points spread 2h apart
+    x, y = k * h, np.zeros(nx)
+    x[m - 2 : m + 4] = x[m - 2] + 2.0 * h * np.array([0.0, 1.0, 2.0, 2.0, 3.0, 4.0])
+    x[m + 1] -= 1e-3 * h
+    y[m + 1] = h
+    x[m + 4 :] += 4.0 * h
+    x *= 2.0 * np.pi / (x[-1] + h)
+    backward = closed_curve(x, y)
+    # the closest pair, (nx-2, 1), straddles the seam at chain distance 3,
+    # closer than every (i, i+2) chord
+    x, y = k * h, np.zeros(nx)
+    x[-2], x[-1], x[1] = 2.0 * np.pi - 1.05 * h, 2.0 * np.pi - h, 0.05 * h
+    y[-1] = y[0] = h
+    seam = closed_curve(x, y)
+    return {"advance-equal-to-r": equal, "backward-step": backward, "seam-at-chain-distance-3": seam}
+
+
+@pytest.mark.parametrize("nx", [16, 64, 256])
+@pytest.mark.parametrize("name", ["advance-equal-to-r", "backward-step", "seam-at-chain-distance-3"])
+def test_gap_of_a_curve_just_outside_the_early_return_sweeps(monkeypatch, nx, name):
+    curve = curves_just_outside(nx)[name]
+    x = np.append(curve.x, curve.x[1:3] + 2.0 * np.pi)
+    advances = three_point_advances(curve)
+    bound = sweep_bound(curve) * (1.0 + 1e-9)
+    # each curve misses exactly one of the two conditions
+    assert (np.all(np.diff(x) >= 0.0), np.all(advances > bound)) == {
+        "advance-equal-to-r": (True, False),
+        "backward-step": (False, True),
+        "seam-at-chain-distance-3": (True, False),
+    }[name]
+    calls = sweeps(monkeypatch)
+    gap = min_nonadjacent_gap(curve)
+    assert gap == reference_gap(curve)
+    assert calls != []
+    if name == "seam-at-chain-distance-3":
+        h = 2.0 * np.pi / nx
+        assert gap == pytest.approx(1.1 * h, rel=1e-12)
+        assert gap < sweep_bound(curve)
+
+
+def test_gap_of_the_nonlinear_branch_returns_early(monkeypatch):
+    # every wave of the default nonlinear k0 = 1 branch, resolved at
+    # nx 256, advances in x faster than its (i, i+2) chords
+    waves = continue_branch(1, ModelKind.NONLINEAR, 0.02, 10.0).solutions
+    assert len(waves) == 25
+    calls = sweeps(monkeypatch)
+    for wave in waves:
+        assert min_nonadjacent_gap(wave.curve) == reference_gap(wave.curve)
+    assert calls == []
+
 
 def test_gap_sees_neighboring_period():
     # a tongue reaching toward x = 2*pi gets close to the next period's

@@ -451,6 +451,30 @@ def test_converged_wave_as_guess_is_not_stalled():
     assert sol.amplitude == pytest.approx(0.4, abs=1e-10)
 
 
+def test_residual_floor_leaves_out_the_guess():
+    # a converged wave's residual is of rounding size: the floor of a
+    # solve that starts from it and fails is the smallest residual the
+    # solve itself reached, above the tolerance it failed
+    cfg = SolveConfig(nx=256)
+    rec = continue_branch(1, ModelKind.NONLINEAR, 0.02, 10.0, cfg=cfg)
+    wave = rec.solutions[-1]
+    assert wave.amplitude == pytest.approx(0.43875, abs=1e-12)
+    with pytest.raises(ConvergenceError) as info:
+        quasi_newton_solve((wave.theta, wave), 0.44, ModelKind.NONLINEAR, cfg, k0=1)
+    err = info.value
+    assert err.reason == "unresolved"
+    assert err.residual_history[0] < cfg.tol_residual < err.residual_floor
+    assert err.residual_floor == min(err.residual_history[1:])
+    assert f"residual floor {err.residual_floor:.3e}" in str(err)
+    assert solver._failed_solve(0.44, err).residual_floor == err.residual_floor
+
+
+def test_residual_floor_of_a_guess_alone_is_its_residual():
+    err = ConvergenceError("no convergence", residual_history=[2.5])
+    assert err.residual_floor == 2.5
+    assert ConvergenceError("no convergence").residual_floor is None
+
+
 def test_singular_system_from_flat_guess():
     # at theta = 0 the equations do not depend on alpha, so the Jacobian
     # has an identically zero column
@@ -518,8 +542,52 @@ def test_linear_branch_newton_iterations():
     rec = continue_branch(1, ModelKind.LINEAR, 0.05, 10.0)
     assert len(rec.solutions) == 40
     assert rec.termination == "self-intersection"
-    assert sum(s.iterations for s in rec.solutions) == 95
+    assert sum(s.iterations for s in rec.solutions) == 81
     assert rec.failures == ()
+
+
+@pytest.mark.parametrize(
+    "k0, kind, h_step, waves",
+    [(1, ModelKind.LINEAR, 0.05, 40), (1, ModelKind.NONLINEAR, 0.02, 25), (2, ModelKind.LINEAR, 0.05, 40)],
+    ids=["linear-k0-1", "nonlinear-k0-1", "linear-k0-2"],
+)
+def test_every_wave_lands_on_its_target(monkeypatch, k0, kind, h_step, waves):
+    # theta is pinned to the target at one grid index, so a wave that
+    # peaks at another lies above its target unless it is pinned again;
+    # the linear k0 = 2 branch's guess for h = 1.85 peaks one index away
+    targets = {}
+    solve = solver.quasi_newton_solve
+
+    def recorded(guess, target_h, *args, **kwargs):
+        sol = solve(guess, target_h, *args, **kwargs)
+        targets[id(sol)] = target_h
+        return sol
+
+    monkeypatch.setattr(solver, "quasi_newton_solve", recorded)
+    cfg = SolveConfig()
+    rec = continue_branch(k0, kind, h_step, 10.0, cfg=cfg)
+    assert len(rec.solutions) == waves
+    for sol in rec.solutions:
+        assert abs(sol.amplitude - targets[id(sol)]) <= cfg.tol_residual
+
+
+def test_a_wave_that_peaks_off_its_pin_is_pinned_again():
+    # the linear k0 = 2 branch's guess for h = 1.85, extrapolated through
+    # its waves at 1.65-1.80, peaks one index after the wave, whose two
+    # crest values differ by 1.2e-4: pinned at the guess's peak, the wave
+    # would land at 1.8501186
+    cfg = SolveConfig()
+    rec = continue_branch(2, ModelKind.LINEAR, 0.05, 1.8, cfg=cfg)
+    waves = [(s.amplitude, solver._pack(s)) for s in rec.solutions[-4:]]
+    guess = _rebuild(solver._predict(waves, 1.85), cfg.nx)
+    pin = int(np.argmax(guess[0].values))
+    sol = quasi_newton_solve(guess, 1.85, ModelKind.LINEAR, cfg, k0=2)
+    peak = int(np.argmax(sol.theta.values))
+    assert peak == pin - 1
+    assert abs(sol.amplitude - 1.85) <= cfg.tol_residual
+    assert sol.theta.values[pin] < sol.amplitude - 1e-4
+    assert sol.residual_norm <= cfg.tol_residual
+    assert sol.iterations == 4
 
 
 def test_nonlinear_branch_logs_unresolved_attempts(monkeypatch):
@@ -540,37 +608,48 @@ def test_nonlinear_branch_logs_unresolved_attempts(monkeypatch):
     rec = continue_branch(1, ModelKind.NONLINEAR, 0.02, 10.0, cfg=SolveConfig(nx=256))
     assert len(rec.solutions) == 25
     assert rec.termination == "iteration-failure"
-    assert sum(s.iterations for s in rec.solutions) == 78
+    assert sum(s.iterations for s in rec.solutions) == 58
     assert len(rec.failures) == 5
     for failure in rec.failures:
         assert failure.reason == "unresolved"
         assert 1e-10 < failure.residual_floor < 1e-9
         assert failure.target_h == pytest.approx(0.44, abs=1e-12)
     # each attempt stops at its first iterate whose solved equations meet
-    # the tolerance; the stall rule alone would take 9, 7, 6, 6 and 6
-    assert failed_iterations == [6, 4, 3, 3, 2]
+    # the tolerance; the stall rule alone would take 7, 6, 6, 5 and 5
+    assert failed_iterations == [4, 3, 2, 2, 2]
 
 
-def test_wall_solve_ends_as_unresolved_without_further_iterations():
-    # the branch's fifth attempt: the secant from its last two waves, at
-    # h = 0.4375 and 0.43875, toward h = 0.44
+def test_wall_solve_ends_as_unresolved_without_further_iterations(monkeypatch):
+    # the branch's fifth attempt: its own predictor through its last four
+    # waves, h = 0.43 to 0.43875, toward h = 0.44
     cfg = SolveConfig(nx=256)
+    predictions = []
+    predict = solver._predict
+
+    def recorded(waves, h_next):
+        predictions.append((list(waves), h_next))
+        return predict(waves, h_next)
+
+    monkeypatch.setattr(solver, "_predict", recorded)
     rec = continue_branch(1, ModelKind.NONLINEAR, 0.02, 10.0, cfg=cfg)
-    x_prev2, x_prev = (solver._pack(s) for s in rec.solutions[-2:])
-    h_prev2, h_prev = (s.amplitude for s in rec.solutions[-2:])
-    guess = _rebuild(x_prev + (x_prev - x_prev2) * ((0.44 - h_prev) / (h_prev - h_prev2)), 256)
+    waves, h_next = predictions[-1]
+    assert [h for h, _ in waves] == pytest.approx([0.43, 0.435, 0.4375, 0.43875], abs=1e-12)
+    for (_, x), wave in zip(waves, rec.solutions[-4:]):
+        np.testing.assert_array_equal(x, solver._pack(wave))
+    assert h_next == pytest.approx(0.44, abs=1e-12)
+    guess = _rebuild(predict(waves, h_next), 256)
     with pytest.raises(ConvergenceError) as info:
-        quasi_newton_solve(guess, 0.44, ModelKind.NONLINEAR, cfg, k0=1)
+        quasi_newton_solve(guess, h_next, ModelKind.NONLINEAR, cfg, k0=1)
     err = info.value
     assert err.reason == "unresolved"
     assert "unresolved" in str(err) and "target_h 0.44" in str(err)
-    # two Newton steps, where the stall rule alone would take 6
+    # two Newton steps, where the stall rule alone would take 5
     assert len(err.residual_history) - 1 == 2
     assert cfg.tol_residual < err.residual_floor == err.residual_history[-1] < 1e-9
     # at the last iterate every solved equation meets the tolerance, and
     # the Nyquist coefficient, a lower bound of the grid residual, does not
     amp_index = int(np.argmax(guess[0].values))
-    eqs, grid_norm, nyquist, *_ = _square_equations(err.last_iterate, 256, 0.44, ModelKind.NONLINEAR, amp_index)
+    eqs, grid_norm, nyquist, *_ = _square_equations(err.last_iterate, 256, h_next, ModelKind.NONLINEAR, amp_index)
     assert np.max(np.abs(eqs)) <= cfg.tol_residual < nyquist <= grid_norm
     assert grid_norm == err.residual_history[-1]
 
