@@ -11,9 +11,9 @@ coefficient c_{nx/2} = (1/nx)*sum_j r_j*(-1)^j obeys |c_{nx/2}| <= max|r|,
 so once the solved equations meet the tolerance while that coefficient
 does not, the grid test cannot pass: a wave that the grid does not
 resolve, such as the nonlinear branch near its corner, ends the solve as
-"unresolved".  Amplitude is pinned by theta at the argmax index of the
-guess, moved once to the wave's own argmax if the converged wave peaks
-above its target at another index.
+"unresolved".  Amplitude is pinned by theta at each iterate's own argmax
+index, so a converged wave peaks at its pin and its grid maximum is the
+target.
 
 Each Newton iteration assembles the exact Jacobian of that system: the
 pointwise linearisation of the residual acting on the sine modes, a
@@ -172,8 +172,9 @@ def _pack(sol):
     )
 
 
-def _square_equations(x, nx, target_h, kind, amp_index):
-    """The square Newton system: cosine modes 0..nx/2-1 plus amplitude pin.
+def _square_equations(p, params, target_h, kind, amp_index):
+    """The square Newton system at (p, params): cosine modes 0..nx/2-1
+    plus the amplitude pin theta[amp_index] = target_h.
 
     Also reports the grid max-norm of the residual, which the convergence
     test uses so that the monitored-but-unsolved Nyquist mode cannot hide
@@ -183,21 +184,20 @@ def _square_equations(x, nx, target_h, kind, amp_index):
     residual that is not finite (a closure term overflowed) has norms inf
     and no equations.
     """
-    p, params = _rebuild(x, nx)
     with np.errstate(over="ignore", invalid="ignore"):
         r, *lin = residual_linearization(p, params, kind)
     grid_norm = float(np.max(np.abs(r)))
     if not np.isfinite(grid_norm):
-        return None, np.inf, np.inf, p, params, lin
+        return None, np.inf, np.inf, lin
     # the cosine coefficients of r straight from its half spectrum: r is
     # finite (grid_norm is), and modes 1..nx/2-1 count twice
-    half = nx // 2
+    half = p.nx // 2
     spec = np.fft.rfft(r, norm="forward")
     eqs = np.empty(half + 1)
     eqs[:half] = spec[:half].real
     eqs[1:half] *= 2.0
     eqs[half] = p.values[amp_index] - target_h
-    return eqs, grid_norm, float(abs(spec[half].real)), p, params, lin
+    return eqs, grid_norm, float(abs(spec[half].real)), lin
 
 
 @functools.cache
@@ -313,25 +313,20 @@ def _lu_solve(jac, rhs):
 
 
 def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
-    """Solve for the traveling wave with theta pinned to target_h at one grid index.
+    """Solve for the traveling wave whose grid maximum is target_h.
 
-    guess is a (ThetaProfile, WaveParams) pair on the cfg.nx grid; its
-    profile is projected onto odd parity, and theta is pinned to target_h
-    at the grid index where the guess attains its maximum.  A guess that
-    peaks one index away from the wave (two near-equal grid values at the
-    crest) gives a wave whose max, its amplitude, lies above target_h:
-    such a converged wave is pinned again, once, at its own argmax, and
-    the solve goes on from it within the same budget.  So the amplitude
-    meets target_h to cfg.tol_residual unless the second wave also peaks
-    elsewhere.  k0 is the mode number of the branch, recorded on the
-    WaveSolution.
+    guess is a (ThetaProfile, WaveParams) pair on the cfg.nx grid; only
+    its sine content is used.  Each iterate is pinned, theta = target_h,
+    at its own argmax index, and the Jacobian's pin row at the same index,
+    so a converged wave is pinned at its crest: its amplitude, the grid
+    max, meets target_h to cfg.tol_residual.  k0 is the mode number of
+    the branch, recorded on the WaveSolution.
 
-    Each pass evaluates the equations at the current iterate, the guess
-    first, and then leaves by the first of five exits that applies:
+    Each pass rebuilds the iterate, the guess first, evaluates its
+    equations and then leaves by the first of five exits that applies:
     "non-finite" once the residual overflows; converged, returning the
     WaveSolution, once the grid residual and the pin both meet
-    cfg.tol_residual and the wave peaks at its pin or has been pinned
-    again; "unresolved" once every square equation meets
+    cfg.tol_residual; "unresolved" once every square equation meets
     cfg.tol_residual but the residual's unsolved Nyquist coefficient does
     not, which no Newton step can mend, as |c_{nx/2}| <= max|r| bounds the
     grid residual from below; "max-iters" after cfg.max_iters Newton
@@ -352,37 +347,31 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
     nx = cfg.nx
     if p0.nx != nx:
         raise ValueError(f"the guess is on an nx = {p0.nx} grid, but cfg.nx is {nx}")
-    p0 = spectral.project_odd(p0)
     x = np.concatenate(
         [spectral.sine_coeffs(p0), [params0.beta, params0.alpha]]
     )
-    amp_index = int(np.argmax(p0.values))
-    repinned = False
     tol = cfg.tol_residual
     history = []
     for iterations in range(cfg.max_iters + 1):
-        eqs, grid_norm, nyquist, p, params, lin = _square_equations(x, nx, target_h, kind, amp_index)
+        p, params = _rebuild(x, nx)
+        amp_index = int(np.argmax(p.values))
+        eqs, grid_norm, nyquist, lin = _square_equations(p, params, target_h, kind, amp_index)
         history.append(grid_norm)
         if eqs is None:
             reason = "non-finite"
             break
         if grid_norm <= tol and abs(eqs[-1]) <= tol:
-            peak = int(np.argmax(p.values))
-            if repinned or p.values[peak] - target_h <= tol:
-                return WaveSolution(
-                    theta=p,
-                    alpha=params.alpha,
-                    beta=params.beta,
-                    length=params.length,
-                    amplitude=float(p.values[peak]),
-                    residual_norm=grid_norm,
-                    k0=int(k0),
-                    kind=kind,
-                    iterations=iterations,
-                )
-            # the wave peaks above target_h at another index: pin it there
-            amp_index, repinned = peak, True
-            eqs[-1] = p.values[peak] - target_h
+            return WaveSolution(
+                theta=p,
+                alpha=params.alpha,
+                beta=params.beta,
+                length=params.length,
+                amplitude=float(p.values[amp_index]),
+                residual_norm=grid_norm,
+                k0=int(k0),
+                kind=kind,
+                iterations=iterations,
+            )
         if nyquist > tol and np.max(np.abs(eqs)) <= tol:
             reason = "unresolved"
             break
@@ -405,7 +394,11 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
 
 
 def flat_solution(alpha, nx=256, kind=ModelKind.LINEAR):
-    """The flat front as an exactly converged WaveSolution (beta = 1, L = 2*pi)."""
+    """The flat front as an exactly converged WaveSolution (beta = 1, L = 2*pi).
+
+    Raises InvalidGridError for an nx that is not an even integer >= 8.
+    """
+    spectral.grid(nx)
     p = spectral.ThetaProfile.from_values(np.zeros(nx))
     return WaveSolution(
         theta=p,

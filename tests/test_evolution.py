@@ -257,7 +257,12 @@ def test_evolve_rejects_negative_step_count():
     state = single_mode_state(0.1, 1)
     with pytest.raises(ValueError, match="n_steps"):
         evolve(state, 17.0, 1e-4, -1)
+    # a fractional count would fail inside range, and True is no count
+    for n_steps in (2.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="^n_steps must be an integer"):
+            evolve(state, 17.0, 1e-4, n_steps)
     assert evolve(state, 17.0, 1e-4, 0) is state
+    assert evolve(state, 17.0, 1e-4, np.int64(0)) is state
 
 
 def test_probe_matches_dispersion_alpha17(flat17_probe):

@@ -10,6 +10,7 @@ from flamefront.errors import (
     BranchStartError,
     ConvergenceError,
     DegenerateFrontError,
+    InvalidGridError,
     SingularSystemError,
 )
 from flamefront.model import (
@@ -59,8 +60,6 @@ def test_config_validation():
     for max_iters in (2.5, True):
         with pytest.raises(ValueError, match="^max_iters must be an integer"):
             SolveConfig(max_iters=max_iters)
-    from flamefront.errors import InvalidGridError
-
     with pytest.raises(InvalidGridError):
         SolveConfig(nx=31)
 
@@ -68,8 +67,9 @@ def test_config_validation():
 def newton_equations(p, params, target_h):
     """The square Newton system at (p, beta, alpha), pinned at argmax theta."""
     x = np.concatenate([sine_coeffs(p), [params.beta, params.alpha]])
-    amp_index = int(np.argmax(p.values))
-    return _square_equations(x, p.nx, target_h, ModelKind.LINEAR, amp_index)[0]
+    p_x, params_x = _rebuild(x, p.nx)
+    amp_index = int(np.argmax(p_x.values))
+    return _square_equations(p_x, params_x, target_h, ModelKind.LINEAR, amp_index)[0]
 
 
 def test_assemble_system_flat_is_zero():
@@ -98,15 +98,19 @@ def test_assemble_system_defect_scaling():
 
 
 def fd_jacobian(x, nx, target_h, kind, amp_index, rel_step=1e-7):
-    """Forward-difference Jacobian of _square_equations: the test oracle
-    for the analytic build."""
-    f0 = _square_equations(x, nx, target_h, kind, amp_index)[0]
+    """Forward-difference Jacobian of _square_equations in the unknowns x,
+    pinned at a fixed amp_index: the test oracle for the analytic build."""
+
+    def equations(x):
+        return _square_equations(*_rebuild(x, nx), target_h, kind, amp_index)[0]
+
+    f0 = equations(x)
     jac = np.empty((f0.size, x.size))
     for i in range(x.size):
         step = rel_step * (1.0 + abs(x[i]))
         xi = x.copy()
         xi[i] += step
-        jac[:, i] = (_square_equations(xi, nx, target_h, kind, amp_index)[0] - f0) / step
+        jac[:, i] = (equations(xi) - f0) / step
     return jac
 
 
@@ -147,8 +151,9 @@ def test_newton_jacobian_matches_finite_differences(name, nx):
     if name == "nonlinear-wall":
         assert -3.02 < params.alpha < -3.0
     x = np.concatenate([sine_coeffs(p), [params.beta, params.alpha]])
-    amp_index = int(np.argmax(p.values))
-    _, _, _, p_x, params_x, lin = _square_equations(x, nx, target_h, kind, amp_index)
+    p_x, params_x = _rebuild(x, nx)
+    amp_index = int(np.argmax(p_x.values))
+    lin = _square_equations(p_x, params_x, target_h, kind, amp_index)[-1]
     jac = _newton_jacobian(p_x, params_x, lin, amp_index)
     oracle = fd_jacobian(x, nx, target_h, kind, amp_index)
     assert jac.shape == oracle.shape == (nx // 2 + 1, nx // 2 + 1)
@@ -269,9 +274,10 @@ def test_newton_system_is_bit_identical_to_its_transcription(name, nx):
     else:
         p, params, target_h, kind = jacobian_case(name, nx)
     x = np.concatenate([sine_coeffs(p), [params.beta, params.alpha]])
-    pins = {int(np.argmax(p.values)), 0, 1, nx // 3, nx // 2, nx - 1}
+    p_x, params_x = _rebuild(x, nx)
+    pins = {int(np.argmax(p_x.values)), 0, 1, nx // 3, nx // 2, nx - 1}
     for pin in sorted(pins):
-        eqs, _, nyquist, p_x, params_x, lin = _square_equations(x, nx, target_h, kind, pin)
+        eqs, _, nyquist, lin = _square_equations(p_x, params_x, target_h, kind, pin)
         jac = _newton_jacobian(p_x, params_x, lin, pin)
         assert np.array_equal(jac, transcribed_newton_jacobian(p_x, params_x, lin, pin))
         r = residual_linearization(p_x, params_x, kind)[0]
@@ -489,6 +495,10 @@ def test_flat_solution_fields():
     assert sol.amplitude == 0.0
     assert sol.residual_norm == 0.0
     assert sol.length == pytest.approx(2.0 * np.pi, rel=1e-15)
+    # checked by the grid, as SolveConfig checks its nx, not left to np.zeros
+    for nx in (64.0, 63, 4):
+        with pytest.raises(InvalidGridError):
+            flat_solution(17.0, nx=nx)
 
 
 def test_residual_audit_at_higher_resolution(linear_wave_small):
@@ -547,14 +557,36 @@ def test_linear_branch_newton_iterations():
 
 
 @pytest.mark.parametrize(
+    "k0, waves, iterations", [(1, 10, 31), (2, 9, 23), (3, 10, 26)], ids=["k0-1", "k0-2", "k0-3"]
+)
+def test_coarse_linear_branch_newton_iterations(k0, waves, iterations):
+    # at h_step 0.2 the four-wave guess peaks one index away from 5, 3 and
+    # 2 of these waves; each iterate is pinned at its own crest, so such a
+    # wave is reached in one solve, not by a second one from its crest
+    rec = continue_branch(k0, ModelKind.LINEAR, 0.2, 10.0)
+    assert len(rec.solutions) == waves
+    assert rec.termination == "self-intersection"
+    assert sum(s.iterations for s in rec.solutions) == iterations
+    assert rec.failures == ()
+
+
+@pytest.mark.parametrize(
     "k0, kind, h_step, waves",
-    [(1, ModelKind.LINEAR, 0.05, 40), (1, ModelKind.NONLINEAR, 0.02, 25), (2, ModelKind.LINEAR, 0.05, 40)],
-    ids=["linear-k0-1", "nonlinear-k0-1", "linear-k0-2"],
+    [
+        (1, ModelKind.LINEAR, 0.05, 40),
+        (1, ModelKind.NONLINEAR, 0.02, 25),
+        (2, ModelKind.LINEAR, 0.05, 40),
+        (1, ModelKind.LINEAR, 0.2, 10),
+        (2, ModelKind.LINEAR, 0.2, 9),
+        (3, ModelKind.LINEAR, 0.2, 10),
+    ],
+    ids=["linear-k0-1", "nonlinear-k0-1", "linear-k0-2", "linear-k0-1-coarse", "linear-k0-2-coarse", "linear-k0-3-coarse"],
 )
 def test_every_wave_lands_on_its_target(monkeypatch, k0, kind, h_step, waves):
-    # theta is pinned to the target at one grid index, so a wave that
-    # peaks at another lies above its target unless it is pinned again;
-    # the linear k0 = 2 branch's guess for h = 1.85 peaks one index away
+    # theta is pinned to the target at each iterate's own argmax, so a
+    # converged wave peaks at its pin even where its guess peaks at another
+    # index: the linear k0 = 2 branch's guess for h = 1.85, and about one
+    # guess in three at h_step 0.2
     targets = {}
     solve = solver.quasi_newton_solve
 
@@ -571,11 +603,11 @@ def test_every_wave_lands_on_its_target(monkeypatch, k0, kind, h_step, waves):
         assert abs(sol.amplitude - targets[id(sol)]) <= cfg.tol_residual
 
 
-def test_a_wave_that_peaks_off_its_pin_is_pinned_again():
+def test_a_wave_whose_guess_peaks_one_index_away_lands_at_its_own_crest():
     # the linear k0 = 2 branch's guess for h = 1.85, extrapolated through
     # its waves at 1.65-1.80, peaks one index after the wave, whose two
-    # crest values differ by 1.2e-4: pinned at the guess's peak, the wave
-    # would land at 1.8501186
+    # crest values differ by 1.2e-4: pinned at the guess's peak throughout,
+    # the wave would land at 1.8501186
     cfg = SolveConfig()
     rec = continue_branch(2, ModelKind.LINEAR, 0.05, 1.8, cfg=cfg)
     waves = [(s.amplitude, solver._pack(s)) for s in rec.solutions[-4:]]
@@ -587,7 +619,8 @@ def test_a_wave_that_peaks_off_its_pin_is_pinned_again():
     assert abs(sol.amplitude - 1.85) <= cfg.tol_residual
     assert sol.theta.values[pin] < sol.amplitude - 1e-4
     assert sol.residual_norm <= cfg.tol_residual
-    assert sol.iterations == 4
+    # one solve: the iterates move the pin to the wave's crest on the way
+    assert sol.iterations == 3
 
 
 def test_nonlinear_branch_logs_unresolved_attempts(monkeypatch):
@@ -648,8 +681,9 @@ def test_wall_solve_ends_as_unresolved_without_further_iterations(monkeypatch):
     assert cfg.tol_residual < err.residual_floor == err.residual_history[-1] < 1e-9
     # at the last iterate every solved equation meets the tolerance, and
     # the Nyquist coefficient, a lower bound of the grid residual, does not
-    amp_index = int(np.argmax(guess[0].values))
-    eqs, grid_norm, nyquist, *_ = _square_equations(err.last_iterate, 256, h_next, ModelKind.NONLINEAR, amp_index)
+    p, params = _rebuild(err.last_iterate, 256)
+    amp_index = int(np.argmax(p.values))
+    eqs, grid_norm, nyquist, _ = _square_equations(p, params, h_next, ModelKind.NONLINEAR, amp_index)
     assert np.max(np.abs(eqs)) <= cfg.tol_residual < nyquist <= grid_norm
     assert grid_norm == err.residual_history[-1]
 
