@@ -45,7 +45,7 @@ _EPS_MAX = 0.3
 
 
 def _check_k0(k0):
-    if not isinstance(k0, (int, np.integer)) or k0 < 1:
+    if isinstance(k0, bool) or not isinstance(k0, (int, np.integer)) or k0 < 1:
         raise ValueError(f"k0 must be a positive integer, got {k0!r}")
 
 

@@ -136,6 +136,8 @@ class FailedSolve(NamedTuple):
     the attempt reached after its guess, None when no Newton history
     exists.  An "unresolved" floor lies above the tolerance, held there
     by the residual's Nyquist coefficient, since |c_{nx/2}| <= max|r|.
+    An attempt at a target within tol_residual of an earlier "unresolved"
+    one is not solved: it records that verdict and that attempt's floor.
     """
 
     target_h: float
@@ -456,7 +458,12 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
     extrapolation in h through the last four converged waves (_predict),
     or all of them while fewer exist.  A failed solve
     halves the step (at most 4 halvings over the whole run) and is logged
-    in BranchRecord.failures.  Stops on
+    in BranchRecord.failures.  A target within cfg.tol_residual of one
+    that already failed as "unresolved" is not solved again, since a
+    converged retry reaches the same solution of the square system and so
+    the same verdict: the attempt is logged as "unresolved" with the
+    earlier attempt's residual floor and halves the step all the same.
+    Stops on
     near-self-intersection of the predicted or converged curve (the
     latter is kept as the wave's curve property), on
     crossing the well-posedness threshold alpha = -3 (nonlinear closure),
@@ -496,16 +503,31 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
             termination = "max-amplitude-reached"
             break
         x_guess = _predict(waves, h_next)
+        failure = None
         try:
             p_guess, params_guess = _rebuild(x_guess, cfg.nx)
             if geometry.is_near_self_intersecting(geometry.reconstruct_curve(p_guess)):
                 termination = "self-intersection"
                 break
-            sol_new = quasi_newton_solve(
-                (p_guess, params_guess), h_next, kind, cfg, k0=k0
+            # an unresolved target stays unresolved: any converged retry
+            # reaches the same solution of the square system
+            failure = next(
+                (
+                    f._replace(target_h=h_next)
+                    for f in failures
+                    if f.reason == "unresolved"
+                    and abs(f.target_h - h_next) <= cfg.tol_residual
+                ),
+                None,
             )
+            if failure is None:
+                sol_new = quasi_newton_solve(
+                    (p_guess, params_guess), h_next, kind, cfg, k0=k0
+                )
         except (ConvergenceError, SingularSystemError, DegenerateFrontError) as exc:
-            failures.append(_failed_solve(h_next, exc))
+            failure = _failed_solve(h_next, exc)
+        if failure is not None:
+            failures.append(failure)
             halvings += 1
             if halvings > _MAX_STEP_HALVINGS:
                 termination = "iteration-failure"

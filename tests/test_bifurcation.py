@@ -15,6 +15,7 @@ from flamefront.bifurcation import (
 )
 from flamefront.errors import InvalidGridError
 from flamefront.model import ModelKind
+from flamefront.solver import SolveConfig, continue_branch
 from flamefront.spectral import sine_coeffs
 
 # roots of (alpha - 1) - k0^2 alpha^2 (alpha + 3) in (-4, -3), frozen from a
@@ -39,11 +40,16 @@ def test_linear_bifurcation_values():
 
 
 def test_k0_validation():
-    for bad in (0, -1):
-        with pytest.raises(ValueError):
+    # True is no mode number, though bool subclasses int
+    for bad in (0, -1, True):
+        with pytest.raises(ValueError, match="^k0 must be a positive integer"):
             linear_bifurcation_alpha(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k0 must be a positive integer"):
             nonlinear_bifurcation_alpha(bad)
+    with pytest.raises(ValueError, match="^k0 must be a positive integer"):
+        continue_branch(True, ModelKind.LINEAR, 0.1, 0.2, cfg=SolveConfig(nx=64))
+    assert linear_bifurcation_alpha(np.int64(2)) == 17.0
+    assert nonlinear_bifurcation_alpha(np.int64(2)) == nonlinear_bifurcation_alpha(2)
 
 
 def test_nonlinear_roots_match_oracle():

@@ -625,14 +625,17 @@ def test_a_wave_whose_guess_peaks_one_index_away_lands_at_its_own_crest():
 
 def test_nonlinear_branch_logs_unresolved_attempts(monkeypatch):
     # near alpha = -3 the grid residual levels off just above tol_residual,
-    # held there by the unsolved Nyquist mode; each retry ends as
-    # unresolved once the solved modes are within tolerance, and the
-    # branch ends after 4 step halvings
+    # held there by the unsolved Nyquist mode; the first attempt at
+    # h = 0.44 ends as unresolved once the solved modes are within
+    # tolerance, the four retries there reuse its verdict without a solve,
+    # and the branch ends after 4 step halvings
+    targets = []
     failed_iterations = []
 
-    def logging_solve(*args, **kwargs):
+    def logging_solve(guess, target_h, *args, **kwargs):
+        targets.append(target_h)
         try:
-            return quasi_newton_solve(*args, **kwargs)
+            return quasi_newton_solve(guess, target_h, *args, **kwargs)
         except ConvergenceError as exc:
             failed_iterations.append(len(exc.residual_history) - 1)
             raise
@@ -642,19 +645,57 @@ def test_nonlinear_branch_logs_unresolved_attempts(monkeypatch):
     assert len(rec.solutions) == 25
     assert rec.termination == "iteration-failure"
     assert sum(s.iterations for s in rec.solutions) == 58
+    assert len(targets) == 26
+    assert sum(abs(h - 0.44) < 1e-12 for h in targets) == 1
     assert len(rec.failures) == 5
     for failure in rec.failures:
         assert failure.reason == "unresolved"
-        assert 1e-10 < failure.residual_floor < 1e-9
+        assert failure.residual_floor == rec.failures[0].residual_floor
         assert failure.target_h == pytest.approx(0.44, abs=1e-12)
-    # each attempt stops at its first iterate whose solved equations meet
-    # the tolerance; the stall rule alone would take 7, 6, 6, 5 and 5
-    assert failed_iterations == [4, 3, 2, 2, 2]
+    assert 1.25e-10 < rec.failures[0].residual_floor < 1.251e-10
+    # the one solve stops at its first iterate whose solved equations meet
+    # the tolerance; the stall rule alone would take 7
+    assert failed_iterations == [4]
+
+
+@pytest.mark.parametrize("reason, solves_at_target", [("unresolved", 1), ("stalled", 2)])
+def test_only_an_unresolved_verdict_is_final_for_its_target(monkeypatch, reason, solves_at_target):
+    # the first attempt at h = 0.3 fails; after the halved step to 0.25
+    # the branch comes back to 0.3.  A stalled solve may converge from the
+    # better guess and is solved again; an unresolved one would reach the
+    # same square-system solution, so its verdict and floor are reused
+    # until the step halvings run out
+    targets = []
+    injected = []
+
+    def failing_once_at_0_3(guess, target_h, *args, **kwargs):
+        targets.append(target_h)
+        if abs(target_h - 0.3) < 1e-12 and not injected:
+            injected.append(target_h)
+            raise ConvergenceError("injected", residual_history=[1.0, 2e-10], reason=reason)
+        return quasi_newton_solve(guess, target_h, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "quasi_newton_solve", failing_once_at_0_3)
+    rec = continue_branch(1, ModelKind.LINEAR, 0.1, 0.5, cfg=SolveConfig(nx=64))
+    assert sum(abs(h - 0.3) < 1e-12 for h in targets) == solves_at_target
+    assert rec.failures[0] == FailedSolve(injected[0], reason, 2e-10)
+    if reason == "stalled":
+        assert rec.termination == "max-amplitude-reached"
+        assert rec.amplitudes == pytest.approx([0.1, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5], abs=1e-10)
+        assert len(rec.failures) == 1
+    else:
+        assert rec.termination == "iteration-failure"
+        assert len(rec.failures) == 5
+        for failure in rec.failures:
+            assert failure.reason == "unresolved" and failure.residual_floor == 2e-10
+            assert failure.target_h == pytest.approx(0.3, abs=1e-12)
 
 
 def test_wall_solve_ends_as_unresolved_without_further_iterations(monkeypatch):
     # the branch's fifth attempt: its own predictor through its last four
-    # waves, h = 0.43 to 0.43875, toward h = 0.44
+    # waves, h = 0.43 to 0.43875, toward h = 0.44.  The branch reuses its
+    # first attempt's verdict there; solved from this best guess, the
+    # attempt reaches the same verdict
     cfg = SolveConfig(nx=256)
     predictions = []
     predict = solver._predict
