@@ -61,4 +61,4 @@ from .solver import (
     quasi_newton_solve,
     residual_at_resolution,
 )
-from .spectral import ThetaProfile, deriv, grid, project_odd
+from .spectral import ThetaProfile, deriv, grid

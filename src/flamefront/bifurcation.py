@@ -34,7 +34,6 @@ __all__ = [
     "AsymptoticExpansion",
     "asymptotic_expansion",
     "asymptotic_guess",
-    "check_k0_on_grid",
 ]
 
 # Bracket on which q changes sign for every k0 >= 1:
@@ -53,15 +52,17 @@ def _check_certified_k0(k0):
     """Reject a mode number whose certificate values are not finite floats.
 
     The resultant grows like 108*k0^8, and the Sylvester determinant
-    overflows just above k0 = 1.89e38, so k0 must be at most 1.8e38.  The
-    bound is compared on integers, before any float arithmetic can overflow.
+    overflows just above k0 = 1.89e38, so k0 must be at most 1.8e38; the
+    root's bisection would overflow only above k0 = 3.3e153, where
+    16*k0^2 does.  The bound is compared on integers, before any float
+    arithmetic can overflow.
     """
     _check_k0(k0)
     if int(k0) > 18 * 10**37:
         raise ValueError(f"k0={k0} is too large to certify: k0 must be at most 1.8e38")
 
 
-def check_k0_on_grid(k0, nx):
+def _check_k0_on_grid(k0, nx):
     """Reject a mode number that the nx-point grid cannot carry as a sine mode.
 
     The sine unknowns of an nx-point solve are modes 1..nx/2-1; a larger
@@ -91,13 +92,14 @@ def linear_bifurcation_alpha(k0):
 
 
 def nonlinear_bifurcation_alpha(k0):
-    """Unique real root of the mode-k0 cubic, located in (-4, -3).
+    """Unique real root of the mode-k0 cubic, located in (-4, -3), for
+    k0 <= 1.8e38, the range of its certificate.
 
     Bisection on the fixed bracket down to ~1e-12 width, then Newton
     polish.  The root is simple (the resultant certificate is nonzero) so
     the polish converges quadratically.
     """
-    _check_k0(k0)
+    _check_certified_k0(k0)
     lo, hi = _BRACKET
     q_lo, q_hi = _q(lo, k0), _q(hi, k0)
     if not (q_lo > 0.0 > q_hi):
@@ -223,16 +225,14 @@ class AsymptoticExpansion:
     """Small-amplitude expansion data around a bifurcation point.
 
     theta = eps*sin(k0*sigma) + eps^2*theta2_coeff*sin(2*k0*sigma) + ..,
-    beta = beta0 + eps^2*beta2, alpha = alpha0 + eps*alpha1.  Second-order
-    data is only available for the linear closure at k0 = 1; elsewhere the
-    expansion is leading-order.
+    beta = 1 + eps^2*beta2, alpha = alpha0.  Second-order data is only
+    available for the linear closure at k0 = 1; elsewhere the expansion is
+    leading-order.
     """
 
     k0: int
     kind: ModelKind
     alpha0: float
-    beta0: float = 1.0
-    alpha1: float = 0.0
     theta2_coeff: float = 0.0
     beta2: float = 0.0
 
@@ -266,15 +266,15 @@ def asymptotic_guess(k0, eps, kind, nx=256):
     if not 0.0 < eps <= _EPS_MAX:
         raise ValueError(f"eps must be in (0, {_EPS_MAX}], got {eps!r}")
     sigma = spectral.grid(nx)
-    check_k0_on_grid(k0, nx)
+    _check_k0_on_grid(k0, nx)
     ex = asymptotic_expansion(k0, kind)
     values = eps * np.sin(ex.k0 * sigma)
     if ex.theta2_coeff != 0.0:
         values = values + eps**2 * ex.theta2_coeff * np.sin(2.0 * ex.k0 * sigma)
     p = spectral.ThetaProfile.from_values(values)
     params = WaveParams(
-        alpha=ex.alpha0 + eps * ex.alpha1,
-        beta=ex.beta0 + eps**2 * ex.beta2,
+        alpha=ex.alpha0,
+        beta=1.0 + eps**2 * ex.beta2,
         length=length_from_theta(p),
     )
     return p, params

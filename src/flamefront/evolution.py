@@ -48,8 +48,8 @@ theta lives on the half grid j = 0..nx/2, where theta_s, theta_sss and
 the flux are even and V odd.  On small grids a numpy FFT call costs
 several times its arithmetic, so each odd map is one dense matrix about
 a quarter the size of a general one, tabulated from the general FFT
-expressions (_odd_maps), up to the one crossover (_ODD_MAX_NX, with its
-timings): at nx 64 and 256 such a step makes no FFT call.  The data
+expressions (_odd_maps), up to the one crossover (_ODD_MAX_NX): at nx
+64 and 256 such a step makes no FFT call.  The data
 choose the coordinates at the start of each run (_step_maps), and the
 run keeps them: one whose cosine content decays below the bound stays on
 the general maps, and a run started from its end steps on the odd ones.
@@ -106,22 +106,9 @@ full half spectrum and the full-grid values, on the general maps a copy
 of the grid values out of the work array, and the two frozen
 dataclasses without their __init__ (_built).  The probe copies each
 step's grid values into a block and takes d(t) a block at a time
-(stability_probe).  One step in us, the fastest of 25 interleaved runs
-of 2000 steps, one BLAS thread, 2-core Xeon VM (single runs move by
-some 10%):
-
-    step                                 nx 64   nx 256
-    bare (evolve), L changing each step    8.8     19.7
-    bare (evolve), L keeping its bits      6.4
-    observed (no-op observer)             11.9     23.4
-    probed (stability_probe)               7.8     21.1
-
-At nx 64 the bare and observed rows are of odd random content in modes
-1..4 at alpha 17, dt 1e-5, and the probed row is the flat front's probe
-at alpha 17, dt 1e-4, whose L keeps its bits over these steps; at nx 256
-all three are of the k0 = 2 wave's probe at h = 0.05.  Building the
-observed state is most of the 3.1 us an observer costs at nx 64; the
-probe's record costs about 1.4 us a step.
+(stability_probe).  The cost of a bare, an observed and a probed step
+at nx 64 and 256 is measured in CHANGES.md, in the entry "Per-L step
+tables and a block-wise probe record".
 """
 
 from __future__ import annotations
@@ -163,12 +150,11 @@ _SHIFT = np.array([0, 0, 2, 2])
 _GROWTH_WINDOW_DECADES = 2.0
 
 # Steps whose grid values the probe holds before it takes their d(t) in
-# three numpy calls (stability_probe).  A probed step in us, the fastest of
-# 25 runs of 2000 steps, one BLAS thread, 2-core Xeon VM, for blocks of
-# 8 / 16 / 32 / 64 rows: 8.1 / 7.9 / 7.8 / 7.6 on the flat front at nx 64
-# and 21.8 / 21.5 / 21.1 / 21.3 on the k0 = 2 wave at nx 256, against
-# 11.9 and 23.0 with d(t) taken on every step.  At nx 256 the block holds
-# 33 KB, and the run goes at most 31 steps past the window's end.
+# three numpy calls (stability_probe).  Of blocks of 8 to 64 rows, 32 was
+# within 3% of the fastest probed step at nx 64 and 256, and every block
+# was faster than d(t) taken on every step; it holds 33 KB at nx 256, and
+# the run goes at most 31 steps past the window's end.  The measurement is in CHANGES.md,
+# in the entry "Per-L step tables and a block-wise probe record".
 _PROBE_BLOCK = 32
 
 # Growth slower than exp(1e-3 t) is indistinguishable from neutral over
@@ -372,30 +358,10 @@ class _OddMaps:
 # Largest grid on which a state odd to rounding steps in odd coordinates;
 # above it, it takes the general path.  This is the step's only crossover:
 # the odd maps are dense, so their arithmetic grows like nx^2 against the
-# general path's FFTs.  One step of an exactly odd state at alpha 17,
-# dt 1e-5, in us: the fastest of 21 runs of 1000 steps, one BLAS thread,
-# 2-core Xeon VM, median of three such measurements, general path (FFTs
-# on the complex half spectrum) / odd path:
-#
-#     nx     step
-#     64     35.1 / 9.5
-#     128    38.3 / 11.9
-#     256    42.2 / 20.0
-#     320    46.6 / 28.5
-#     384    46.9 / 36.6
-#     416    50.1 / 43.9
-#     512    51.1 / 89.4
-#
-# Single measurements move by up to 2x on that VM.  The odd path won at
-# 320 in all three measurements and in a second table of three (43.0 /
-# 25.8).  At 384 and 416 it also won all three, and the second table read
-# 44.5 / 34.8 and 47.4 / 40.2, so these numbers argue for a crossover at
-# 384 or above.  A move changes the rounding of every run on the grids it
-# adds, which would then step on the odd maps, so it is left to a change
-# of its own.  This table predates the loop's bound products, 0-d operands
-# and per-L tables: the module docstring's table, measured after them,
-# gives a bare odd step at nx 64 as 8.8 us against the 9.5 here, and the
-# general path and the crossover have not been measured again since.
+# general path's FFTs.  The odd step measured faster at every grid up to
+# 320, and mostly at 384 and 416 too, but a move changes the rounding of
+# every run on the grids it adds, so it is left to a change of its own.  The timings are in CHANGES.md, in the entry "Only what a
+# caller uses".
 _ODD_MAX_NX = 320
 
 

@@ -204,7 +204,12 @@ def dispersion_linear(alpha, k):
 
 
 def unstable_modes(alpha):
-    """Positive integer modes with lambda(k) > 0, i.e. 0 < k < sqrt(alpha-1)/2."""
+    """Positive integer modes with lambda(k) > 0, i.e. 0 < k < sqrt(alpha-1)/2.
+
+    Raises ValueError for an alpha that is not finite.
+    """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     if alpha <= 1.0:
         return []
     k_max = int(math.floor(math.sqrt(alpha - 1.0) / 2.0)) + 1

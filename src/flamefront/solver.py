@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 _PIVOT_FLOOR = 1e-14
+# The grid residual and the amplitude pin of a converged wave both meet it.
+_TOL_RESIDUAL = 1e-10
 _MAX_STEP_HALVINGS = 4
 _ALPHA_WELL_POSED = -3.0
 # The latest converged waves that the branch predictor extrapolates
@@ -89,16 +91,14 @@ Termination = Literal[
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Discretization and iteration budget of one Newton solve."""
+    """Discretization and iteration budget of one Newton solve; the
+    residual tolerance is the fixed 1e-10."""
 
     nx: int = 256
-    tol_residual: float = 1e-10
     max_iters: int = 50
 
     def __post_init__(self):
         spectral.grid(self.nx)
-        if not (np.isfinite(self.tol_residual) and self.tol_residual > 0.0):
-            raise ValueError(f"tol_residual must be positive and finite, got {self.tol_residual!r}")
         # a bool is an int, but True as a budget of one is a slip
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
@@ -136,8 +136,9 @@ class FailedSolve(NamedTuple):
     the attempt reached after its guess, None when no Newton history
     exists.  An "unresolved" floor lies above the tolerance, held there
     by the residual's Nyquist coefficient, since |c_{nx/2}| <= max|r|.
-    An attempt at a target within tol_residual of an earlier "unresolved"
-    one is not solved: it records that verdict and that attempt's floor.
+    An attempt at a target within the fixed tolerance 1e-10 of an earlier
+    "unresolved" one is not solved: it records that verdict and that
+    attempt's floor.
     """
 
     target_h: float
@@ -155,10 +156,6 @@ class BranchRecord:
     solutions: tuple
     termination: Termination
     failures: tuple = ()
-
-    @property
-    def amplitudes(self):
-        return np.array([s.amplitude for s in self.solutions])
 
 
 def _rebuild(x, nx):
@@ -321,16 +318,16 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
     its sine content is used.  Each iterate is pinned, theta = target_h,
     at its own argmax index, and the Jacobian's pin row at the same index,
     so a converged wave is pinned at its crest: its amplitude, the grid
-    max, meets target_h to cfg.tol_residual.  k0 is the mode number of
-    the branch, recorded on the WaveSolution.
+    max, meets target_h to the fixed tolerance 1e-10.  k0 is the mode
+    number of the branch, recorded on the WaveSolution.
 
     Each pass rebuilds the iterate, the guess first, evaluates its
     equations and then leaves by the first of five exits that applies:
     "non-finite" once the residual overflows; converged, returning the
-    WaveSolution, once the grid residual and the pin both meet
-    cfg.tol_residual; "unresolved" once every square equation meets
-    cfg.tol_residual but the residual's unsolved Nyquist coefficient does
-    not, which no Newton step can mend, as |c_{nx/2}| <= max|r| bounds the
+    WaveSolution, once the grid residual and the pin both meet the
+    tolerance; "unresolved" once every square equation meets the
+    tolerance but the residual's unsolved Nyquist coefficient does not,
+    which no Newton step can mend, as |c_{nx/2}| <= max|r| bounds the
     grid residual from below; "max-iters" after cfg.max_iters Newton
     steps; and "stalled" once none of the last 3 grid residuals is below
     half the best one before them, the guess's own left out.  Otherwise it
@@ -352,7 +349,7 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
     x = np.concatenate(
         [spectral.sine_coeffs(p0), [params0.beta, params0.alpha]]
     )
-    tol = cfg.tol_residual
+    tol = _TOL_RESIDUAL
     history = []
     for iterations in range(cfg.max_iters + 1):
         p, params = _rebuild(x, nx)
@@ -395,8 +392,9 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
     )
 
 
-def flat_solution(alpha, nx=256, kind=ModelKind.LINEAR):
-    """The flat front as an exactly converged WaveSolution (beta = 1, L = 2*pi).
+def flat_solution(alpha, nx=256):
+    """The flat front of the linear closure as an exactly converged
+    WaveSolution (beta = 1, L = 2*pi).
 
     Raises InvalidGridError for an nx that is not an even integer >= 8.
     """
@@ -410,7 +408,7 @@ def flat_solution(alpha, nx=256, kind=ModelKind.LINEAR):
         amplitude=0.0,
         residual_norm=0.0,
         k0=1,
-        kind=kind,
+        kind=ModelKind.LINEAR,
         iterations=0,
     )
 
@@ -456,18 +454,18 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
     in (0, 0.3], the guess's range; then increments the amplitude target
     by the current step, predicting each new iterate by Lagrange
     extrapolation in h through the last four converged waves (_predict),
-    or all of them while fewer exist.  A failed solve
-    halves the step (at most 4 halvings over the whole run) and is logged
-    in BranchRecord.failures.  A target within cfg.tol_residual of one
-    that already failed as "unresolved" is not solved again, since a
-    converged retry reaches the same solution of the square system and so
-    the same verdict: the attempt is logged as "unresolved" with the
-    earlier attempt's residual floor and halves the step all the same.
-    Stops on
-    near-self-intersection of the predicted or converged curve (the
-    latter is kept as the wave's curve property), on
-    crossing the well-posedness threshold alpha = -3 (nonlinear closure),
-    on step exhaustion, or once target_h would exceed h_max.
+    or all of them while fewer exist.  A failed solve halves the step (at
+    most 4 halvings over the whole run, one per logged failure) and is
+    logged in BranchRecord.failures.  A target within the fixed tolerance
+    1e-10 of one that already failed as "unresolved" is not solved again,
+    since a converged retry reaches the same solution of the square system
+    and so the same verdict: the attempt is logged as "unresolved" with
+    the earlier attempt's residual floor and halves the step all the same.
+    Stops on near-self-intersection of the first wave, of a predicted
+    curve or of a converged one (the latter is kept as the wave's curve
+    property), on crossing the well-posedness threshold alpha = -3
+    (nonlinear closure), on step exhaustion, or once target_h would exceed
+    h_max.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -489,14 +487,10 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
         ) from exc
 
     solutions = [sol]
-    if geometry.is_near_self_intersecting(sol.curve):
-        return BranchRecord(kind, int(k0), tuple(solutions), "self-intersection")
-
     failures = []
     step = float(h_step)
-    halvings = 0
+    termination = "self-intersection" if geometry.is_near_self_intersecting(sol.curve) else None
     waves = deque([(float(h_step), _pack(sol))], maxlen=_PREDICTOR_WAVES)
-    termination = None
     while termination is None:
         h_next = waves[-1][0] + step
         if h_next > h_max * (1.0 + 1e-12):
@@ -516,7 +510,7 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
                     f._replace(target_h=h_next)
                     for f in failures
                     if f.reason == "unresolved"
-                    and abs(f.target_h - h_next) <= cfg.tol_residual
+                    and abs(f.target_h - h_next) <= _TOL_RESIDUAL
                 ),
                 None,
             )
@@ -528,8 +522,7 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
             failure = _failed_solve(h_next, exc)
         if failure is not None:
             failures.append(failure)
-            halvings += 1
-            if halvings > _MAX_STEP_HALVINGS:
+            if len(failures) > _MAX_STEP_HALVINGS:
                 termination = "iteration-failure"
                 break
             step *= 0.5

@@ -26,7 +26,6 @@ __all__ = [
     "grid",
     "ThetaProfile",
     "deriv",
-    "project_odd",
     "antiderivative",
     "sine_coeffs",
     "cosine_coeffs",
@@ -96,9 +95,6 @@ class ThetaProfile:
         _check_nx(nx)
         return cls(nx=nx, values=np.fft.irfft(coeffs, n=nx, norm="forward"), coeffs=coeffs)
 
-    def mean(self):
-        return float(self.coeffs[0].real)
-
 
 def deriv(p, order):
     """Spectral derivative d^order/dsigma^order of a profile.
@@ -106,19 +102,10 @@ def deriv(p, order):
     The multiplier is (i n)^order; for odd orders the Nyquist mode is
     zeroed because its derivative is a pure sine invisible on the grid.
     """
-    if order not in (1, 2, 3, 4):
+    # True == 1 and 1.0 == 1, but neither is an order
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order not in (1, 2, 3, 4):
         raise ValueError(f"derivative order must be 1..4, got {order!r}")
     return ThetaProfile.from_coeffs(p.coeffs * _powers(p.nx)[order])
-
-
-def project_odd(p):
-    """Odd-parity part (theta(sigma) - theta(-sigma))/2, i.e. the sine series.
-
-    On the half spectrum it keeps only the imaginary parts.  The mean and
-    all cosine content vanish, and so does the Nyquist mode, which is even
-    on the grid.
-    """
-    return ThetaProfile.from_coeffs(1j * p.coeffs.imag)
 
 
 def antiderivative(p):

@@ -28,7 +28,7 @@ def nonlinear_wave_small():
 @pytest.fixture(scope="session")
 def fast_config():
     # loose-but-valid settings for tests that only need a converged state
-    return SolveConfig(nx=64, tol_residual=1e-10, max_iters=50)
+    return SolveConfig(nx=64, max_iters=50)
 
 
 @pytest.fixture(scope="session")

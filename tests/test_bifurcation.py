@@ -163,8 +163,6 @@ def test_root_certificate_holds():
 def test_expansion_linear_k0_1():
     ex = asymptotic_expansion(1, ModelKind.LINEAR)
     assert ex.alpha0 == 5.0
-    assert ex.beta0 == 1.0
-    assert ex.alpha1 == 0.0
     assert ex.theta2_coeff == pytest.approx(-1.0 / 96.0, rel=1e-15)
     assert ex.beta2 == pytest.approx(0.25, rel=1e-15)
 
@@ -172,7 +170,6 @@ def test_expansion_linear_k0_1():
 def test_expansion_other_branches_leading_order():
     for k0, kind in ((2, ModelKind.LINEAR), (1, ModelKind.NONLINEAR)):
         ex = asymptotic_expansion(k0, kind)
-        assert ex.beta0 == 1.0
         assert ex.theta2_coeff == 0.0
         assert ex.beta2 == 0.0
 
@@ -222,7 +219,13 @@ def test_certificate_refuses_k0_beyond_the_float_range():
         cert = root_certificate(10**38)
         assert cert.holds()
         assert np.isfinite([cert.discriminant, cert.resultant]).all()
-        for k0 in (10**39, 10**160):
-            for certify in (root_certificate, cubic_discriminant, transversality_resultant):
+        # the root itself: nan at 10**154 and an OverflowError at 10**155,
+        # where k0**2 overflows, had the bound not been checked first
+        assert nonlinear_bifurcation_alpha(10**38) == cert.alpha0
+        assert asymptotic_expansion(10**38, ModelKind.NONLINEAR).alpha0 == cert.alpha0
+        for k0 in (10**39, 10**154, 10**155, 10**160):
+            for certify in (root_certificate, cubic_discriminant, transversality_resultant, nonlinear_bifurcation_alpha):
                 with pytest.raises(ValueError, match=f"k0={k0} is too large to certify"):
                     certify(k0)
+            with pytest.raises(ValueError, match=f"k0={k0} is too large to certify"):
+                asymptotic_expansion(k0, ModelKind.NONLINEAR)

@@ -316,7 +316,7 @@ def test_a_huge_t_max_stops_at_the_usual_window():
 
 def test_probe_rejects_nonlinear_wave():
     with pytest.raises(UnsupportedModelError):
-        stability_probe(flat_solution(-3.3, nx=64, kind=ModelKind.NONLINEAR))
+        stability_probe(dataclasses.replace(flat_solution(-3.3, nx=64), kind=ModelKind.NONLINEAR))
 
 
 def test_probe_no_aliasing(flat17_probe):

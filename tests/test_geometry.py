@@ -145,7 +145,7 @@ def integrate_one_component(values, anchor_zero_mean):
     p = ThetaProfile.from_values(values)
     sigma = np.append(grid(p.nx), 2.0 * np.pi)
     osc = antiderivative(p).values
-    out = p.mean() * sigma + np.append(osc, osc[0])
+    out = p.coeffs[0].real * sigma + np.append(osc, osc[0])
     return out - (np.mean(out[:-1]) if anchor_zero_mean else out[0])
 
 

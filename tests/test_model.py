@@ -224,3 +224,7 @@ def test_unstable_modes_census():
     assert unstable_modes(17.0) == [1]
     assert unstable_modes(37.0) == [1, 2]
     assert unstable_modes(1.0) == []
+    # inf raised OverflowError and nan "cannot convert float NaN to integer"
+    for alpha in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="^alpha must be finite"):
+            unstable_modes(alpha)

@@ -9,7 +9,6 @@ from flamefront.spectral import (
     deriv,
     from_sine_coeffs,
     grid,
-    project_odd,
     resample,
     sine_coeffs,
 )
@@ -60,12 +59,6 @@ def test_parseval(rng):
     np.testing.assert_allclose(spec_power, grid_power, rtol=1e-12)
 
 
-def test_mean():
-    sigma = grid(32)
-    p = ThetaProfile.from_values(3.5 + np.sin(sigma))
-    assert abs(p.mean() - 3.5) < 1e-14
-
-
 def test_deriv_exact_on_single_mode():
     sigma = grid(64)
     p = ThetaProfile.from_values(np.sin(3.0 * sigma))
@@ -95,6 +88,10 @@ def test_deriv_rejects_bad_order(rng):
         deriv(p, 0)
     with pytest.raises(ValueError):
         deriv(p, 5)
+    # a bool is an int, and True == 1: it would pass as the first derivative
+    for order in (True, np.True_, 1.0):
+        with pytest.raises(ValueError, match="^derivative order must be 1..4"):
+            deriv(p, order)
 
 
 def test_odd_derivative_zeroes_nyquist():
@@ -108,32 +105,13 @@ def test_odd_derivative_zeroes_nyquist():
     assert np.max(np.abs(deriv(p, 2).values)) > 1.0
 
 
-def test_project_odd_splits_parity():
-    sigma = grid(64)
-    odd = 0.3 * np.sin(sigma) + 0.1 * np.sin(5 * sigma)
-    even = 0.2 + 0.4 * np.cos(2 * sigma)
-    p = ThetaProfile.from_values(odd + even)
-    q = project_odd(p)
-    np.testing.assert_allclose(q.values, odd, rtol=0, atol=1e-13)
-    assert np.all(q.coeffs.real == 0.0)
-    # idempotent
-    np.testing.assert_allclose(project_odd(q).values, q.values, rtol=0, atol=1e-14)
-
-
-def test_project_odd_removes_nyquist():
-    nx = 32
-    sigma = grid(nx)
-    p = ThetaProfile.from_values(np.cos((nx // 2) * sigma))
-    assert np.max(np.abs(project_odd(p).values)) < 1e-14
-
-
 def test_antiderivative_inverts_deriv():
     sigma = grid(64)
     p = ThetaProfile.from_values(np.cos(4 * sigma))
     a = antiderivative(p)
     np.testing.assert_allclose(a.values, 0.25 * np.sin(4 * sigma), rtol=0, atol=1e-13)
     # mean of the result is zero by convention
-    assert abs(a.mean()) < 1e-15
+    assert abs(a.coeffs[0].real) < 1e-15
 
 
 def test_sine_coeff_extraction_round_trip(rng):
