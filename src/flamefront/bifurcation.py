@@ -7,7 +7,10 @@ the real root of the cubic
     q(alpha) = -k0^2*alpha^3 - 3*k0^2*alpha^2 + alpha - 1
              = (alpha - 1) - k0^2*alpha^2*(alpha + 3),
 
-which lies in (-4, -3) for every k0 >= 1.  Uniqueness of that real root is
+which lies in (-4, -3) for every k0 >= 1, at -3 - 4/(9*k0^2) to leading
+order for large k0.  In floating point that root rounds to -3.0 exactly
+from about k0 = 4.5e7 on, where 4/(9*k0^2) falls below half an ulp of 3
+(-3.0000000000000013 at k0 = 2e7).  Uniqueness of that real root is
 certified by the sign of the cubic discriminant, and transversality by the
 resultant of q with p(alpha) = 3*k0^2*alpha^2 + 6*k0^2*alpha - 1, computed
 both in closed form and as the 5x5 Sylvester determinant.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import InternalConsistencyError, RootBracketError
+from .errors import InternalConsistencyError, RootBracketError, _integer
 from .model import ModelKind, WaveParams, length_from_theta
 
 __all__ = [
@@ -37,15 +40,12 @@ __all__ = [
 ]
 
 # Bracket on which q changes sign for every k0 >= 1:
-# q(-4) = 16*k0^2 - 5 > 0 and q(-3) = -4 < 0.
+# q(-4) = 16*k0^2 - 5 > 0 and q(-3) = -4 < 0.  Its top is -3 + 1e-9, not
+# -3: from about k0 = 4.5e7 on the computed root is -3.0 exactly (module
+# docstring), and the certificate's open bracket must still hold it.
 _BRACKET = (-4.0, -3.0 + 1e-9)
 
 _EPS_MAX = 0.3
-
-
-def _check_k0(k0):
-    if isinstance(k0, bool) or not isinstance(k0, (int, np.integer)) or k0 < 1:
-        raise ValueError(f"k0 must be a positive integer, got {k0!r}")
 
 
 def _check_certified_k0(k0):
@@ -57,8 +57,7 @@ def _check_certified_k0(k0):
     16*k0^2 does.  The bound is compared on integers, before any float
     arithmetic can overflow.
     """
-    _check_k0(k0)
-    if int(k0) > 18 * 10**37:
+    if _integer("k0", k0, 1) > 18 * 10**37:
         raise ValueError(f"k0={k0} is too large to certify: k0 must be at most 1.8e38")
 
 
@@ -68,8 +67,7 @@ def _check_k0_on_grid(k0, nx):
     The sine unknowns of an nx-point solve are modes 1..nx/2-1; a larger
     k0 is the Nyquist mode or aliases onto a lower one.
     """
-    _check_k0(k0)
-    if k0 > nx // 2 - 1:
+    if _integer("k0", k0, 1) > nx // 2 - 1:
         raise ValueError(
             f"k0={k0} is not resolved on an nx={nx} grid: k0 must be at most nx/2 - 1 = {nx // 2 - 1}"
         )
@@ -86,14 +84,20 @@ def _q_prime(alpha, k0):
 
 
 def linear_bifurcation_alpha(k0):
-    """Flat-state bifurcation point 4*k0^2 + 1 of the linear closure."""
-    _check_k0(k0)
-    return 4 * int(k0) ** 2 + 1
+    """Flat-state bifurcation point 4*k0^2 + 1 of the linear closure.
+
+    Raises ValueError for a k0 that is not an integer >= 1 (a bool, though
+    an int, is no mode number).
+    """
+    return 4 * _integer("k0", k0, 1) ** 2 + 1
 
 
 def nonlinear_bifurcation_alpha(k0):
     """Unique real root of the mode-k0 cubic, located in (-4, -3), for
-    k0 <= 1.8e38, the range of its certificate.
+    k0 <= 1.8e38, the range of its certificate.  The float returned lies
+    in the open (-4, -3) up to about k0 = 4.5e7 and is -3.0 exactly above
+    it, where the root, -3 - 4/(9*k0^2) to leading order, is within half
+    an ulp of -3 (-3.0000000000000013 at k0 = 2e7).
 
     Bisection on the fixed bracket down to ~1e-12 width, then Newton
     polish.  The root is simple (the resultant certificate is nonzero) so
@@ -144,8 +148,7 @@ def cubic_discriminant(k0):
 
 def sylvester_matrix(k0):
     """5x5 Sylvester matrix of (q, p) for mode k0, coefficients in descending order."""
-    _check_k0(k0)
-    k2 = float(k0) ** 2
+    k2 = float(_integer("k0", k0, 1)) ** 2
     return np.array(
         [
             [-k2, -3.0 * k2, 1.0, -1.0, 0.0],
@@ -239,7 +242,7 @@ class AsymptoticExpansion:
 
 def asymptotic_expansion(k0, kind):
     """Expansion coefficients for branch (k0, kind)."""
-    _check_k0(k0)
+    _integer("k0", k0, 1)
     if kind is ModelKind.LINEAR:
         if k0 == 1:
             # second-order solvability: theta2 = -(1/96) sin 2s, beta2 = 1/4

@@ -35,7 +35,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bifurcation, evolution, solver, spectral
-from .errors import ContractViolationError, DegenerateFrontError, FlameFrontError, InvalidGridError, UnsupportedModelError
+from .errors import (
+    ContractViolationError,
+    DegenerateFrontError,
+    FlameFrontError,
+    InvalidGridError,
+    UnsupportedModelError,
+    _finite_real,
+    _integer,
+)
 from .model import ModelKind, WaveParams, length_from_theta, residual
 
 __all__ = ["main"]
@@ -231,48 +239,18 @@ def cmd_branch(args):
 
 
 def _finite_entry(path, data, key, default):
-    value = data.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"wave file {path} has a non-numeric {key!r} entry: {value!r}") from None
-    except OverflowError:
-        # a JSON integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"wave file {path} has a non-finite {key!r} entry: {value!r}")
-    # float() also takes true/false and numeric strings, which a wave
-    # file written by this program never holds
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"wave file {path} has a {key!r} entry that is not a JSON number: {value!r}")
-    return number
+    return _finite_real(f"wave file {path}: {key!r}", data.get(key, default))
 
 
 def _positive_int_entry(path, data, key, default):
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"wave file {path} has a {key!r} entry that is not a positive integer: {value!r}")
-    return value
+    return _integer(f"wave file {path}: {key!r}", data.get(key, default), 1)
 
 
 def _theta_entry(path, data):
     value = data["theta"]
     if not isinstance(value, list):
         raise ValueError(f"wave file {path} has a 'theta' entry that is not a JSON array: {value!r}")
-    numbers = []
-    for i, item in enumerate(value):
-        # np.asarray(..., dtype=float) would also take true/false and
-        # numeric strings
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ValueError(f"wave file {path} has a 'theta' entry whose element {i} is not a JSON number: {item!r}")
-        try:
-            number = float(item)
-        except OverflowError:
-            number = math.inf
-        if not math.isfinite(number):
-            raise ValueError(f"wave file {path} has a 'theta' entry whose values must be finite: element {i} is {item!r}")
-        numbers.append(number)
-    return np.array(numbers)
+    return np.array([_finite_real(f"wave file {path}: 'theta'[{i}]", item) for i, item in enumerate(value)])
 
 
 def _wave_from_file(path):

@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule for numeric
+arguments that every module applies."""
 
 from __future__ import annotations
+
+import math
+import operator
 
 __all__ = [
     "FlameFrontError",
@@ -85,3 +89,40 @@ class BlowUpError(FlameFrontError):
     def __init__(self, message, time=None):
         super().__init__(message)
         self.time = time
+
+
+def _finite_real(name, value, bound=None, error=ValueError):
+    """value as a finite Python float, or error (a ValueError) naming name
+    and value.
+
+    bound "positive" also refuses value <= 0, "nonnegative" value < 0.  A
+    bool, str or bytes is refused although float() takes it, and an int
+    beyond the float range counts as infinite.
+    """
+    try:
+        number = math.nan if isinstance(value, (bool, str, bytes)) else float(value)
+    except OverflowError:
+        # an int beyond the float range
+        number = math.inf
+    except (TypeError, ValueError):
+        number = math.nan
+    if (
+        not math.isfinite(number)
+        or (bound == "positive" and number <= 0.0)
+        or (bound == "nonnegative" and number < 0.0)
+    ):
+        raise error(f"{name} must be {bound + ' and ' if bound else ''}finite, got {value!r}")
+    return number
+
+
+def _integer(name, value, minimum):
+    """value as a Python int at least minimum, or ValueError naming name
+    and value.  An int, numpy integer or integer 0-d array passes; a bool
+    is refused although it is an int, and so is a float of integer value."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return number

@@ -120,7 +120,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import BlowUpError, UnsupportedModelError
+from .errors import BlowUpError, UnsupportedModelError, _finite_real, _integer
 from .model import ModelKind, length_from_theta
 
 __all__ = [
@@ -181,19 +181,21 @@ class EvolutionState:
 
 @dataclass(frozen=True)
 class StabilityProbeConfig:
-    """Perturbation size and integration window of a stability probe."""
+    """Perturbation size and integration window of a stability probe.
+
+    Each of delta, dt and t_max must be a positive finite real (a bool or
+    str is none, an int beyond the float range is infinite), and t_max/dt
+    a finite number of steps, at least one; else ValueError.
+    """
 
     delta: float = 1e-8
     dt: float = 1e-4
     t_max: float = 1.0
 
     def __post_init__(self):
-        for name in ("delta", "dt", "t_max"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        steps = self.t_max / self.dt
-        if not np.isfinite(steps):
+        _, dt, t_max = (_finite_real(name, getattr(self, name), "positive") for name in ("delta", "dt", "t_max"))
+        steps = t_max / dt
+        if steps == np.inf:
             raise ValueError(f"t_max {self.t_max!r} over dt {self.dt!r} is too many steps to count")
         if round(steps) < 1:
             raise ValueError(f"t_max {self.t_max!r} is shorter than one step of dt {self.dt!r}")
@@ -456,15 +458,15 @@ def _stiffness(length):
 
 def _checked(state, alpha):
     """alpha and a state's L as Python floats and L's q (_stiffness), or
-    ValueError naming an alpha that is not finite or an L that has no q:
-    the checks theta_rhs and every run make before any arithmetic."""
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    ValueError naming an alpha that is not a finite real (_finite_real) or
+    an L that has no q: the checks theta_rhs and every run make before
+    any arithmetic."""
+    alpha = _finite_real("alpha", alpha)
     length = float(state.length)
     q = _stiffness(length)
     if q is None:
         raise ValueError(f"L must be positive and finite with 4*(2*pi/L)^4 finite and nonzero, got {state.length!r}")
-    return float(alpha), length, q
+    return alpha, length, q
 
 
 def _built(cls, fields):
@@ -540,9 +542,10 @@ def _explicit(c, length, bound, out=None):
 def theta_rhs(state, alpha):
     """Right-hand sides (theta_t values, L_t) of the evolution system.
 
-    Raises ValueError for an alpha that is not finite, and for an L that
-    is not positive and finite or whose 4*(2*pi/L)^4 is not finite and
-    nonzero (_stiffness).
+    Raises ValueError for an alpha that is not a finite real (a bool or
+    str is none, an int beyond the float range is infinite), and for an L
+    that is not positive and finite or whose 4*(2*pi/L)^4 is not finite
+    and nonzero (_stiffness).
     """
     alpha, length, q = _checked(state, alpha)
     maps = _step_maps(state.theta)
@@ -609,8 +612,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     warnings off: a step that overflows leaves a theta that is not finite,
     which the blow-up check refuses.
     """
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    _finite_real("dt", dt, "positive")
     # Python floats throughout: no numpy scalar arithmetic in the loop
     alpha, length, q = _checked(state, alpha)
     _check_blowup(state.theta.values, state.time)
@@ -688,8 +690,9 @@ def imex_step(state, alpha, dt):
     frozen at the current value; the remainder and the length equation are
     explicit.  A state carries no history, so the step is first-order IMEX
     Euler; SBDF2 steps follow only within one evolve run.  Raises
-    ValueError for a dt that is not positive and finite or an alpha that
-    is not finite, and BlowUpError once max|theta| exceeds 1e3.
+    ValueError for a dt that is not a positive finite real or an alpha
+    that is not a finite real (theta_rhs), and BlowUpError once
+    max|theta| exceeds 1e3.
     """
     return _march(state, alpha, dt, 1)
 
@@ -706,14 +709,11 @@ def evolve(state, alpha, dt, n_steps, observer=None):
     observed step costs about 11.9 us against 8.8 us for a bare one
     (module docstring).
 
-    Raises ValueError for an n_steps that is negative or not an integer.
+    Raises ValueError for an n_steps that is negative or not an integer
+    (a bool, though an int, is no count), and as imex_step does for dt and
+    alpha.
     """
-    # a bool is an int, but True as a run of one step is a slip
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be non-negative, got {n_steps!r}")
-    return _march(state, alpha, dt, n_steps, observer)
+    return _march(state, alpha, dt, _integer("n_steps", n_steps, 0), observer)
 
 
 def _fit_loglinear(times, norms):

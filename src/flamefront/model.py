@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import ContractViolationError, DegenerateFrontError
+from .errors import ContractViolationError, DegenerateFrontError, _finite_real
 
 __all__ = [
     "ModelKind",
@@ -50,15 +50,18 @@ class ModelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class WaveParams:
-    """Wave speed beta, model parameter alpha, and front length per period."""
+    """Wave speed beta, model parameter alpha, and front length per period.
+
+    length must be a positive finite real (a bool or str is none, an int
+    beyond the float range is infinite), else ContractViolationError.
+    """
 
     alpha: float
     beta: float
     length: float
 
     def __post_init__(self):
-        if not (self.length > 0.0 and math.isfinite(self.length)):
-            raise ContractViolationError(f"length must be positive, got {self.length!r}")
+        _finite_real("length", self.length, "positive", ContractViolationError)
 
 
 @dataclass(frozen=True)
@@ -206,10 +209,10 @@ def dispersion_linear(alpha, k):
 def unstable_modes(alpha):
     """Positive integer modes with lambda(k) > 0, i.e. 0 < k < sqrt(alpha-1)/2.
 
-    Raises ValueError for an alpha that is not finite.
+    Raises ValueError for an alpha that is not a finite real (a bool or
+    str is none, an int beyond the float range is infinite).
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    alpha = _finite_real("alpha", alpha)
     if alpha <= 1.0:
         return []
     k_max = int(math.floor(math.sqrt(alpha - 1.0) / 2.0)) + 1

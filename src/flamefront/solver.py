@@ -42,6 +42,8 @@ from .errors import (
     ConvergenceError,
     DegenerateFrontError,
     SingularSystemError,
+    _finite_real,
+    _integer,
 )
 from .model import (
     ModelKind,
@@ -92,18 +94,18 @@ Termination = Literal[
 @dataclass(frozen=True)
 class SolveConfig:
     """Discretization and iteration budget of one Newton solve; the
-    residual tolerance is the fixed 1e-10."""
+    residual tolerance is the fixed 1e-10.
+
+    nx must be an even integer >= 8 (InvalidGridError) and max_iters an
+    integer >= 1 (ValueError; a bool, though an int, is no budget).
+    """
 
     nx: int = 256
     max_iters: int = 50
 
     def __post_init__(self):
         spectral.grid(self.nx)
-        # a bool is an int, but True as a budget of one is a slip
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
+        _integer("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,14 +336,16 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
     takes a Newton step: the exact Jacobian at the iterate, solved by
     dense LU.
 
-    Raises ValueError for a target_h that is negative or not finite, or a
-    guess on another grid than cfg.nx; ConvergenceError with the exit's
-    reason; SingularSystemError on a negligible pivot.
+    Raises ValueError, before the first pass, for a target_h that is not
+    a nonnegative finite real (a bool or str is none, an int beyond the
+    float range is infinite), a k0 that is not an integer >= 1, or a guess
+    on another grid than cfg.nx; ConvergenceError with the exit's reason;
+    SingularSystemError on a negligible pivot.
     """
     if cfg is None:
         cfg = SolveConfig()
-    if not 0.0 <= target_h < np.inf:
-        raise ValueError(f"target_h must be nonnegative and finite, got {target_h!r}")
+    _finite_real("target_h", target_h, "nonnegative")
+    k0 = _integer("k0", k0, 1)
     p0, params0 = guess
     nx = cfg.nx
     if p0.nx != nx:
@@ -367,7 +371,7 @@ def quasi_newton_solve(guess, target_h, kind, cfg=None, *, k0):
                 length=params.length,
                 amplitude=float(p.values[amp_index]),
                 residual_norm=grid_norm,
-                k0=int(k0),
+                k0=k0,
                 kind=kind,
                 iterations=iterations,
             )
@@ -396,13 +400,15 @@ def flat_solution(alpha, nx=256):
     """The flat front of the linear closure as an exactly converged
     WaveSolution (beta = 1, L = 2*pi).
 
-    Raises InvalidGridError for an nx that is not an even integer >= 8.
+    Raises InvalidGridError for an nx that is not an even integer >= 8,
+    and ValueError for an alpha that is not a finite real (a bool or str
+    is none, an int beyond the float range is infinite).
     """
     spectral.grid(nx)
     p = spectral.ThetaProfile.from_values(np.zeros(nx))
     return WaveSolution(
         theta=p,
-        alpha=float(alpha),
+        alpha=_finite_real("alpha", alpha),
         beta=1.0,
         length=2.0 * np.pi,
         amplitude=0.0,
@@ -466,16 +472,18 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
     property), on crossing the well-posedness threshold alpha = -3
     (nonlinear closure), on step exhaustion, or once target_h would exceed
     h_max.
+
+    Raises ValueError for an h_step that is not a positive finite real
+    (a bool or str is none, an int beyond the float range is infinite) or
+    exceeds 0.3, an h_max that is not a finite real or is below h_step,
+    and a k0 that is not an integer >= 1 or not resolved on the cfg.nx
+    grid; BranchStartError when the first solve fails.
     """
     if cfg is None:
         cfg = SolveConfig()
-    if not (np.isfinite(h_step) and h_step > 0.0):
-        raise ValueError(f"h_step must be positive and finite, got {h_step!r}")
-    if h_step > _EPS_MAX:
+    if _finite_real("h_step", h_step, "positive") > _EPS_MAX:
         raise ValueError(f"h_step must be in (0, {_EPS_MAX}], got {h_step!r}")
-    if not np.isfinite(h_max):
-        raise ValueError(f"h_max must be finite, got {h_max!r}")
-    if h_max < h_step:
+    if _finite_real("h_max", h_max) < h_step:
         raise ValueError(f"h_max {h_max!r} is below the first target {h_step!r}")
 
     guess = asymptotic_guess(k0, h_step, kind, nx=cfg.nx)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGridError
+from .errors import InvalidGridError, _integer
 
 __all__ = [
     "grid",
@@ -101,10 +101,11 @@ def deriv(p, order):
 
     The multiplier is (i n)^order; for odd orders the Nyquist mode is
     zeroed because its derivative is a pure sine invisible on the grid.
+    Raises ValueError for an order that is not an integer 1..4 (True and
+    1.0 equal 1, but neither is an order).
     """
-    # True == 1 and 1.0 == 1, but neither is an order
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order not in (1, 2, 3, 4):
-        raise ValueError(f"derivative order must be 1..4, got {order!r}")
+    if _integer("order", order, 1) > 4:
+        raise ValueError(f"order must be at most 4, got {order!r}")
     return ThetaProfile.from_coeffs(p.coeffs * _powers(p.nx)[order])
 
 

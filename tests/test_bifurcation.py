@@ -42,11 +42,11 @@ def test_linear_bifurcation_values():
 def test_k0_validation():
     # True is no mode number, though bool subclasses int
     for bad in (0, -1, True):
-        with pytest.raises(ValueError, match="^k0 must be a positive integer"):
+        with pytest.raises(ValueError, match="^k0 must be an integer >= 1"):
             linear_bifurcation_alpha(bad)
-        with pytest.raises(ValueError, match="^k0 must be a positive integer"):
+        with pytest.raises(ValueError, match="^k0 must be an integer >= 1"):
             nonlinear_bifurcation_alpha(bad)
-    with pytest.raises(ValueError, match="^k0 must be a positive integer"):
+    with pytest.raises(ValueError, match="^k0 must be an integer >= 1"):
         continue_branch(True, ModelKind.LINEAR, 0.1, 0.2, cfg=SolveConfig(nx=64))
     assert linear_bifurcation_alpha(np.int64(2)) == 17.0
     assert nonlinear_bifurcation_alpha(np.int64(2)) == nonlinear_bifurcation_alpha(2)
@@ -210,6 +210,15 @@ def test_guess_rejects_unresolved_k0():
     for k0 in (32, 40):
         with pytest.raises(ValueError, match=f"k0={k0} is not resolved on an nx=64 grid"):
             asymptotic_guess(k0, 0.1, ModelKind.LINEAR, nx=64)
+
+
+def test_root_is_minus_three_in_floating_point_for_large_k0():
+    # the root, -3 - 4/(9*k0^2) to leading order, is within half an ulp of
+    # -3 from about k0 = 4.5e7 on; the bracket's top, -3 + 1e-9, holds it
+    assert nonlinear_bifurcation_alpha(2 * 10**7) == -3.0000000000000013
+    assert nonlinear_bifurcation_alpha(10**8) == -3.0
+    assert root_certificate(10**8).alpha0 == -3.0
+    assert root_certificate(10**8).holds()
 
 
 def test_certificate_refuses_k0_beyond_the_float_range():

@@ -409,6 +409,16 @@ def test_solve_rejects_negative_target(target_h):
         quasi_newton_solve(flat_guess(), target_h, ModelKind.LINEAR, SolveConfig(nx=64), k0=1)
 
 
+def test_solve_rejects_a_k0_that_is_no_mode_number():
+    cfg = SolveConfig(nx=64)
+    # recorded as int(k0) before: 2, 0, -1 and 1 on the returned wave
+    for k0 in (2.5, 0, -1, True):
+        with pytest.raises(ValueError, match=rf"^k0 must be an integer >= 1, got {k0!r}$"):
+            quasi_newton_solve(flat_guess(), 0.0, ModelKind.LINEAR, cfg, k0=k0)
+    sol = quasi_newton_solve(flat_guess(), 0.0, ModelKind.LINEAR, cfg, k0=np.int64(2))
+    assert type(sol.k0) is int and sol.k0 == 2
+
+
 def test_convergence_error_carries_history():
     cfg = SolveConfig(max_iters=2)
     guess = asymptotic_guess(1, 0.3, ModelKind.LINEAR)
