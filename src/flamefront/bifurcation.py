@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import InternalConsistencyError, RootBracketError, _integer
+from .errors import InternalConsistencyError, RootBracketError, _finite_real, _integer
 from .model import ModelKind, WaveParams, length_from_theta
 
 __all__ = [
@@ -262,11 +262,14 @@ def asymptotic_expansion(k0, kind):
 def asymptotic_guess(k0, eps, kind, nx=256):
     """Initial wave guess (profile, params) at amplitude parameter eps.
 
-    eps must lie in (0, 0.3]; beyond that the truncated expansion is a
-    poor Newton seed.  k0 must be at most nx/2 - 1, which is checked before
-    the expansion (a root solve for the nonlinear closure) is evaluated.
+    eps must be a positive finite real (_finite_real) and at most 0.3;
+    beyond that the truncated expansion is a poor Newton seed.  Either
+    refusal is a ValueError naming eps.  k0 must be at most nx/2 - 1,
+    which is checked before the expansion (a root solve for the nonlinear
+    closure) is evaluated.
     """
-    if not 0.0 < eps <= _EPS_MAX:
+    eps = _finite_real("eps", eps, "positive")
+    if eps > _EPS_MAX:
         raise ValueError(f"eps must be in (0, {_EPS_MAX}], got {eps!r}")
     sigma = spectral.grid(nx)
     _check_k0_on_grid(k0, nx)

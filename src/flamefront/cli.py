@@ -306,7 +306,7 @@ def _wave_from_file(path):
 
 def cmd_stability(args):
     wave = _wave_from_file(args.wave)
-    cfg = evolution.StabilityProbeConfig(delta=args.delta, dt=args.dt, t_max=args.t_max)
+    cfg = evolution.StabilityProbeConfig(dt=args.dt, t_max=args.t_max)
     try:
         estimate = evolution.stability_probe(wave, cfg)
     except (ValueError, DegenerateFrontError) as exc:
@@ -370,7 +370,6 @@ def _build_parser():
     p_st = sub.add_parser("stability", help="probe a wave file for instability growth")
     p_st.add_argument("--wave", required=True, help="wave JSON file to perturb")
     probe = evolution.StabilityProbeConfig
-    p_st.add_argument("--delta", type=float, default=probe.delta)
     p_st.add_argument("--dt", type=float, default=probe.dt)
     p_st.add_argument("--t-max", type=float, default=probe.t_max, dest="t_max")
     add_common(p_st)

@@ -96,11 +96,13 @@ def _finite_real(name, value, bound=None, error=ValueError):
     and value.
 
     bound "positive" also refuses value <= 0, "nonnegative" value < 0.  A
-    bool, str or bytes is refused although float() takes it, and an int
+    bool, str or bytes is refused although float() takes it, and so is a
+    numpy bool, scalar or 0-d array, told by its dtype kind "b"; an int
     beyond the float range counts as infinite.
     """
+    boolean = getattr(getattr(value, "dtype", None), "kind", None) == "b"
     try:
-        number = math.nan if isinstance(value, (bool, str, bytes)) else float(value)
+        number = math.nan if boolean or isinstance(value, (bool, str, bytes)) else float(value)
     except OverflowError:
         # an int beyond the float range
         number = math.inf

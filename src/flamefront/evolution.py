@@ -84,11 +84,12 @@ again.
 
 The loop makes no np.dot, np.vdot or np.array call and no method call on
 the maps: _bind binds their three products once per run, with the run's
-work arrays.  An odd map is its matrix's ndarray.dot, the C product of
-np.dot, bit for bit, without np.dot's __array_function__ dispatch (at
-nx 64, 1.16 against 1.60 us per map).  The
-rows product writes theta, theta_s and theta_sss into one flat work
-array, whose fixed views the step reads, with no reshape or row index.
+work arrays, and returns the step's L-dependent fill and explicit half as
+closures over them.  An odd map is its matrix's ndarray.dot, the C
+product of np.dot, bit for bit, without np.dot's __array_function__
+dispatch (at nx 64, 1.16 against 1.60 us per map).  The rows product
+writes theta, theta_s and theta_sss into one flat work array, whose
+fixed views the step reads, with no reshape or row index.
 The values that depend on L alone, the pair (a, q), 1/s_sigma, the
 gain (a, q) @ gains and the reciprocal of the SBDF2 denominator, are
 work arrays too, filled in place, the reciprocal in the operation order
@@ -146,6 +147,10 @@ _BLOWUP_SUM_SQUARES = (_THETA_BLOWUP / 2.0) ** 2
 # Rows of a history stack (c, c_prev, N, N_prev) that start the next one
 _SHIFT = np.array([0, 0, 2, 2])
 
+# The probe perturbs the wave by _PROBE_DELTA*(sin sigma + sin 2*sigma),
+# and its growth window opens at the first d(t) of at least 10 times that.
+_PROBE_DELTA = 1e-8
+
 # The probe fits log d(t) over this many decades of growth.
 _GROWTH_WINDOW_DECADES = 2.0
 
@@ -181,19 +186,19 @@ class EvolutionState:
 
 @dataclass(frozen=True)
 class StabilityProbeConfig:
-    """Perturbation size and integration window of a stability probe.
+    """Integration window of a stability probe: step size and horizon.
 
-    Each of delta, dt and t_max must be a positive finite real (a bool or
-    str is none, an int beyond the float range is infinite), and t_max/dt
-    a finite number of steps, at least one; else ValueError.
+    Each of dt and t_max must be a positive finite real (a bool or str is
+    none, an int beyond the float range is infinite), and t_max/dt a
+    finite number of steps, at least one; else ValueError.  The
+    perturbation is fixed (_PROBE_DELTA).
     """
 
-    delta: float = 1e-8
     dt: float = 1e-4
     t_max: float = 1.0
 
     def __post_init__(self):
-        _, dt, t_max = (_finite_real(name, getattr(self, name), "positive") for name in ("delta", "dt", "t_max"))
+        dt, t_max = (_finite_real(name, getattr(self, name), "positive") for name in ("dt", "t_max"))
         steps = t_max / dt
         if steps == np.inf:
             raise ValueError(f"t_max {self.t_max!r} over dt {self.dt!r} is too many steps to count")
@@ -458,11 +463,11 @@ def _stiffness(length):
 
 def _checked(state, alpha):
     """alpha and a state's L as Python floats and L's q (_stiffness), or
-    ValueError naming an alpha that is not a finite real (_finite_real) or
-    an L that has no q: the checks theta_rhs and every run make before
-    any arithmetic."""
+    ValueError naming an alpha that is not a finite real, an L that is not
+    a positive finite real (_finite_real), or an L that has no q: the
+    checks theta_rhs and every run make before any arithmetic."""
     alpha = _finite_real("alpha", alpha)
-    length = float(state.length)
+    length = _finite_real("L", state.length, "positive")
     q = _stiffness(length)
     if q is None:
         raise ValueError(f"L must be positive and finite with 4*(2*pi/L)^4 finite and nonzero, got {state.length!r}")
@@ -479,81 +484,80 @@ def _built(cls, fields):
     return obj
 
 
-def _bind(maps):
-    """maps' three products bound for one run, with that run's work arrays.
+def _bind(maps, alpha):
+    """maps' three products bound for one run at alpha, with that run's
+    work arrays.
 
-    Returns (rows, flat, values, bound).  rows(c, flat) writes theta,
-    theta_s and theta_sss of c on the grid into the flat work array flat,
-    and values is the view of its theta; each call overwrites them.  bound
-    holds what _explicit takes for the run: fixed views of theta_s and of
-    (theta_s, theta_sss) in flat, the work arrays of the values that
-    depend on L alone (_set_length), the velocity product with its work
-    array w and the view of -(V - V(0))/s_sigma in w, and the spectrum
-    product.  So a step makes no method call on the maps, no reshape and
-    no row index.
+    Returns (rows, flat, values, set_length, explicit).  rows(c, flat)
+    writes theta, theta_s and theta_sss of c on the grid into the flat
+    work array flat, and values is the view of its theta; each call
+    overwrites them.  set_length and explicit are closures over the run's
+    other work arrays: fixed views of theta_s and of (theta_s, theta_sss)
+    in flat, the values that depend on L alone, and the velocity
+    product's work array w with its view of -(V - V(0))/s_sigma.  So a
+    step makes no method call on the maps, no reshape and no row index.
+
+    set_length(length, q) fills the values that depend on L alone, for
+    q = 4*(2*pi/L)^4: the pair (a, q), a = (alpha-1)/s_sigma^2; the 0-d
+    1/s_sigma; and the explicit gain on c, (a, q) @ gains.
+
+    explicit(c, length, out=None) returns the explicit half spectrum of
+    theta_t and L_t, for the c whose rows flat holds and the L that
+    set_length was last called with.  theta_t = (u_sigma + (V -
+    V(0))*theta_s)/s_sigma with u/s_sigma = -(1/s_sigma + a*theta_s +
+    q*theta_sss), so u_sigma/s_sigma carries -q*n^4*c, the term the step
+    treats implicitly.  It is left out here rather than added and
+    subtracted, except at Nyquist, where u_sigma has no content and the
+    implicit term is balanced explicitly.  c and the explicit part are in
+    the coordinates of maps.  The step's two coefficients enter as one
+    pair (a, q), so a*theta_s + q*theta_sss is (a, q) @ (theta_s,
+    theta_sss), and the gain on c is (a, q) @ gains.  The explicit part
+    is written into out when it is given: _march passes the row of its
+    history stack.
     """
     rows, velocity, spectrum, size = maps.products()
+    gains = maps.gains
     flat = np.empty(3 * size)
     w = np.empty(size + 1)
+    neg_v = w[:-1]
     derivs = flat[size:].reshape(2, size)
+    theta_s = derivs[0]
     # (a, q), 1/s_sigma as a 0-d array, and the gain (a, q) @ gains
-    per_length = (np.empty(2), np.empty(()), np.empty(maps.gains.shape[1]))
-    return rows, flat, flat[:size], (derivs[0], derivs, *per_length, velocity, w, w[:-1], spectrum)
+    aq, inv_s_sigma, gain = np.empty(2), np.empty(()), np.empty(gains.shape[1])
 
+    def set_length(length, q):
+        s_sigma = length / (2.0 * np.pi)
+        aq[0] = (alpha - 1.0) / s_sigma**2
+        aq[1] = q
+        inv_s_sigma[()] = 1.0 / s_sigma
+        aq.dot(gains, gain)
 
-def _set_length(bound, gains, length, q, alpha):
-    """Fill bound's work arrays (_bind) of the values that depend on L alone,
-    for q = 4*(2*pi/L)^4: the pair (a, q), a = (alpha-1)/s_sigma^2; the
-    0-d 1/s_sigma; and the explicit gain on c, (a, q) @ gains."""
-    aq, inv_s_sigma, gain = bound[2:5]
-    s_sigma = length / (2.0 * np.pi)
-    aq[0] = (alpha - 1.0) / s_sigma**2
-    aq[1] = q
-    inv_s_sigma[()] = 1.0 / s_sigma
-    aq.dot(gains, gain)
+    def explicit(c, length, out=None):
+        # the maps carry -flux/s_sigma and -V/s_sigma: dividing u by s_sigma
+        # up front divides theta_t, and negating it is free
+        velocity(theta_s * (inv_s_sigma + aq.dot(derivs)), w)
+        length_rate = length * w.item(-1)
+        nonstiff = np.subtract(gain * c, spectrum(neg_v * theta_s), out)
+        return nonstiff, length_rate
 
-
-def _explicit(c, length, bound, out=None):
-    """Explicit half spectrum of theta_t and L_t.
-
-    theta_t = (u_sigma + (V - V(0))*theta_s)/s_sigma with
-    u/s_sigma = -(1/s_sigma + a*theta_s + q*theta_sss), so u_sigma/s_sigma
-    carries -q*n^4*c, the term the step treats implicitly.  It is left out
-    here rather than added and subtracted, except at Nyquist, where
-    u_sigma has no content and the implicit term is balanced explicitly.
-    c and the explicit part are in the coordinates of the maps that bound
-    (_bind) comes from, and bound's rows work array holds c's theta,
-    theta_s and theta_sss on the grid.  The values that depend on L alone
-    are read from bound's work arrays, which _set_length filled for this
-    L: the step's two coefficients enter as one pair (a, q), so a*theta_s
-    + q*theta_sss is (a, q) @ (theta_s, theta_sss), and the gain on c is
-    (a, q) @ gains.  The explicit part is written into out when it is
-    given: _march passes the row of its history stack.
-    """
-    theta_s, derivs, aq, inv_s_sigma, gain, velocity, w, neg_v, spectrum = bound
-    # the maps carry -flux/s_sigma and -V/s_sigma: dividing u by s_sigma
-    # up front divides theta_t, and negating it is free
-    velocity(theta_s * (inv_s_sigma + aq.dot(derivs)), w)
-    length_rate = length * w.item(-1)
-    nonstiff = np.subtract(gain * c, spectrum(neg_v * theta_s), out)
-    return nonstiff, length_rate
+    return rows, flat, flat[:size], set_length, explicit
 
 
 def theta_rhs(state, alpha):
     """Right-hand sides (theta_t values, L_t) of the evolution system.
 
-    Raises ValueError for an alpha that is not a finite real (a bool or
-    str is none, an int beyond the float range is infinite), and for an L
-    that is not positive and finite or whose 4*(2*pi/L)^4 is not finite
-    and nonzero (_stiffness).
+    Raises ValueError for an alpha that is not a finite real or an L that
+    is not a positive finite real (a bool or str is none, an int beyond
+    the float range is infinite), and for an L whose 4*(2*pi/L)^4 is not
+    finite and nonzero (_stiffness).
     """
     alpha, length, q = _checked(state, alpha)
     maps = _step_maps(state.theta)
-    rows, flat, values, bound = _bind(maps)
+    rows, flat, values, set_length, explicit = _bind(maps, alpha)
     c = maps.coordinates(state.theta.coeffs)
     rows(c, flat)
-    _set_length(bound, maps.gains, length, q, alpha)
-    nonstiff, length_rate = _explicit(c, length, bound)
+    set_length(length, q)
+    nonstiff, length_rate = explicit(c, length)
     rhs = nonstiff - q * maps.n4 * c
     rows(rhs, flat)
     return maps.profile(rhs, values).values, length_rate
@@ -592,25 +596,26 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     Euler, the rest SBDF2.  The half spectrum, L, t and the SBDF2 history
     live in locals and end with the run; states are built from them
     (_state) only for the observer and for the return value.  A starting
-    state already past the blow-up threshold is refused at its own time,
-    before any step, and one whose L has no finite nonzero
-    q = 4*(2*pi/L)^4 (_stiffness) with ValueError; an L that leaves that
-    range during the run is a BlowUpError.
+    state whose L is not a positive finite real or has no finite nonzero
+    q = 4*(2*pi/L)^4 (_stiffness) is refused with ValueError, and one
+    already past the blow-up threshold, the probe's start included, with
+    BlowUpError at its own time, both before any step; an L that leaves
+    that range during the run is a BlowUpError.
 
     The half spectra live in the history stack of the module docstring.
     Each step writes N into its row 2, then takes a fresh stack holding
     the shifted history and writes the new c into it.  The maps' three
-    products and their work arrays are bound once for the run (_bind), as
-    are the work arrays of the reciprocal of the SBDF2 denominator and of
-    its scalar operands; each step then calls the products directly and
-    reads fixed views of the work arrays.  The values that depend on L
-    alone (_set_length) and that reciprocal are computed before the first
-    step, and again only before a step whose L differs, bit for bit, from
-    the previous step's, or which is the first SBDF2 step; q is computed
-    alongside, from the L the previous step left.  The loop,
-    observer included, runs with numpy's overflow and invalid-value
-    warnings off: a step that overflows leaves a theta that is not finite,
-    which the blow-up check refuses.
+    products, their work arrays and the two closures over them,
+    set_length and explicit, are bound once for the run (_bind), as are
+    the work arrays of the reciprocal of the SBDF2 denominator and of its
+    scalar operands; each step then calls the products and closures
+    directly.  The values that depend on L alone (set_length) and that
+    reciprocal are computed before the first step, and again only before
+    a step whose L differs, bit for bit, from the previous step's, or
+    which is the first SBDF2 step; q is computed alongside, from the L the
+    previous step left.  The loop, observer included, runs with numpy's
+    overflow and invalid-value warnings off: a step that overflows leaves
+    a theta that is not finite, which the blow-up check refuses.
     """
     _finite_real("dt", dt, "positive")
     # Python floats throughout: no numpy scalar arithmetic in the loop
@@ -618,7 +623,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     _check_blowup(state.theta.values, state.time)
     maps = _step_maps(state.theta)
     n4 = maps.n4
-    rows, flat, values, bound = _bind(maps)
+    rows, flat, values, set_length, explicit = _bind(maps, alpha)
     time = state.time
     c = maps.coordinates(state.theta.coeffs)
     stack = np.zeros((4, c.size), dtype=c.dtype)
@@ -639,7 +644,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
             if new_tables:
-                _set_length(bound, maps.gains, length, q, alpha)
+                set_length(length, q)
                 # a product with the reciprocal, not a division (module
                 # docstring), of 1.0 / (d0 + d1*q*n4) in that operation order
                 d1_q[()] = d1 * q
@@ -647,7 +652,7 @@ def _march(state, alpha, dt, n_steps, observer=None, until=None):
                 np.multiply(n4, d1_q, inv_denominator)
                 np.add(inv_denominator, d0_array, inv_denominator)
                 np.divide(one, inv_denominator, inv_denominator)
-            length_rate = _explicit(c, length, bound, stack[2])[1]
+            length_rate = explicit(c, length, stack[2])[1]
             if prev_length is None:
                 new_length = length + dt * length_rate
             else:
@@ -716,23 +721,21 @@ def evolve(state, alpha, dt, n_steps, observer=None):
     return _march(state, alpha, dt, _integer("n_steps", n_steps, 0), observer)
 
 
-def _fit_loglinear(times, norms):
-    slope, intercept = np.polyfit(times, np.log(norms), 1)
-    return float(slope), float(intercept)
-
-
-def _probe_start(wave, delta):
-    """The probe's start, the wave's odd part plus delta*(sin sigma + sin 2*sigma).
+def _probe_start(wave):
+    """The probe's start, the wave's odd part plus
+    _PROBE_DELTA*(sin sigma + sin 2*sigma).
 
     The solver's waves are odd, so the probe studies the wave's odd part:
     the imaginary parts of its half spectrum, modes 1..nx/2-1, less
-    i*delta/2 at n = 1 and 2.  A blown-up wave is refused first, with
-    BlowUpError at t = 0, before any arithmetic on it can overflow.  Only
-    a cosine content of rounding size is dropped: a wave that is not odd
-    to rounding (_odd_to_rounding) is refused with ValueError.  The start
-    steps in the wave's coordinates, odd up to _ODD_MAX_NX.  Returns the
-    state and its grid values in those coordinates, taken from the step's
-    own rows map: on the half grid for the odd maps.
+    i*_PROBE_DELTA/2 at n = 1 and 2.  A blown-up wave is refused first,
+    with BlowUpError at t = 0, before any arithmetic on it can overflow;
+    a start that the perturbation lifts past the blow-up threshold is
+    refused by the run itself, at t = 0 (_march).  Only a cosine content
+    of rounding size is dropped: a wave that is not odd to rounding
+    (_odd_to_rounding) is refused with ValueError.  The start steps in the
+    wave's coordinates, odd up to _ODD_MAX_NX.  Returns the state and its
+    grid values in those coordinates, taken from the step's own rows map:
+    on the half grid for the odd maps.
     """
     _check_blowup(wave.theta.values, 0.0)
     theta = wave.theta
@@ -745,27 +748,23 @@ def _probe_start(wave, delta):
     maps = _step_maps(theta)
     coeffs = np.zeros_like(theta.coeffs)
     coeffs.imag[1:-1] = theta.coeffs.imag[1:-1]
-    coeffs.imag[1:3] -= 0.5 * delta
+    coeffs.imag[1:3] -= 0.5 * _PROBE_DELTA
     c = maps.coordinates(coeffs)
-    # the start too, before its length: a large delta may blow it up, and
-    # its rows may overflow on the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = maps.to_rows(c)[0]
-    _check_blowup(values, 0.0)
+    values = maps.to_rows(c)[0]
     return EvolutionState.from_theta(maps.profile(c, values)), values
 
 
 def stability_probe(wave, cfg=None):
     """Estimate the leading growth rate around a traveling wave.
 
-    Perturbs the wave's odd part by delta*(sin sigma + sin 2*sigma)
-    (_probe_start; the solver's waves are odd, and a wave that is not odd
-    to rounding raises ValueError), evolves with the linear
-    closure at the wave's alpha, and records d(t) = max|theta(t) - theta(0)|
-    in the step's coordinates, on the half grid for the odd maps, which
-    has the same max.  The growth window starts at the first d of at least
-    10*delta and ends at the first later d of at least 100 times that one.
-    Each step's grid values are copied into a block of _PROBE_BLOCK rows,
+    Perturbs the wave's odd part by delta*(sin sigma + sin 2*sigma), with
+    the fixed delta = _PROBE_DELTA = 1e-8 (_probe_start; the solver's
+    waves are odd, and a wave that is not odd to rounding raises
+    ValueError), evolves with the linear closure at the wave's alpha, and
+    records d(t) = max|theta(t) - theta(0)| in the step's coordinates, on
+    the half grid for the odd maps, which has the same max.  The growth
+    window starts at the first d of at least 10*delta = 1e-7 and ends at
+    the first later d of at least 100 times that one.  Each step's grid values are copied into a block of _PROBE_BLOCK rows,
     whose d(t) is taken in three numpy calls once it is full, so
     integration stops at the end of the block in which that window
     completes, up to _PROBE_BLOCK - 1 steps past it and still well before
@@ -787,7 +786,7 @@ def stability_probe(wave, cfg=None):
         raise UnsupportedModelError(
             f"time evolution is implemented for the linear closure only, got {wave.kind!r}"
         )
-    state, reference = _probe_start(wave, cfg.delta)
+    state, reference = _probe_start(wave)
 
     factor = 10.0**_GROWTH_WINDOW_DECADES
     n_steps = int(round(cfg.t_max / cfg.dt))
@@ -809,7 +808,7 @@ def stability_probe(wave, cfg=None):
         for norm in np.maximum.reduce(pending, axis=1).tolist():
             norms.append(norm)
             if not window:
-                if norm >= 10.0 * cfg.delta:
+                if norm >= 10.0 * _PROBE_DELTA:
                     window.append(len(norms) - 1)
             elif norm >= factor * norms[window[0]]:
                 window.append(len(norms) - 1)
@@ -848,8 +847,8 @@ def stability_probe(wave, cfg=None):
     # the first steepest fit is kept
     rate, intercept, span = 0.0, 0.0, (0.0, float(cfg.t_max))
     for i, sel in enumerate(candidates):
-        fit_rate, fit_intercept = _fit_loglinear(times[sel], norms[sel])
-        if i == 0 or fit_rate > rate:
-            rate, intercept = fit_rate, fit_intercept
+        slope, fit_intercept = np.polyfit(times[sel], np.log(norms[sel]), 1)
+        if i == 0 or slope > rate:
+            rate, intercept = float(slope), float(fit_intercept)
             span = (float(times[sel][0]), float(times[-1]))
     return GrowthEstimate(rate, intercept, span, observed, times, norms)

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from flamefront.bifurcation import linear_bifurcation_alpha
+from flamefront.bifurcation import asymptotic_guess, linear_bifurcation_alpha
 from flamefront.cli import main
 from flamefront.evolution import EvolutionState, StabilityProbeConfig, evolve, imex_step, theta_rhs
 from flamefront.model import ModelKind, WaveParams, unstable_modes
@@ -49,7 +49,6 @@ REALS = [
     ("imex_step", "alpha", lambda v: imex_step(STATE, v, 1e-5), 17.0),
     ("imex_step", "dt", lambda v: imex_step(STATE, 17.0, v), 1e-5),
     ("theta_rhs", "alpha", lambda v: theta_rhs(STATE, v), 17.0),
-    ("StabilityProbeConfig", "delta", lambda v: StabilityProbeConfig(delta=v), 1.0),
     ("StabilityProbeConfig", "dt", lambda v: StabilityProbeConfig(dt=v), 1e-4),
     ("StabilityProbeConfig", "t_max", lambda v: StabilityProbeConfig(t_max=v), 1.0),
     ("continue_branch", "h_step", lambda v: continue_branch(1, LINEAR, v, 0.1, CFG), 0.1),
@@ -71,14 +70,16 @@ COUNTS = [
     ("stability", "'k0'", "k0", 1, None),
 ]
 BAD_REALS = [("huge-int", 10**400), ("nan", float("nan")), ("inf", float("inf")), ("text", "1"), ("bool", True)]
+# numpy's bools, which JSON does not hold, so the CLI's entries skip them
+NUMPY_BOOLS = [("numpy-bool", np.True_), ("0d-bool-array", np.array(True))]
 # 10**400 is an integer, refused by a count only where the count has an
 # upper bound (deriv's order, a k0 on the grid)
 BAD_COUNTS = [("nan", float("nan")), ("inf", float("inf")), ("text", "1"), ("bool", True), ("fraction", 2.5)]
 
 
 def refusals():
-    for entry, name, call, _ in REALS:
-        for label, value in BAD_REALS:
+    for entry, name, call, good in REALS:
+        for label, value in BAD_REALS if good is None else BAD_REALS + NUMPY_BOOLS:
             yield pytest.param(call, name, value, id=f"{entry}-{name}-{label}")
     for entry, name, call, minimum, _ in COUNTS:
         for label, value in BAD_COUNTS + [("below-minimum", minimum - 1)]:
@@ -123,3 +124,30 @@ def test_huge_count_is_refused_where_the_count_has_a_bound():
         deriv(FLAT, 10**400)
     with pytest.raises(ValueError, match="^k0=10+ is not resolved on an nx=16 grid"):
         continue_branch(10**400, LINEAR, 0.1, 0.1, CFG)
+
+
+@pytest.mark.parametrize(
+    "length", ["7", True, np.True_, 10**400], ids=["text", "bool", "numpy-bool", "huge-int"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda state: theta_rhs(state, 5.0),
+        lambda state: imex_step(state, 5.0, 1e-5),
+        lambda state: evolve(state, 5.0, 1e-5, 1),
+    ],
+    ids=["theta_rhs", "imex_step", "evolve"],
+)
+def test_a_state_length_that_is_no_finite_real_is_refused(call, length):
+    # a state's L passes the rule before its stiffness 4*(2*pi/L)^4 is
+    # taken: "7" is no number, True no length, and 10**400 is infinite
+    with pytest.raises(ValueError, match=f"^L must be positive and finite, got {re.escape(repr(length))}$"):
+        call(EvolutionState(STATE.theta, length))
+
+
+def test_the_amplitude_of_the_asymptotic_guess_is_a_finite_real():
+    with pytest.raises(ValueError, match="^eps must be positive and finite, got '0.1'$"):
+        asymptotic_guess(1, "0.1", LINEAR)
+    # a finite eps above the expansion's range keeps its own refusal
+    with pytest.raises(ValueError, match=r"^eps must be in \(0, 0.3\], got 0.31$"):
+        asymptotic_guess(1, 0.31, LINEAR)

@@ -136,6 +136,21 @@ def test_from_sine_coeffs_exact_parity(rng):
     assert p.coeffs[nx // 2] == 0.0
 
 
+@pytest.mark.parametrize("size", [6, 8])
+def test_from_sine_coeffs_refuses_a_vector_of_the_wrong_length(size):
+    # an nx = 16 grid holds the sine modes k = 1..7
+    with pytest.raises(ValueError, match=f"^expected 7 sine coefficients, got {size}$"):
+        from_sine_coeffs(np.zeros(size), 16)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_from_values_refuses_non_finite_values(value):
+    values = np.zeros(16)
+    values[3] = value
+    with pytest.raises(InvalidGridError, match="^profile values must be finite$"):
+        ThetaProfile.from_values(values)
+
+
 def test_cosine_coeff_extraction():
     nx = 16
     sigma = grid(nx)
