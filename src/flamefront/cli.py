@@ -6,17 +6,21 @@ manifest.json; the manifest's parameters are the parsed arguments.  The
 output directory is taken from --out, else the FLAMEFRONT_OUT environment
 variable, else the working directory; it is created only once the
 command's library call has succeeded, so a failed command leaves none
-behind.  Output files are deterministic: floats are serialized with 17
-significant digits, iteration order is fixed, and the only wall-clock
-content is the timestamp inside manifest.json.
+behind.  Output files are deterministic: every float they hold, in JSON
+or CSV, is written by one encoder, _encode, with 17 significant digits
+(NaN and infinities are refused as bad input), iteration order is fixed,
+and the only wall-clock content is the timestamp inside manifest.json.
+The files are written one at a time, manifest.json last; when one cannot
+be written, the ones written before it stay.
 
 Each input is checked once, by the library function that takes it: a
 wave file's entries here, with the default L from theta when the file
 states none, and its theta by the stability probe (blown up, not odd to
 rounding, no length for the probe's start).  Exit codes map
 the exceptions by family: 0 success, 2 bad input (any
-ValueError, which InvalidGridError and ContractViolationError are, and an
-output directory that cannot be created), 3 any
+ValueError, which InvalidGridError and ContractViolationError are, an
+output directory that cannot be created and an output file that cannot
+be written), 3 any
 other FlameFrontError (a solver, branch or time-stepping failure), 4
 unsupported model.
 """
@@ -56,22 +60,27 @@ _UNSUPPORTED_MODEL = 4
 _DEFAULT_H_STEP = {"linear": 0.05, "nonlinear": 0.02}
 
 
-def _non_finite_error(value):
-    return ValueError(f"out of range float values are not JSON compliant: {value!r}")
+def _encode(values, sep=", "):
+    """values, a float, a sequence of floats or a 2-d table of floats, as
+    text with 17 significant digits, in one %-format call: a sequence's
+    entries are joined by sep, and each row of a table is joined by sep
+    and ends in a newline.
 
-
-def _format_value(value):
-    if isinstance(value, bool) or value is None:
-        return "true" if value is True else "false" if value is False else "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise _non_finite_error(value)
-        return format(float(value), ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    As with json's allow_nan=False, a NaN or infinite value raises
+    ValueError, which names it as a Python float (nan, inf or -inf)
+    whatever its type: JSON has no literal for it.
+    """
+    array = np.asarray(values, dtype=float)
+    flat = array.ravel().tolist()
+    # checked in Python: numpy's isfinite(...).all() costs about 3 us even
+    # on a scalar, and a wave file holds eight scalars beside its arrays
+    if not all(map(math.isfinite, flat)):
+        bad = next(v for v in flat if not math.isfinite(v))
+        raise ValueError(f"out of range float values are not JSON compliant: {bad!r}")
+    template = sep.join(["%.17g"] * (array.shape[-1] if array.ndim else 1))
+    if array.ndim == 2:
+        template = (template + "\n") * len(array)
+    return template % tuple(flat)
 
 
 class _JsonText(str):
@@ -79,13 +88,23 @@ class _JsonText(str):
 
 
 def _to_json(obj, indent=0):
-    """Deterministic JSON with 17-significant-digit floats.
+    """Deterministic JSON with every float written by _encode.
 
-    As with json's allow_nan=False, a NaN or infinite float raises
-    ValueError: JSON has no literal for it.
+    A 1-d float array, or a list or tuple of floats, is written inline;
+    any other sequence one entry per line.
     """
     if isinstance(obj, _JsonText):
         return obj
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _encode(obj)
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" or (
+        isinstance(obj, (list, tuple)) and obj and all(isinstance(v, (float, np.floating)) for v in obj)
+    ):
+        return "[" + _encode(obj) + "]"
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -93,22 +112,12 @@ def _to_json(obj, indent=0):
             return "{}"
         items = [f"{inner}{json.dumps(k)}: {_to_json(v, indent + 1)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
-        # one finiteness check and no per-element dispatch: the wave
-        # files' four arrays are most of what a branch run writes
-        if not np.isfinite(obj).all():
-            raise _non_finite_error(obj[~np.isfinite(obj)][0])
-        # one %-format call per array writes what format(v, ".17g") writes
-        return "[" + ", ".join(["%.17g"] * obj.size) % tuple(obj.tolist()) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
+        if not len(obj):
             return "[]"
-        if all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq):
-            return "[" + ", ".join(_format_value(v) for v in seq) + "]"
-        items = [f"{inner}{_to_json(v, indent + 1)}" for v in seq]
+        items = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return _format_value(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _write_json(path, obj):
@@ -122,7 +131,9 @@ def _publish(args, files):
     JSON object through _to_json.  The manifest's parameters are the parsed
     arguments less command, func and out, with main's defaults resolved.
     Two files of one name raise ValueError before the directory is made:
-    the second would overwrite the first.
+    the second would overwrite the first.  A directory that cannot be
+    created, or a file that cannot be written, raises ValueError naming
+    it; the files written before that one stay.
     """
     names = [name for name, _ in files]
     if len(set(names)) < len(names):
@@ -137,11 +148,6 @@ def _publish(args, files):
     except OSError as exc:
         # e.g. the path is an existing file, or a parent is not writable
         raise ValueError(f"output directory {out} cannot be created: {exc.strerror or exc}") from None
-    for name, content in files:
-        if isinstance(content, str):
-            (out / name).write_text(content)
-        else:
-            _write_json(out / name, content)
     manifest = {
         "command": args.command,
         "parameters": {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")},
@@ -149,7 +155,15 @@ def _publish(args, files):
         "outputs": names,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    _write_json(out / "manifest.json", manifest)
+    for name, content in [*files, ("manifest.json", manifest)]:
+        try:
+            if isinstance(content, str):
+                (out / name).write_text(content)
+            else:
+                _write_json(out / name, content)
+        except OSError as exc:
+            # e.g. the path is an existing directory, or the disk is full
+            raise ValueError(f"output file {out / name} cannot be written: {exc.strerror or exc}") from None
 
 
 def cmd_bifurcate(args):
@@ -228,9 +242,8 @@ def cmd_branch(args):
     alpha0 = bifurcation.asymptotic_expansion(args.k0, kind).alpha0
     names = _wave_names([sol.amplitude for sol in record.solutions])
     waves = [(name, _wave_payload(sol, alpha0)) for name, sol in zip(names, record.solutions)]
-    rows = [",".join(_BRANCH_COLUMNS)]
-    rows += [",".join(format(payload[key], ".17g") for key in _BRANCH_COLUMNS) for _, payload in waves]
-    _publish(args, [("branch.csv", "\n".join(rows) + "\n"), *waves])
+    table = [[payload[key] for key in _BRANCH_COLUMNS] for _, payload in waves]
+    _publish(args, [("branch.csv", ",".join(_BRANCH_COLUMNS) + "\n" + _encode(table, ",")), *waves])
     print(
         f"{len(record.solutions)} wave(s) on the {kind.value} k0={args.k0} branch; "
         f"terminated: {record.termination}"
@@ -313,10 +326,7 @@ def cmd_stability(args):
         # a wave that is not odd to rounding, or whose theta gives the
         # probe's start no length (it takes L from theta, not the file)
         raise ValueError(f"wave file {args.wave} cannot be probed: {exc}") from None
-    # one %-format call over the interleaved (t, d) values, as _to_json
-    # writes arrays, in place of one f-string per row: the same bytes
-    pairs = np.column_stack((estimate.times, estimate.norms)).ravel().tolist()
-    growth = "%.17g,%.17g\n" * len(estimate.times) % tuple(pairs)
+    growth = "t,d\n" + _encode(np.column_stack((estimate.times, estimate.norms)), ",")
     fit = {
         "slope": estimate.rate,
         "intercept": estimate.intercept,
@@ -325,7 +335,7 @@ def cmd_stability(args):
     }
     if estimate.note:
         fit["note"] = estimate.note
-    _publish(args, [("growth.csv", "t,d\n" + growth), ("fit.json", fit)])
+    _publish(args, [("growth.csv", growth), ("fit.json", fit)])
     print(
         f"growth rate = {estimate.rate:.6g} over t in "
         f"[{estimate.window[0]:.6g}, {estimate.window[1]:.6g}]"

@@ -779,9 +779,14 @@ def stability_probe(wave, cfg=None):
     one recorded.  With no candidate the rate and intercept are 0
     over (0, t_max).  observed says whether the window completed, and the
     note follows from it (GrowthEstimate.note).
+
+    A wave whose kind is not a ModelKind raises ValueError, as residual
+    and continue_branch do; a nonlinear one raises UnsupportedModelError.
     """
     if cfg is None:
         cfg = StabilityProbeConfig()
+    if not isinstance(wave.kind, ModelKind):
+        raise ValueError(f"unknown model kind {wave.kind!r}")
     if wave.kind is not ModelKind.LINEAR:
         raise UnsupportedModelError(
             f"time evolution is implemented for the linear closure only, got {wave.kind!r}"

@@ -41,6 +41,11 @@ def _check_nx(nx):
         raise InvalidGridError(f"nx must be an even integer >= {_MIN_NX}, got {nx!r}")
 
 
+def _check_1d(name, array):
+    if array.ndim != 1:
+        raise InvalidGridError(f"{name} must be a 1-d array, got shape {array.shape}")
+
+
 def grid(nx):
     """Uniform periodic grid sigma_j = 2*pi*j/nx for an even nx >= 8."""
     _check_nx(nx)
@@ -67,7 +72,8 @@ class ThetaProfile:
 
     coeffs holds c_n for n = 0..nx/2 (module docstring).  values and
     coeffs are kept consistent by the constructors; mutating either array
-    afterwards voids the pairing.
+    afterwards voids the pairing.  Both constructors raise
+    InvalidGridError for an input that is not 1-d, naming its shape.
     """
 
     nx: int
@@ -77,6 +83,7 @@ class ThetaProfile:
     @classmethod
     def from_values(cls, values):
         values = np.asarray(values, dtype=float)
+        _check_1d("profile values", values)
         nx = values.size
         _check_nx(nx)
         if not np.all(np.isfinite(values)):
@@ -90,7 +97,8 @@ class ThetaProfile:
         irfft ignores the imaginary parts of modes 0 and nx/2; they are
         kept in coeffs as given.
         """
-        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
+        coeffs = np.asarray(coeffs, dtype=complex, order="C")
+        _check_1d("profile coefficients", coeffs)
         nx = 2 * (coeffs.size - 1)
         _check_nx(nx)
         return cls(nx=nx, values=np.fft.irfft(coeffs, n=nx, norm="forward"), coeffs=coeffs)

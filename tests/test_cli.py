@@ -12,7 +12,7 @@ import pytest
 
 import flamefront
 from flamefront import geometry, solver
-from flamefront.cli import _build_parser, _publish, _to_json, _wave_from_file, _write_json, main
+from flamefront.cli import _build_parser, _encode, _publish, _to_json, _wave_from_file, _write_json, main
 from flamefront.evolution import StabilityProbeConfig, _probe_start, stability_probe
 from flamefront.model import ModelKind, WaveParams, length_from_theta, residual
 from flamefront.spectral import ThetaProfile, from_sine_coeffs, grid
@@ -354,10 +354,43 @@ def test_to_json_float_array_matches_per_element_format():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_to_json_refuses_a_non_finite_float_array(value):
-    # the array path's one finiteness check names the first bad value,
-    # in numpy's repr of its scalar
-    with pytest.raises(ValueError, match=f"^out of range float values are not JSON compliant: .*{value}"):
+    # the refusal names the first bad value, as a Python float
+    with pytest.raises(ValueError, match=f"^out of range float values are not JSON compliant: {value!r}$"):
         _to_json(np.array([0.5, value, np.nan]))
+
+
+@pytest.mark.parametrize("value, text", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+@pytest.mark.parametrize(
+    "wrap",
+    [float, np.float64, lambda v: [v], lambda v: {"h": [0.5, np.float64(v)]}],
+    ids=["float", "np.float64", "list", "nested-list"],
+)
+def test_a_non_finite_value_reads_one_way_whatever_its_type(value, text, wrap):
+    # as test_to_json_refuses_a_non_finite_float_array does for an array
+    message = f"out of range float values are not JSON compliant: {text}"
+    with pytest.raises(ValueError) as info:
+        _to_json(wrap(value))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, text", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+def test_a_non_finite_table_cell_is_refused(value, text):
+    # the CSV files go through the same encoder, as 2-d tables
+    assert _encode([[0.5, 1.0], [2.0, 0.25]], ",") == "0.5,1\n2,0.25\n"
+    with pytest.raises(ValueError) as info:
+        _encode(np.array([[0.5, 1.0], [value, 0.25]]), ",")
+    assert str(info.value) == f"out of range float values are not JSON compliant: {text}"
+
+
+def test_branch_csv_cells_are_the_wave_files_scalars(tmp_path):
+    assert run_branch(tmp_path) == 0
+    with open(tmp_path / "branch.csv") as fh:
+        header, *rows = list(csv.reader(fh))
+    names = json.loads((tmp_path / "manifest.json").read_text())["outputs"][1:]
+    assert len(rows) == len(names) == 3
+    for name, row in zip(names, rows):
+        data = json.loads((tmp_path / name).read_text())
+        assert row == [format(data[key], ".17g") for key in header]
 
 
 @pytest.mark.parametrize("residual_norm", [None, 0.0], ids=["no-residual-norm", "residual-norm"])
@@ -594,6 +627,27 @@ def test_stability_rejects_non_finite_wave_numbers(tmp_path, capsys, key, value)
     assert err.startswith("error: ")
     assert f"error: wave file {tmp_path / 'bad.json'}: {key!r} must be finite, got {value!r}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, name, written",
+    [("bifurcate", "manifest.json", ["bifurcation.json"]), ("branch", "branch.csv", []),
+     ("stability", "fit.json", ["growth.csv"])],
+)
+def test_an_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, branch_wave_file, command, name, written):
+    # a directory in the way of one file: the files before it stay, the
+    # ones after it and the manifest are not written
+    argv = {
+        "bifurcate": ["bifurcate", "--model", "linear", "--k0", "1"],
+        "branch": ["branch", "--model", "linear", "--k0", "1", "--h-max", "0.1", "--nx", "64"],
+        "stability": ["stability", "--wave", str(branch_wave_file), "--dt", "1e-3", "--t-max", "0.05"],
+    }[command]
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output file {out / name} cannot be written: Is a directory\n"
+    assert sorted(path.name for path in out.iterdir() if path.is_file()) == written
 
 
 def test_write_json_rejects_non_finite_floats(tmp_path):

@@ -312,6 +312,15 @@ def test_probe_rejects_nonlinear_wave():
         stability_probe(dataclasses.replace(flat_solution(-3.3, nx=64), kind=ModelKind.NONLINEAR))
 
 
+def test_probe_refuses_a_kind_that_is_not_a_model_kind():
+    # the string "linear" is no ModelKind: the probe says so, as residual
+    # and continue_branch do, before its linear-closure-only check
+    wave = dataclasses.replace(flat_solution(17.0, nx=64), kind="linear")
+    with pytest.raises(ValueError, match="^unknown model kind 'linear'$") as info:
+        stability_probe(wave)
+    assert not isinstance(info.value, UnsupportedModelError)
+
+
 def test_probe_no_aliasing(flat17_probe):
     # the probe stays in the linear regime: spectral tail keeps no energy
     est = flat17_probe

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,23 @@ def test_from_values_refuses_non_finite_values(value):
     values[3] = value
     with pytest.raises(InvalidGridError, match="^profile values must be finite$"):
         ThetaProfile.from_values(values)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (1, 16), ()])
+def test_from_values_refuses_values_that_are_not_1d(shape):
+    # an (8, 8) table has 64 values, an even count, but is no profile
+    with pytest.raises(
+        InvalidGridError, match=rf"^profile values must be a 1-d array, got shape {re.escape(str(shape))}$"
+    ):
+        ThetaProfile.from_values(np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (1, 9), ()])
+def test_from_coeffs_refuses_coefficients_that_are_not_1d(shape):
+    with pytest.raises(
+        InvalidGridError, match=rf"^profile coefficients must be a 1-d array, got shape {re.escape(str(shape))}$"
+    ):
+        ThetaProfile.from_coeffs(np.zeros(shape, dtype=complex))
 
 
 def test_cosine_coeff_extraction():
