@@ -79,10 +79,6 @@ def _q(alpha, k0):
     return (alpha - 1.0) - k0**2 * alpha**2 * (alpha + 3.0)
 
 
-def _q_prime(alpha, k0):
-    return 1.0 - k0**2 * (3.0 * alpha**2 + 6.0 * alpha)
-
-
 def linear_bifurcation_alpha(k0):
     """Flat-state bifurcation point 4*k0^2 + 1 of the linear closure.
 
@@ -99,9 +95,13 @@ def nonlinear_bifurcation_alpha(k0):
     it, where the root, -3 - 4/(9*k0^2) to leading order, is within half
     an ulp of -3 (-3.0000000000000013 at k0 = 2e7).
 
-    Bisection on the fixed bracket down to ~1e-12 width, then Newton
-    polish.  The root is simple (the resultant certificate is nonzero) so
-    the polish converges quadratically.
+    Exact bisection: the certified bracket is halved while its midpoint
+    differs from both ends, which leaves two adjacent doubles that
+    bracket the sign change of q as computed.  Of the two, the end with
+    the smaller |q| is returned, hi on a tie.  No tolerance or iteration
+    count enters, so the result is checkable in exact arithmetic: the
+    returned double and its neighbour across the sign change bracket the
+    exact root, and the returned one has the smaller exact |q|.
     """
     _check_certified_k0(k0)
     lo, hi = _BRACKET
@@ -111,22 +111,12 @@ def nonlinear_bifurcation_alpha(k0):
             f"cubic does not change sign on [{lo}, {hi}] for k0={k0}: "
             f"q(lo)={q_lo!r}, q(hi)={q_hi!r}"
         )
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if _q(mid, k0) > 0.0:
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    for _ in range(8):
-        f = _q(root, k0)
-        if f == 0.0:
-            break
-        step = f / _q_prime(root, k0)
-        root -= step
-        if abs(step) < 1e-15 * abs(root):
-            break
-    return root
+    return lo if abs(_q(lo, k0)) < abs(_q(hi, k0)) else hi
 
 
 def cubic_discriminant(k0):
@@ -184,7 +174,7 @@ def transversality_resultant(k0):
 class BracketedRootCertificate:
     """Evidence that the nonlinear bifurcation point is real, unique, simple.
 
-    Records the sign change of q over the bracket, the polished root and
+    Records the sign change of q over the bracket, the bisected root and
     its residual, the negative discriminant (uniqueness), and the positive
     resultant (simplicity/transversality).
     """

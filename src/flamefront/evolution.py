@@ -162,9 +162,9 @@ _GROWTH_WINDOW_DECADES = 2.0
 # in the entry "Per-L step tables and a block-wise probe record".
 _PROBE_BLOCK = 32
 
-# Growth slower than exp(1e-3 t) is indistinguishable from neutral over
-# the default probe horizon.
-_NO_GROWTH_NOTE = "no instability observed at threshold 1e-3"
+# Note of a probe whose d(t) did not grow through the two-decade window
+# by t_max; its rate is then the steepest trailing fit (stability_probe).
+_NO_GROWTH_NOTE = "growth window not completed by t_max: slope is the steepest trailing fit"
 
 
 @dataclass(frozen=True, eq=False)

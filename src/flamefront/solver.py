@@ -477,7 +477,8 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
     (a bool or str is none, an int beyond the float range is infinite) or
     exceeds 0.3, an h_max that is not a finite real or is below h_step,
     and a k0 that is not an integer >= 1 or not resolved on the cfg.nx
-    grid; BranchStartError when the first solve fails.
+    grid; BranchStartError when the first solve fails, its message ending
+    in the cause's.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -491,7 +492,7 @@ def continue_branch(k0, kind, h_step, h_max, cfg=None):
         sol = quasi_newton_solve(guess, h_step, kind, cfg, k0=k0)
     except (ConvergenceError, SingularSystemError, DegenerateFrontError) as exc:
         raise BranchStartError(
-            f"first solve at target_h {h_step} failed for k0={k0}, {kind.value}"
+            f"first solve at target_h {h_step} failed for k0={k0}, {kind.value}: {exc}"
         ) from exc
 
     solutions = [sol]

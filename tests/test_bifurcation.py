@@ -1,8 +1,11 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from flamefront import bifurcation
 from flamefront.bifurcation import (
     asymptotic_expansion,
     asymptotic_guess,
@@ -13,7 +16,7 @@ from flamefront.bifurcation import (
     sylvester_matrix,
     transversality_resultant,
 )
-from flamefront.errors import InvalidGridError
+from flamefront.errors import InternalConsistencyError, InvalidGridError, RootBracketError
 from flamefront.model import ModelKind
 from flamefront.solver import SolveConfig, continue_branch
 from flamefront.spectral import sine_coeffs
@@ -55,8 +58,28 @@ def test_k0_validation():
 def test_nonlinear_roots_match_oracle():
     for k0, expected in NONLINEAR_ALPHA0.items():
         alpha0 = nonlinear_bifurcation_alpha(k0)
-        assert abs(alpha0 - expected) < 1e-9
+        assert alpha0 == expected
         assert abs(q_poly(alpha0, k0)) < 1e-13
+
+
+def q_exact(alpha, k0):
+    a = Fraction(alpha)
+    return (a - 1) - k0 * k0 * a * a * (a + 3)
+
+
+@pytest.mark.parametrize("k0s", [range(1, 201), (2 * 10**7, 10**8, 10**38, 18 * 10**37)])
+def test_nonlinear_root_is_the_nearer_double_in_exact_arithmetic(k0s):
+    # the exact root lies between alpha0 and its neighbour on the far side
+    # of the sign change, and alpha0 is the one of the two doubles with the
+    # smaller exact |q|: no tolerance enters
+    for k0 in k0s:
+        alpha0 = nonlinear_bifurcation_alpha(k0)
+        q0 = q_exact(alpha0, k0)
+        # q falls through its root, so a negative q lies above it
+        neighbour = math.nextafter(alpha0, -math.inf if q0 < 0 else math.inf)
+        q1 = q_exact(neighbour, k0)
+        assert q0 * q1 <= 0
+        assert abs(q0) < abs(q1)
 
 
 def test_nonlinear_roots_bracket_and_residual_k0_sweep():
@@ -81,6 +104,27 @@ def test_nonlinear_roots_approach_minus_three():
     roots = [nonlinear_bifurcation_alpha(k0) for k0 in range(1, 20)]
     assert all(a < b for a, b in zip(roots, roots[1:]))
     assert roots[-1] > -3.02
+
+
+def test_root_refuses_a_bracket_without_a_sign_change(monkeypatch):
+    monkeypatch.setattr(bifurcation, "_BRACKET", (-2.0, -1.0))
+    with pytest.raises(RootBracketError) as info:
+        nonlinear_bifurcation_alpha(1)
+    assert str(info.value) == "cubic does not change sign on [-2.0, -1.0] for k0=1: q(lo)=-7.0, q(hi)=-4.0"
+
+
+def test_resultant_refuses_a_sylvester_determinant_that_disagrees(monkeypatch):
+    monkeypatch.setattr(bifurcation, "sylvester_matrix", lambda k0: np.eye(5))
+    with pytest.raises(InternalConsistencyError) as info:
+        transversality_resultant(1)
+    assert str(info.value) == "resultant mismatch for k0=1: closed form 176.0 vs Sylvester determinant 1.0"
+
+
+def test_expansion_refuses_a_kind_that_is_not_a_model_kind():
+    with pytest.raises(ValueError) as info:
+        continue_branch(1, "linear", 0.05, 0.1, SolveConfig(nx=64))
+    assert str(info.value) == "unknown model kind 'linear'"
+    assert info.traceback[-1].name == "asymptotic_expansion"
 
 
 def test_discriminant_frozen_values():

@@ -119,7 +119,8 @@ def test_branch_rejects_bad_steps(tmp_path):
 
 
 def test_stability_no_growth_near_onset(tmp_path):
-    # the h = 0.05 wave sits a hair above alpha = 5: no measurable growth
+    # the h = 0.05 wave sits a hair above alpha = 5: d(t) does not grow
+    # two decades by t_max 0.3, though its fitted slope is positive
     run_branch(tmp_path)
     code = main(
         [
@@ -137,7 +138,7 @@ def test_stability_no_growth_near_onset(tmp_path):
     assert code == 0
     fit = json.loads((tmp_path / "fit.json").read_text())
     assert fit["observed"] is False
-    assert "no instability observed" in fit["note"]
+    assert fit["note"] == "growth window not completed by t_max: slope is the steepest trailing fit"
     with open(tmp_path / "growth.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "d"]
@@ -350,6 +351,13 @@ def test_to_json_float_array_matches_per_element_format():
     expected = "[" + ", ".join(format(v, ".17g") for v in values.tolist()) + "]"
     assert _to_json(values) == expected
     assert _to_json(np.array([])) == "[]"
+
+
+def test_to_json_writes_empty_containers_and_refuses_other_types():
+    assert _to_json({}) == "{}"
+    assert _to_json([]) == "[]"
+    with pytest.raises(TypeError, match="^cannot serialize <class 'object'>$"):
+        _to_json(object())
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

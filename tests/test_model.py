@@ -228,3 +228,12 @@ def test_unstable_modes_census():
     for alpha in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="^alpha must be finite"):
             unstable_modes(alpha)
+
+
+def test_residual_refuses_a_kind_that_is_not_a_model_kind():
+    p = flat()
+    params = WaveParams(alpha=5.0, beta=1.0, length=2.0 * np.pi)
+    with pytest.raises(ValueError) as info:
+        residual(p, params, "linear")
+    assert str(info.value) == "unknown model kind 'linear'"
+    assert info.traceback[-1].name == "_closure"

@@ -536,9 +536,26 @@ def test_branch_rejects_non_finite_amplitudes(h_step, h_max):
 
 
 def test_branch_start_failure():
+    # the message ends in its cause's, so the CLI's one error line says why
     cfg = SolveConfig(max_iters=1)
-    with pytest.raises(BranchStartError):
+    with pytest.raises(BranchStartError) as info:
         continue_branch(1, ModelKind.LINEAR, 0.05, 0.2, cfg=cfg)
+    assert isinstance(info.value.__cause__, ConvergenceError)
+    assert str(info.value) == (
+        "first solve at target_h 0.05 failed for k0=1, linear: "
+        "no convergence (max-iters) after 1 iterations: residual floor 7.343e-10, target_h 0.05"
+    )
+
+
+def test_branch_start_failure_names_a_singular_system(monkeypatch):
+    monkeypatch.setattr(solver, "_PIVOT_FLOOR", 1e300)
+    with pytest.raises(BranchStartError) as info:
+        continue_branch(1, ModelKind.LINEAR, 0.05, 0.2, cfg=SolveConfig(nx=64))
+    assert isinstance(info.value.__cause__, SingularSystemError)
+    assert str(info.value) == (
+        "first solve at target_h 0.05 failed for k0=1, linear: "
+        "Newton matrix pivot below 1e+300; system is singular"
+    )
 
 
 def test_branch_nonlinear_segment():
