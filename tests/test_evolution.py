@@ -741,15 +741,27 @@ def test_a_state_is_theta_length_and_time(rng, make, maps):
     assert_same_state(imex_step(out, 17.0, 1e-5), evolve(out, 17.0, 1e-5, 1))
 
 
-@pytest.mark.parametrize("nx", [64, 256])
-def test_observed_states_keep_their_arrays(rng, nx):
-    # the stepper hands out rows of its history stacks without a copy, so
-    # no later step may write into an array a state already holds
+@pytest.mark.parametrize(
+    "make, maps",
+    [
+        (lambda rng: smooth_random_state(rng, 64), lambda: _maps(64)),
+        (lambda rng: smooth_random_state(rng, 256), lambda: _maps(256)),
+        (lambda rng: odd_random_state(rng, 64), lambda: _odd_maps(64)),
+        (lambda rng: odd_random_state(rng, 256), lambda: _odd_maps(256)),
+    ],
+    ids=["64", "256", "odd-64", "odd-256"],
+)
+def test_observed_states_keep_their_arrays(rng, make, maps):
+    # the stepper writes its two history stacks and its work arrays again
+    # on every step, on both paths, so no later step may write into an
+    # array a state already holds
     def arrays(state):
         return [state.theta.values, state.theta.coeffs]
 
+    start = make(rng)
+    assert _step_maps(start.theta) is maps()
     seen = []
-    evolve(smooth_random_state(rng, nx), 17.0, 1e-5, 30,
+    evolve(start, 17.0, 1e-5, 30,
            observer=lambda s: seen.append((s, [x.copy() for x in arrays(s)], s.length, s.time)))
     for state, copies, length, time in seen:
         for x, copy in zip(arrays(state), copies):
@@ -883,21 +895,25 @@ def looped_probe(wave, cfg):
             "note": evolution._NO_GROWTH_NOTE}
 
 
-# The probe takes d(t) a block of _PROBE_BLOCK = 32 steps at a time, so
-# its run may go up to 31 steps past the window's end.  On the flat front
-# at alpha 17, nx 64, the window ends at step 720 for dt 8e-4, the 16th
-# row of a block, and at step 576, a block's last row, for dt 1e-3.  With
-# t_max 0.576 at dt 8e-4 the run has 720 steps, so the window ends in the
-# last, partly filled block, and only the final flush finds it.
+# The stepping loop fills the probe's block of _PROBE_BLOCK = 32 steps and
+# hands it back only when it is full, so the run may go up to 31 steps past
+# the window's end.  On the flat front at alpha 17, at nx 64 and at nx 256
+# alike, the window ends at step 720 for dt 8e-4, the 16th row of a block,
+# and at step 576, a block's last row, for dt 1e-3.  With t_max 0.576 at
+# dt 8e-4 the run has 720 steps, so the window ends in the last, partly
+# filled block, and only the final flush finds it.  The nx-256 cases step
+# on the dense odd maps of the benchmark's probes.
 @pytest.mark.parametrize(
-    "dt, t_max, blow_up_at, steps",
+    "dt, t_max, blow_up_at, steps, nx",
     [
-        (8e-4, 1.0, None, 720),
-        (1e-3, 1.0, None, 576),
-        (8e-4, 0.576, None, 720),
-        (1e-3, 0.1, None, 100),
-        (8e-4, 1.0, 722, 720),
-        (8e-4, 1.0, 100, None),
+        (8e-4, 1.0, None, 720, 64),
+        (1e-3, 1.0, None, 576, 64),
+        (8e-4, 0.576, None, 720, 64),
+        (1e-3, 0.1, None, 100, 64),
+        (8e-4, 1.0, 722, 720, 64),
+        (8e-4, 1.0, 100, None, 64),
+        (8e-4, 1.0, None, 720, 256),
+        (1e-3, 1.0, None, 576, 256),
     ],
     ids=[
         "mid-block",
@@ -906,11 +922,13 @@ def looped_probe(wave, cfg):
         "no-window-partial-block",
         "blow-up-after-window",
         "blow-up-before-window",
+        "mid-block-nx256",
+        "block-last-row-nx256",
     ],
 )
-def test_probe_matches_a_loop_over_observed_states(monkeypatch, dt, t_max, blow_up_at, steps):
+def test_probe_matches_a_loop_over_observed_states(monkeypatch, dt, t_max, blow_up_at, steps, nx):
     assert evolution._PROBE_BLOCK == 32
-    wave = flat_solution(17.0, nx=64)
+    wave = flat_solution(17.0, nx=nx)
     cfg = StabilityProbeConfig(dt=dt, t_max=t_max)
 
     # the start is exactly odd, and its values are those of the odd step,
